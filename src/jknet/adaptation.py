@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EquilibriumResult, equilibrium
+from .dynamics import KIND_ACS, EquilibriumResult, equilibrium
 from .graph import (
     InteractionMatrix,
     ModelParams,
-    has_directed_cycle,
     has_undirected_cycle,
-    is_acs,
     resample_vertex,
     sample_er_digraph,
 )
@@ -40,15 +38,42 @@ __all__ = [
 ]
 
 STOP_MODES = ("none", "first_cycle", "full_acs")
+X0_MODES = ("uniform", "carry")
 
 
 @dataclass(frozen=True, eq=False)
 class AdaptiveState:
-    """Graph and its equilibrium at discrete step s."""
+    """Graph and its equilibrium at discrete step s.
+
+    The two structure flags are read off the state, with no graph search.
+
+    ``directed_cycle`` is the equilibrium's kind. On a cyclic graph the
+    flow limit is a non-negative eigenvector of some cycle-carrying
+    class, so |C x_*|_1 = rho >= 1 (a 0/1 cycle has radius at least 1)
+    and the kind is ``acs_supported``. On an acyclic graph the nilpotent
+    limit gives C x_* = 0 exactly. This needs the start to reach a cycle
+    whenever the graph has one. The uniform start covers every vertex.
+    The carried start of ``jk_step`` keeps the old equilibrium's support:
+    that is every vertex when the zero set is empty, and otherwise the
+    update of a zero vertex leaves the support's cycles intact. It also
+    gives the resampled vertex, through which every new cycle passes,
+    mass 1/d.
+
+    ``full_acs`` is the in-degree test: the whole vertex set is
+    autocatalytic iff every vertex has an in-edge.
+    """
 
     s: int
     matrix: InteractionMatrix
     x_star: EquilibriumResult
+
+    @property
+    def directed_cycle(self) -> bool:
+        return self.x_star.kind == KIND_ACS
+
+    @property
+    def full_acs(self) -> bool:
+        return bool(self.matrix.entries.any(axis=1).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +137,13 @@ def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
     reuses the previous equilibrium with the resampled vertex reset to
     1/d (then renormalised).
     """
+    if x0_mode not in X0_MODES:
+        raise ValueError(f"x0_mode must be one of {X0_MODES}")
     x = state.x_star.x_star
     jset = min_prevalence_set(x, rel_tol)
     chosen = int(jset[rng.integers(jset.size)])
     new_matrix = resample_vertex(state.matrix, chosen, p, rng)
-    if x0_mode == "uniform":
-        x0 = None
-    elif x0_mode == "carry":
-        x0 = _carry_state(x, chosen)
-    else:
-        raise ValueError(f"unknown x0_mode {x0_mode!r}")
+    x0 = _carry_state(x, chosen) if x0_mode == "carry" else None
     new_eq = equilibrium(new_matrix, x0=x0, tol=tol, zero_tol=zero_tol)
     record = _record_state(state, chosen, jset)
     return AdaptiveState(state.s + 1, new_matrix, new_eq), record
@@ -140,8 +162,8 @@ def _record_state(state: AdaptiveState, chosen: int | None,
         chosen=chosen,
         lam=lam,
         support_size=int(state.x_star.support.size),
-        directed_cycle=has_directed_cycle(state.matrix),
-        full_acs=is_acs(state.matrix, range(state.matrix.d)),
+        directed_cycle=state.directed_cycle,
+        full_acs=state.full_acs,
     )
 
 
@@ -178,6 +200,8 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
         raise ValueError(f"stop must be one of {STOP_MODES}")
     if cycle_kind not in ("directed", "undirected"):
         raise ValueError("cycle_kind must be 'directed' or 'undirected'")
+    if x0_mode not in X0_MODES:
+        raise ValueError(f"x0_mode must be one of {X0_MODES}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
@@ -193,15 +217,13 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
     trace = AdaptiveTrace(params=params, seed=seed, options=options)
 
     while True:
-        directed_here = has_directed_cycle(state.matrix)
         if cycle_kind == "directed":
-            cycle_here = directed_here
+            cycle_here = state.directed_cycle
         else:
             cycle_here = has_undirected_cycle(state.matrix)
-        acs_here = is_acs(state.matrix, range(params.d))
         if trace.first_cycle_step is None and cycle_here:
             trace.first_cycle_step = state.s
-        if trace.full_acs_step is None and acs_here:
+        if trace.full_acs_step is None and state.full_acs:
             trace.full_acs_step = state.s
 
         done = (
@@ -224,8 +246,8 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
             old = state.matrix.entries[np.ix_(sup, sup)]
             new = new_state.matrix.entries[np.ix_(sup, sup)]
             ok = ok and bool((old == new).all())
-            if directed_here:
-                ok = ok and has_directed_cycle(new_state.matrix)
+            if state.directed_cycle:
+                ok = ok and new_state.directed_cycle
             if not ok:
                 trace.invariant_violations += 1
 

@@ -260,6 +260,8 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
         raise ValueError("dimension mismatch")
     if y.min() < 0 or y.sum() <= 0:
         raise ValueError("y0 must be non-negative and nonzero")
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     gen = a - phi * np.eye(C.d)
     y = y / y.sum()
     times = [0.0]
@@ -281,7 +283,10 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
             k4 = gen @ (y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         mass = y.sum()
-        assert mass > 1e-300, "cone trajectory collapsed to numerical zero"
+        if not (np.isfinite(mass) and mass > 1e-300):
+            raise NonConvergenceError(
+                f"cone trajectory mass {mass:.3e} collapsed or overflowed "
+                f"at step {step}; reduce h or |phi|")
         y = np.clip(y, 0.0, None)
         y /= y.sum()
         if step % record_every == 0 or step == n_steps:

@@ -15,6 +15,9 @@ from jknet import (
     trace_from_json_lines,
     trace_to_json_lines,
 )
+from jknet.adaptation import X0_MODES
+from jknet.dynamics import KIND_ACS, KIND_DEGENERATE, KIND_TERMINAL
+from jknet.graph import resample_vertex, sample_er_digraph
 from jknet.rng import stream
 
 
@@ -126,6 +129,13 @@ class TestRunAdaptive:
         with pytest.raises(ValueError):
             run_adaptive(ModelParams(d=4, p=0.1), seed=0, max_steps=5, stop="x")
 
+    def test_unknown_x0_mode_rejected_before_any_step(self):
+        # the graph is cyclic at step 0, so the run would stop before the
+        # first jk_step ever looked at x0_mode
+        with pytest.raises(ValueError, match="x0_mode"):
+            run_adaptive(ModelParams(d=10, p=0.9), seed=1, max_steps=5,
+                         stop="first_cycle", x0_mode="bogus")
+
     def test_determinism_byte_identical_traces(self):
         kw = dict(params=ModelParams(d=12, p=0.04), max_steps=40)
         t1 = trace_to_json_lines(run_adaptive(seed=11, **kw))
@@ -188,6 +198,47 @@ class TestRunAdaptive:
             assert jset.tolist() == eq.zero_set.tolist()
             checked += 1
         assert checked > 20
+
+
+class TestStateFlags:
+    """Each state's flags agree with the graph searches they replace."""
+
+    CHAINS = [(3, 0.15), (6, 0.5), (8, 0.08), (12, 0.05), (20, 0.04),
+              (30, 0.1)]
+
+    @pytest.mark.parametrize("x0_mode", X0_MODES)
+    def test_flags_match_searches_along_jk_step_chains(self, x0_mode):
+        kinds, cycle_flags, acs_flags = set(), set(), set()
+        for i, (d, p) in enumerate(self.CHAINS):
+            rng = stream(900 + i)
+            state = make_state(sample_er_digraph(ModelParams(d=d, p=p), rng))
+            for _ in range(60):
+                new_state, rec = jk_step(state, p, rng, x0_mode=x0_mode)
+                m = state.matrix
+                assert rec.directed_cycle == has_directed_cycle(m)
+                assert rec.full_acs == is_acs(m, range(m.d))
+                kinds.add(state.x_star.kind)
+                cycle_flags.add(rec.directed_cycle)
+                acs_flags.add(rec.full_acs)
+                state = new_state
+        assert kinds == {KIND_ACS, KIND_TERMINAL, KIND_DEGENERATE}
+        assert cycle_flags == acs_flags == {True, False}
+
+    @pytest.mark.parametrize("x0_mode", X0_MODES)
+    def test_run_adaptive_records_match_searches(self, x0_mode):
+        # replay the recorded choices on the run's stream to rebuild each
+        # graph, then test it from scratch
+        params = ModelParams(d=15, p=0.06)
+        trace = run_adaptive(params, seed=31, max_steps=80, x0_mode=x0_mode)
+        rng = stream(31)
+        m = sample_er_digraph(params, rng)
+        for rec in trace.records:
+            assert rec.directed_cycle == has_directed_cycle(m)
+            assert rec.full_acs == is_acs(m, range(m.d))
+            if rec.chosen is not None:
+                rng.integers(len(rec.j_min_set))
+                m = resample_vertex(m, rec.chosen, params.p, rng)
+        assert {r.directed_cycle for r in trace.records} == {True, False}
 
 
 class TestPlantDirectedCycle:

@@ -3,6 +3,7 @@ import pytest
 
 from jknet import (
     InteractionMatrix,
+    ModelParams,
     NonConvergenceError,
     andi_residual,
     andi_sequences,
@@ -13,6 +14,7 @@ from jknet import (
     integrate_projective,
     is_acs,
     path_counts,
+    sample_er_digraph,
     simplex_vector,
     spectral_radius_pf,
     terminal_vertices,
@@ -173,6 +175,25 @@ class TestIntegrateProjective:
         with pytest.raises(ValueError):
             integrate_projective(example2, [-0.1, 0.6, 0.5])
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_phi(self, example2, phi):
+        with pytest.raises(ValueError, match="phi"):
+            integrate_projective(example2, uniform_state(3), phi=phi, t_end=1.0)
+
+    def test_collapsed_mass_raises(self):
+        # on the edge 0 -> 1 one RK4 step of size h = 10 at phi = 0.3 maps
+        # e_0 to R(-3) e_0 + 10 R'(-3) e_1 with R the RK4 polynomial: mass
+        # 1.375 - 20 < 0
+        m = InteractionMatrix.from_edges(2, [(0, 1)])
+        with pytest.raises(NonConvergenceError, match="collapsed"):
+            integrate_projective(m, [1.0, 0.0], phi=0.3, t_end=10.0, h=10.0)
+
+    def test_overflowing_mass_raises(self, example2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError, match="overflowed"):
+                integrate_projective(example2, uniform_state(3), phi=-1e100,
+                                     t_end=1.0, h=0.5)
+
 
 class TestEquilibrium:
     def test_example1(self, example1):
@@ -291,6 +312,21 @@ class TestEquilibrium:
         eq = equilibrium(example4)
         assert eq.residual < 1e-10
         np.testing.assert_allclose(traj.states[-1], eq.x_star, atol=0.01)
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason=(
+    "known defect: _pf_vector_irreducible stops at tol*max(1, lambda), but "
+    "equilibrium(analytic=True) checks the absolute max(tol, 1e-9), so a "
+    "graph with lambda ~ 10 fails at residual 1.0e-9"))
+def test_analytic_equilibrium_with_large_lambda():
+    rng = stream(10271)
+    d = int(rng.integers(3, 40))
+    p = float(rng.uniform(0.02, 0.3))
+    m = sample_er_digraph(ModelParams(d=d, p=p), rng)
+    assert d == 39
+    assert equilibrium(m).residual < 1e-12
+    eq = equilibrium(m, analytic=True)
+    assert eq.residual <= 1e-9
 
 
 class TestEquilibriumSetBasis:

@@ -51,6 +51,19 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError):
             InteractionMatrix(np.zeros((1, 1), dtype=int))
 
+    @pytest.mark.parametrize("bad", [2, -1, np.nan, 1.0 + 1e-12])
+    def test_rejects_every_value_but_zero_and_one(self, bad):
+        a = np.zeros((3, 3))
+        a[2, 0] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            InteractionMatrix(a)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, float])
+    def test_accepts_binary_of_any_dtype(self, dtype):
+        a = np.zeros((3, 3), dtype=dtype)
+        a[2, 0] = 1
+        assert InteractionMatrix(a).edges() == [(0, 2)]
+
     def test_entries_read_only(self):
         m = InteractionMatrix.zero(3)
         with pytest.raises(ValueError):
@@ -175,6 +188,57 @@ class TestDirectedCycles:
                 found += 1
                 assert spectral_radius_pf(m).lam >= 1 - 1e-10
         assert found > 20
+
+
+def tarjan_cyclic(m):
+    return any(len(c) > 1 for c in strongly_connected_components(m))
+
+
+def path_edges(n):
+    return [(v, v + 1) for v in range(n - 1)]
+
+
+class TestKahnPeelAgainstTarjan:
+    """``has_directed_cycle`` peels sources; Tarjan's SCCs are the oracle."""
+
+    def test_er_corpus(self):
+        rng = stream(110)
+        seen = set()
+        for _ in range(400):
+            d = int(rng.integers(2, 401))
+            theta = float(rng.uniform(0.2, 4.0))
+            m = sample_er_digraph(ModelParams(d=d, p=min(theta / d, 1.0)), rng)
+            cyclic = tarjan_cyclic(m)
+            assert has_directed_cycle(m) == cyclic, (d, theta)
+            seen.add(cyclic)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("d, edges, cyclic", [
+        (5, [], False),
+        (6, [(u, v) for u in range(6) for v in range(6) if u != v], True),
+        (300, path_edges(300), False),
+        (300, path_edges(300) + [(299, 298)], True),
+        (300, path_edges(300) + [(299, 150)], True),
+        (8, [(v, 0) for v in range(1, 8)], False),
+        (8, [(0, v) for v in range(1, 8)], False),
+        (4, [(0, 1), (1, 0), (2, 3), (3, 2)], True),
+        (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (3, 5)], True),
+    ], ids=["edgeless", "complete", "long-path", "cycle-at-path-end",
+            "long-cycle-closing-path", "sink-star", "source-star",
+            "two-disjoint-2-cycles", "triangle-beside-dag"])
+    def test_hand_built_shapes(self, d, edges, cyclic):
+        m = InteractionMatrix.from_edges(d, edges)
+        assert tarjan_cyclic(m) == cyclic
+        assert has_directed_cycle(m) == cyclic
+
+    def test_in_degrees_beyond_int8(self):
+        # vertex 0 has 256 in-edges and lies on the 2-cycle 0 -> 1 -> 0;
+        # an int8 in-degree sum wraps to 0 and would peel it with the sources
+        d = 257
+        m = InteractionMatrix.from_edges(d, [(v, 0) for v in range(1, d)]
+                                         + [(0, 1)])
+        assert tarjan_cyclic(m)
+        assert has_directed_cycle(m)
 
 
 class TestUndirectedCycles:
