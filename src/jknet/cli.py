@@ -11,7 +11,8 @@ default.
 Primary outputs are byte-deterministic for a given config and seed;
 wall-clock and host metadata go to a separate ``<out>.meta.json`` sidecar.
 Exit codes: 0 success, 1 error (machine-readable JSON on stderr), 2 for
-an experiment whose trials were all censored.
+an experiment whose trials were all censored or for a flag that argparse
+rejects (a usage message on stderr).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import experiments, signed_model
-from .adaptation import run_adaptive, trace_to_json_lines
+from .adaptation import X0_MODES, run_adaptive, trace_to_json_lines
 from .dynamics import (
     equilibrium,
     equilibrium_to_json_dict,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive catalytic network simulator and experiment harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p_):
+    def add_common(p_, x0_modes=("uniform", "carry", "analytic")):
         p_.add_argument("--config", help="JSON config file; flags override it")
         p_.add_argument("--d", type=str, help="vertex count (comma list for scans)")
         p_.add_argument("--p", type=float, help="edge probability")
@@ -105,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--k0", type=int, help="planted cycle length")
         p_.add_argument("--cycle-kind", dest="cycle_kind",
                         choices=("directed", "undirected"))
-        p_.add_argument("--x0-mode", dest="x0_mode",
-                        choices=("uniform", "carry", "analytic"))
+        p_.add_argument("--x0-mode", dest="x0_mode", choices=x0_modes)
         p_.add_argument("--jobs", type=int, help="worker processes for trials")
         p_.add_argument("--out", help="output path stem")
         p_.add_argument("--format", choices=("json", "csv"))
@@ -114,13 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("equilibrium", help="solve one graph's equilibrium"))
     add_common(sub.add_parser("integrate", help="integrate the simplex flow"))
-    add_common(sub.add_parser("adaptive-run", help="run the adaptive loop"))
+    # the adaptive loop reads each equilibrium from a flow start, so only
+    # the start modes of run_adaptive apply there
+    add_common(sub.add_parser("adaptive-run", help="run the adaptive loop"),
+               X0_MODES)
     exp = sub.add_parser("experiment", help="seeded Monte Carlo experiment")
     exp.add_argument("kind", choices=EXPERIMENT_KINDS)
-    add_common(exp)
+    add_common(exp, X0_MODES)
     scan = sub.add_parser("conjecture-scan", help="waiting-time scan over a d-grid")
     scan.add_argument("kind", choices=SCAN_TARGETS)
-    add_common(scan)
+    add_common(scan, X0_MODES)
     add_common(sub.add_parser("appendix-demo",
                               help="demonstrate signed-model mass loss"))
     return parser

@@ -48,6 +48,22 @@ class TestParseAndValidate:
                                 "--theta", "1.0", "--seed", "1",
                                 "--max-steps", "5"])
 
+    @pytest.mark.parametrize("argv", [
+        ["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+         "--max-steps", "5"],
+        ["experiment", "first-cycle", "--d", "10", "--p", "0.1",
+         "--seed", "1", "--trials", "1"],
+        ["conjecture-scan", "first-cycle", "--d", "10,20", "--theta", "0.5",
+         "--seed", "1", "--trials", "1"],
+    ])
+    def test_analytic_x0_mode_rejected_by_adaptive_commands(self, argv, capsys):
+        # run_adaptive takes only flow starts; argparse says so up front
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--x0-mode", "analytic"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'analytic'" in capsys.readouterr().err
+        assert parse_and_validate(argv + ["--x0-mode", "carry"]).x0_mode == "carry"
+
     def test_seed_required_for_experiments(self):
         with pytest.raises(CliError, match="seed"):
             parse_and_validate(["experiment", "waiting-time", "--k", "10",

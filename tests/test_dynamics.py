@@ -21,11 +21,18 @@ from jknet import (
     uniform_state,
     vector_field,
 )
+from jknet import dynamics
+from jknet.adaptation import run_adaptive
 from jknet.dynamics import equilibrium_to_json_dict, trajectory_to_csv
 from jknet.rng import stream
 
 from conftest import interior_state, random_matrices
-from oracles import naive_vector_field
+from oracles import (
+    brute_force_directed_cycle,
+    dense_dominant_direction,
+    floyd_warshall_reachability,
+    naive_vector_field,
+)
 
 TWO_CYCLE = [(0, 1), (1, 0)]
 
@@ -303,6 +310,34 @@ class TestEquilibrium:
         with pytest.raises(NonConvergenceError):
             equilibrium(example4, max_doublings=2, tol=1e-14)
 
+    def test_start_that_reaches_no_cycle(self):
+        # the 2-cycle grows fastest, but the start never reaches it: the
+        # flow stays on 2 -> 3 and ends at e_3
+        m = InteractionMatrix.from_edges(4, [(0, 1), (1, 0), (2, 3)])
+        eq = equilibrium(m, x0=[0, 0, 1, 0])
+        np.testing.assert_array_equal(eq.x_star, [0, 0, 0, 1])
+        assert eq.kind == "terminal_supported"
+        # a start on a sink is already stationary
+        np.testing.assert_array_equal(
+            equilibrium(m, x0=[0, 0, 0, 1]).x_star, [0, 0, 0, 1])
+
+    def test_sparse_starts_on_random_graphs(self):
+        # half-zero starts often miss the fastest-growing block; each
+        # limit must be stationary and stay where the start can reach
+        rng = stream(515)
+        for _ in range(600):
+            d = int(rng.integers(3, 30))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.3, 2.5))), rng)
+            x0 = np.where(rng.random(d) < 0.5, rng.random(d), 0.0)
+            x0[int(rng.integers(d))] += 0.1
+            x0 /= x0.sum()
+            eq = equilibrium(m, x0=x0)
+            reach = floyd_warshall_reachability(m.entries)
+            live = (x0 > 0) | reach[x0 > 0].any(axis=0)
+            assert eq.residual <= 1e-9
+            assert live[eq.support].all()
+
     def test_defective_case_time_stepping_is_slow(self, example4):
         # the two chained 2-cycles give a defective leading eigenvalue:
         # time integration approaches the limit only like 1/t, while the
@@ -312,6 +347,146 @@ class TestEquilibrium:
         eq = equilibrium(example4)
         assert eq.residual < 1e-10
         np.testing.assert_allclose(traj.states[-1], eq.x_star, atol=0.01)
+
+
+def dense_flow_limit(C, x0, tol=1e-10, zero_tol=1e-9):
+    """The flow limit with the dense squaring, on the reachable vertices."""
+    d = C.d
+    start = np.full(d, 1.0 / d) if x0 is None else np.asarray(x0, dtype=float)
+    reach = floyd_warshall_reachability(C.entries)
+    live = (start > 0) | reach[start > 0].any(axis=0)
+    sub = C.entries[np.ix_(live, live)]
+    a = sub.astype(float)
+    x = np.zeros(d)
+    if brute_force_directed_cycle(sub):
+        x[live] = dense_dominant_direction(a, start[live], tol, zero_tol, 70)
+    else:
+        x[live] = dynamics._nilpotent_limit(a, start[live])
+    return x
+
+
+def covering_rows(groups, d):
+    """Map each vertex to the (stack, row) of the block that holds it."""
+    where = {}
+    for g, idx in enumerate(groups):
+        for r, row in enumerate(idx):
+            for v in row[row < d]:
+                assert int(v) not in where
+                where[int(v)] = (g, r)
+    assert sorted(where) == list(range(d))
+    return where
+
+
+class TestBlockSolver:
+    """The block-diagonal squaring against the dense one it replaced."""
+
+    def test_matches_dense_oracle_on_seeded_corpus(self):
+        rng = stream(4242)
+        cyclic = 0
+        for case in range(160):
+            d = int(rng.integers(2, 121))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.3, 2.5))), rng)
+            x0 = None
+            if case % 2:
+                x0 = np.where(rng.random(d) < 0.3, rng.random(d), 0.0)
+                x0[int(rng.integers(d))] += 0.1
+                x0 /= x0.sum()
+            eq = equilibrium(m, x0=x0)
+            x = dense_flow_limit(m, x0)
+            support, _, kind = dynamics._classify(m.as_float(), x, 1e-9,
+                                                  m.edge_count() > 0)
+            np.testing.assert_array_equal(eq.support, support)
+            assert eq.kind == kind
+            np.testing.assert_allclose(eq.x_star, x, rtol=0, atol=1e-6)
+            cyclic += kind == "acs_supported"
+        assert cyclic >= 60
+
+    def test_adaptive_replay_matches_dense_oracle(self, monkeypatch):
+        params = ModelParams.from_theta(400, 0.5)
+        fast = [run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
+                for s in range(3)]
+        monkeypatch.setattr(dynamics, "_dominant_direction",
+                            dense_dominant_direction)
+        for s, trace in enumerate(fast):
+            dense = run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
+            assert ([r.chosen for r in trace.records]
+                    == [r.chosen for r in dense.records])
+            for r, q in zip(trace.records, dense.records):
+                assert abs(r.lam - q.lam) <= 1e-12
+
+    def test_component_labels_match_brute_force(self):
+        rng = stream(77)
+        for _ in range(60):
+            d = int(rng.integers(2, 150))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.2, 2.0))), rng)
+            und = m.entries | m.entries.T
+            reach = floyd_warshall_reachability(und) | np.eye(d, dtype=bool)
+            expect = reach.argmax(axis=0)  # smallest vertex joined to each
+            labels = dynamics._weak_component_labels(m.as_float())
+            np.testing.assert_array_equal(labels, expect)
+
+    def test_equal_size_components_share_one_stack(self):
+        # 20 two-cycles, 10 three-cycles and 30 isolated vertices, with
+        # shuffled names: every component fits a tile, so one stack of
+        # tiles holds them all, and none is split between two tiles
+        rng = stream(9)
+        perm = rng.permutation(100)
+        edges = []
+        for k in range(20):
+            edges += [(2 * k, 2 * k + 1), (2 * k + 1, 2 * k)]
+        for k in range(10):
+            u = 40 + 3 * k
+            edges += [(u, u + 1), (u + 1, u + 2), (u + 2, u)]
+        m = InteractionMatrix.from_edges(
+            100, [(int(perm[u]), int(perm[v])) for u, v in edges])
+        groups = dynamics._block_layout(m.as_float())
+        assert len(groups) == 1 and groups[0].shape[1] == dynamics._TILE
+        where = covering_rows(groups, 100)
+        for u, v in edges:
+            assert where[int(perm[u])] == where[int(perm[v])]
+        np.testing.assert_allclose(equilibrium(m).x_star,
+                                   dense_flow_limit(m, None),
+                                   rtol=0, atol=1e-12)
+
+    def test_large_components_stack_by_size(self):
+        # three 40-cycles are one (3, 40) stack; the 20 isolated vertices
+        # share a tile
+        edges = []
+        for c in range(3):
+            ring = list(range(c, 120, 3))
+            edges += list(zip(ring, ring[1:] + ring[:1]))
+        m = InteractionMatrix.from_edges(140, edges)
+        groups = dynamics._block_layout(m.as_float())
+        assert sorted(g.shape for g in groups) == [(1, 32), (3, 40)]
+        rings = next(g for g in groups if g.shape == (3, 40))
+        np.testing.assert_array_equal(rings, np.arange(120).reshape(40, 3).T)
+        covering_rows(groups, 140)
+        np.testing.assert_allclose(equilibrium(m).x_star,
+                                   dense_flow_limit(m, None),
+                                   rtol=0, atol=1e-12)
+
+    def test_single_component_is_one_block(self):
+        d = 100
+        ring = [(v, (v + 1) % d) for v in range(d)]
+        m = InteractionMatrix.from_edges(d, ring + [(0, 50), (70, 20)])
+        groups = dynamics._block_layout(m.as_float())
+        assert len(groups) == 1
+        np.testing.assert_array_equal(groups[0], np.arange(d)[None, :])
+        np.testing.assert_allclose(equilibrium(m).x_star,
+                                   dense_flow_limit(m, None),
+                                   rtol=0, atol=1e-12)
+
+    def test_small_graph_is_one_block(self):
+        d = dynamics._ONE_BLOCK
+        m = InteractionMatrix.from_edges(d, [(0, 1), (1, 0), (5, 6)])
+        assert dynamics._block_layout(m.as_float()) is None
+        np.testing.assert_allclose(equilibrium(m).x_star,
+                                   dense_flow_limit(m, None),
+                                   rtol=0, atol=1e-12)
+        m = InteractionMatrix.from_edges(d + 1, [(0, 1), (1, 0), (5, 6)])
+        assert len(dynamics._block_layout(m.as_float())) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason=(
