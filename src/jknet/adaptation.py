@@ -154,13 +154,11 @@ def _record_state(state: AdaptiveState, chosen: int | None,
                   rel_tol: float = 1e-9) -> StepRecord:
     if jset is None:
         jset = min_prevalence_set(state.x_star.x_star, rel_tol)
-    a = state.matrix.as_float()
-    lam = float((a @ state.x_star.x_star).sum())
     return StepRecord(
         s=state.s,
         j_min_set=tuple(int(v) for v in jset),
         chosen=chosen,
-        lam=lam,
+        lam=state.x_star.lam,
         support_size=int(state.x_star.support.size),
         directed_cycle=state.directed_cycle,
         full_acs=state.full_acs,

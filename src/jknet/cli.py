@@ -111,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--out", help="output path stem")
         p_.add_argument("--format", choices=("json", "csv"))
         p_.add_argument("--matrix", help="interaction matrix file")
+        # config-file values meet the same types and choices as the flags
+        p_.set_defaults(flags={a.dest: a for a in p_._actions})
 
     add_common(sub.add_parser("equilibrium", help="solve one graph's equilibrium"))
     add_common(sub.add_parser("integrate", help="integrate the simplex flow"))
@@ -145,6 +147,30 @@ def _parse_d(raw) -> tuple[int | None, tuple | None]:
     return int(text), None
 
 
+def _coerce_config(file_cfg: dict, flags: dict) -> dict:
+    """Config-file values through their flags' types and choices.
+
+    Each value is converted from its text, as the flag's would be, so that
+    2.5 or true is not taken for an int. ``d`` keeps its JSON value:
+    ``_parse_d`` reads ints, lists and comma strings alike.
+    """
+    out = {}
+    for key, val in file_cfg.items():
+        action = flags.get(key)
+        if action is not None and key != "d":
+            if action.type is not None:
+                try:
+                    val = action.type(str(val))
+                except (TypeError, ValueError):
+                    raise CliError(f"config key {key!r}: invalid "
+                                   f"{action.type.__name__} value {val!r}")
+            if action.choices is not None and val not in action.choices:
+                raise CliError(f"config key {key!r}: invalid choice {val!r} "
+                               f"(choose from {', '.join(action.choices)})")
+        out[key] = val
+    return out
+
+
 def parse_and_validate(argv) -> RunConfig:
     """Merge CLI flags over the optional config file into a RunConfig."""
     ns = build_parser().parse_args(argv)
@@ -160,9 +186,9 @@ def parse_and_validate(argv) -> RunConfig:
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
+        merged.update(_coerce_config(file_cfg, ns.flags))
     for key, val in vars(ns).items():
-        if key in ("command", "config") or val is None:
+        if key in ("command", "config", "flags") or val is None:
             continue
         merged[key] = val
 
@@ -227,17 +253,20 @@ def _write_meta(out: str, argv) -> None:
     _write(out + ".meta.json", _json_text(meta))
 
 
-def _emit(cfg: RunConfig, json_obj, csv_text: str | None = None) -> None:
-    """Write primary outputs; stdout gets the --format selection."""
+def _emit(cfg: RunConfig, outputs: dict) -> None:
+    """Write the primary outputs, ``{suffix: text}`` with the main one first.
+
+    With --out every entry goes to ``<out><suffix>``. Otherwise stdout
+    gets the ``.csv`` text under --format csv when there is one, and the
+    first entry in every other case.
+    """
     if cfg.out:
-        _write(cfg.out + ".json", _json_text(json_obj))
-        if csv_text is not None:
-            _write(cfg.out + ".csv", csv_text)
+        for suffix, text in outputs.items():
+            _write(cfg.out + suffix, text)
+    elif cfg.format == "csv" and ".csv" in outputs:
+        sys.stdout.write(outputs[".csv"])
     else:
-        if cfg.format == "csv" and csv_text is not None:
-            sys.stdout.write(csv_text)
-        else:
-            sys.stdout.write(_json_text(json_obj))
+        sys.stdout.write(next(iter(outputs.values())))
 
 
 def _require(cfg: RunConfig, *names) -> None:
@@ -263,7 +292,7 @@ def _load_or_sample_matrix(cfg: RunConfig) -> InteractionMatrix:
 def _cmd_equilibrium(cfg: RunConfig) -> int:
     matrix = _load_or_sample_matrix(cfg)
     eq = equilibrium(matrix, analytic=(cfg.x0_mode == "analytic"), tol=cfg.tol)
-    _emit(cfg, equilibrium_to_json_dict(eq))
+    _emit(cfg, {".json": _json_text(equilibrium_to_json_dict(eq))})
     return 0
 
 
@@ -271,18 +300,13 @@ def _cmd_integrate(cfg: RunConfig) -> int:
     matrix = _load_or_sample_matrix(cfg)
     t_end = cfg.t_max if cfg.t_max is not None else 50.0
     traj = integrate(matrix, uniform_state(matrix.d), t_end=t_end, h=cfg.h)
-    csv_text = trajectory_to_csv(traj)
     summary = {
         "t_end": float(traj.times[-1]),
         "final_state": [float(v) for v in traj.states[-1]],
         "final_residual": float(traj.residuals[-1]),
         "mass_drift_rate": traj.mass_drift_rate,
     }
-    if cfg.out:
-        _write(cfg.out + ".csv", csv_text)
-        _write(cfg.out + ".json", _json_text(summary))
-    else:
-        sys.stdout.write(csv_text if cfg.format == "csv" else _json_text(summary))
+    _emit(cfg, {".json": _json_text(summary), ".csv": trajectory_to_csv(traj)})
     return 0
 
 
@@ -292,11 +316,7 @@ def _cmd_adaptive_run(cfg: RunConfig) -> int:
                          max_steps=cfg.max_steps, stop="none",
                          cycle_kind=cfg.cycle_kind, x0_mode=cfg.x0_mode,
                          plant_cycle=None, tol=cfg.tol)
-    text = trace_to_json_lines(trace)
-    if cfg.out:
-        _write(cfg.out + ".jsonl", text)
-    else:
-        sys.stdout.write(text)
+    _emit(cfg, {".jsonl": trace_to_json_lines(trace)})
     return 0
 
 
@@ -340,7 +360,7 @@ def _experiment_result(cfg: RunConfig):
 def _cmd_experiment(cfg: RunConfig) -> int:
     result = _experiment_result(cfg)
     payload = {"config": _config_dict(cfg), "result": result.to_json_dict()}
-    _emit(cfg, payload, result.to_csv())
+    _emit(cfg, {".json": _json_text(payload), ".csv": result.to_csv()})
     if result.trials > 0 and result.censored_count == result.trials:
         return 2
     return 0
@@ -363,11 +383,7 @@ def _cmd_conjecture_scan(cfg: RunConfig) -> int:
         "means": [float(pt.mean) for pt in scan.points],
         "config": _config_dict(cfg),
     }
-    if cfg.out:
-        _write(cfg.out + ".csv", scan.to_csv())
-        _write(cfg.out + ".fit.json", _json_text(fit))
-    else:
-        sys.stdout.write(scan.to_csv() if cfg.format == "csv" else _json_text(fit))
+    _emit(cfg, {".fit.json": _json_text(fit), ".csv": scan.to_csv()})
     return 0
 
 
@@ -377,7 +393,7 @@ def _cmd_appendix_demo(cfg: RunConfig) -> int:
     report = signed_model.demonstrate_inconsistency(cfg.d, cfg.p, cfg.trials,
                                                     cfg.seed, t_max=t_max,
                                                     h=cfg.h)
-    _emit(cfg, signed_model.report_to_json_dict(report))
+    _emit(cfg, {".json": _json_text(signed_model.report_to_json_dict(report))})
     return 0
 
 

@@ -71,7 +71,8 @@ class EquilibriumResult:
     ``terminal_supported`` (acyclic graph, mass on terminal vertices) or
     ``degenerate_no_edges`` (zero matrix, every point is stationary).
     ``non_unique`` flags an analytic answer picked from an equilibrium
-    set of dimension >= 1.
+    set of dimension >= 1. ``lam`` is |C x_*|_1: the leading eigenvalue
+    on an ACS-supported equilibrium, 0 otherwise.
     """
 
     x_star: np.ndarray
@@ -80,6 +81,7 @@ class EquilibriumResult:
     zero_set: np.ndarray
     kind: str
     non_unique: bool
+    lam: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,33 +229,14 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
                       min_component=min_component)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of the Taylor series."""
-    norm = np.abs(a).sum(axis=1).max()
-    s = max(0, int(np.ceil(np.log2(max(norm, 1e-300)))) + 1) if norm > 0.5 else 0
-    m = a / (2 ** s)
-    term = np.eye(a.shape[0])
-    out = term.copy()
-    for n in range(1, 30):
-        term = term @ m / n
-        out += term
-        if np.abs(term).max() < 1e-18:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
                          t_end: float = 50.0, h: float = 0.01,
-                         method: str = "rk4",
                          record_every: int = 1) -> Trajectory:
-    """Integrate the cone system y' = Cy - phi*y, renormalising each step.
+    """Integrate the cone system y' = Cy - phi*y with RK4, renormalising.
 
     Renormalisation is legitimate because every point of a ray projects
     to the same simplex state, so the recorded states are already the
-    projections y/|y|_1. ``method="expm"`` advances with the exact step
-    propagator exp(h(C - phi I)) instead of RK4.
+    projections y/|y|_1.
     """
     a = C.as_float()
     y = np.asarray(y0, dtype=float).copy()
@@ -269,20 +252,13 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
     states = [y.copy()]
     residuals = [_residual(a, y)]
     n_steps = int(np.ceil(t_end / h - 1e-12))
-    if method == "expm":
-        prop = _expm(h * gen)
-    elif method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
     for step in range(1, n_steps + 1):
         dt = min(h, t_end - (step - 1) * h)
-        if method == "expm":
-            y = prop @ y if dt == h else _expm(dt * gen) @ y
-        else:
-            k1 = gen @ y
-            k2 = gen @ (y + 0.5 * dt * k1)
-            k3 = gen @ (y + 0.5 * dt * k2)
-            k4 = gen @ (y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = gen @ y
+        k2 = gen @ (y + 0.5 * dt * k1)
+        k3 = gen @ (y + 0.5 * dt * k2)
+        k4 = gen @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         mass = y.sum()
         if not (np.isfinite(mass) and mass > 1e-300):
             raise NonConvergenceError(
@@ -486,8 +462,7 @@ def _flow_limit(C: InteractionMatrix, a: np.ndarray, start: np.ndarray,
     """
     live, sub = slice(None), C
     if not start.all():
-        live = np.array(sorted(
-            _reachable_from(C.entries, np.flatnonzero(start))))
+        live = np.flatnonzero(_reachable_from(C.entries, np.flatnonzero(start)))
         if live.size == 1:  # a start on one sink is already stationary
             return start
         sub = InteractionMatrix(C.entries[np.ix_(live, live)])
@@ -500,12 +475,13 @@ def _flow_limit(C: InteractionMatrix, a: np.ndarray, start: np.ndarray,
     return x
 
 
-def _classify(a: np.ndarray, x: np.ndarray, zero_tol: float, has_edges: bool):
+def _classify(lam: float, x: np.ndarray, zero_tol: float, has_edges: bool):
+    """Support, zero set and kind of an equilibrium x with |C x|_1 = lam."""
     support = np.flatnonzero(x > zero_tol)
     zero_set = np.flatnonzero(x <= zero_tol)
     if not has_edges:
         kind = KIND_DEGENERATE
-    elif (a @ x).sum() >= 0.5:
+    elif lam >= 0.5:
         kind = KIND_ACS
     else:
         kind = KIND_TERMINAL
@@ -520,9 +496,8 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
     Default mode returns the limit of the flow started at ``x0``
     (uniform when omitted), computed through the linear cone system.
     ``analytic=True`` instead answers from the structure alone: the
-    equal-weight combination of the leading-eigenspace basis (cyclic
-    case) or of the maximal-input terminal vertices (acyclic case),
-    flagged ``non_unique`` when that set has more than one generator.
+    equal-weight combination of ``equilibrium_set_basis``, flagged
+    ``non_unique`` when that set has more than one generator.
     For the zero matrix every state is stationary and x0 itself is
     returned with kind ``degenerate_no_edges``.
     """
@@ -530,25 +505,17 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
     has_edges = C.edge_count() > 0
     non_unique = False
 
-    if not has_edges:
-        if analytic or x0 is None:
-            x = uniform_state(C.d)
-            non_unique = True
-        else:
-            x = simplex_vector(x0)
-    elif analytic:
-        if has_directed_cycle(C):
-            sd = spectral_radius_pf(C, tol=tol)
-            x = np.mean(sd.pf_basis, axis=0)
+    if analytic:
+        basis = equilibrium_set_basis(C, tol=tol)
+        x = np.mean(basis.vectors, axis=0)
+        if basis.kind == KIND_ACS:
+            # the other bases are unit vectors, whose mean is exactly 1/n
+            # on n vertices; rescaling it would round for n = 6, 7, 14, ...
             x /= x.sum()
-            non_unique = sd.multiplicity > 1
-        else:
-            pc = path_counts(C)
-            term = terminal_vertices(C)
-            best = term[pc[term] == pc[term].max()]
-            x = np.zeros(C.d)
-            x[best] = 1.0 / best.size
-            non_unique = best.size > 1
+        non_unique = basis.non_unique
+    elif not has_edges:
+        x = uniform_state(C.d) if x0 is None else simplex_vector(x0)
+        non_unique = x0 is None
     else:
         start = uniform_state(C.d) if x0 is None else simplex_vector(x0)
         x = _flow_limit(C, a, start, tol, zero_tol, max_doublings)
@@ -556,9 +523,11 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
     residual = _residual(a, x)
     if residual > max(tol, 1e-9):
         raise NonConvergenceError(f"equilibrium residual {residual:.3e} > {tol}")
-    support, zero_set, kind = _classify(a, x, zero_tol, has_edges)
+    lam = float((a @ x).sum())
+    support, zero_set, kind = _classify(lam, x, zero_tol, has_edges)
     return EquilibriumResult(x_star=x, residual=residual, support=support,
-                             zero_set=zero_set, kind=kind, non_unique=non_unique)
+                             zero_set=zero_set, kind=kind, non_unique=non_unique,
+                             lam=lam)
 
 
 def equilibrium_set_basis(C: InteractionMatrix, tol: float = 1e-10) -> EquilibriumSetBasis:
@@ -571,11 +540,11 @@ def equilibrium_set_basis(C: InteractionMatrix, tol: float = 1e-10) -> Equilibri
     of the returned vectors is itself an equilibrium; spot combinations
     are verified against ``tol`` before returning.
     """
+    if C.edge_count() == 0:  # no check to run: C x = 0 for every x
+        return EquilibriumSetBasis(kind=KIND_DEGENERATE,
+                                   vectors=tuple(np.eye(C.d)), non_unique=True)
     a = C.as_float()
-    if C.edge_count() == 0:
-        vectors = tuple(np.eye(C.d))
-        kind = KIND_DEGENERATE
-    elif has_directed_cycle(C):
+    if has_directed_cycle(C):
         sd = spectral_radius_pf(C, tol=tol)
         vectors = sd.pf_basis
         kind = KIND_ACS
@@ -583,17 +552,18 @@ def equilibrium_set_basis(C: InteractionMatrix, tol: float = 1e-10) -> Equilibri
         pc = path_counts(C)
         term = terminal_vertices(C)
         best = term[pc[term] == pc[term].max()]
-        vectors = tuple(np.eye(C.d)[j] for j in best)
+        vectors = tuple(np.eye(C.d)[best])
         kind = KIND_TERMINAL
 
-    checks = [np.mean(vectors, axis=0)] + list(vectors)
-    if len(vectors) > 1:
-        checks.append(0.5 * (vectors[0] + vectors[-1]))
-    for v in checks:
-        v = v / v.sum()
-        if _residual(a, v) > max(tol, 1e-9):
-            raise NonConvergenceError(
-                "combination of basis vectors fails the equilibrium check")
+    # one row per check, all residuals from one matrix product
+    checks = np.array([np.mean(vectors, axis=0), *vectors,
+                       0.5 * (vectors[0] + vectors[-1])])
+    checks /= checks.sum(axis=1, keepdims=True)
+    cx = checks @ a.T
+    if (np.abs(cx - cx.sum(axis=1, keepdims=True) * checks).sum(axis=1)
+            > max(tol, 1e-9)).any():
+        raise NonConvergenceError(
+            "combination of basis vectors fails the equilibrium check")
     return EquilibriumSetBasis(kind=kind, vectors=vectors,
                                non_unique=len(vectors) > 1)
 

@@ -420,20 +420,20 @@ def _checked(trace):
     return trace
 
 
-def _first_cycle_trial(d, p, max_steps, cycle_kind, x0_mode, seed, t):
+def _adaptive_trial(d, p, max_steps, stop, run_kw, seed, t):
+    """Steps until the ``stop`` event of one run, censored at the budget."""
     trace = _checked(run_adaptive(ModelParams(d=d, p=p), seed=_trial_seed(seed, t),
-                                  max_steps=max_steps, stop="first_cycle",
-                                  cycle_kind=cycle_kind, x0_mode=x0_mode))
-    s = trace.first_cycle_step
+                                  max_steps=max_steps, stop=stop, **run_kw))
+    s = getattr(trace, f"{stop}_step")
     return (float(max_steps), True) if s is None else (float(s), False)
 
 
-def _acs_growth_trial(d, p, max_steps, k0, x0_mode, seed, t):
-    trace = _checked(run_adaptive(ModelParams(d=d, p=p), seed=_trial_seed(seed, t),
-                                  max_steps=max_steps, stop="full_acs",
-                                  x0_mode=x0_mode, plant_cycle=k0))
-    s = trace.full_acs_step
-    return (float(max_steps), True) if s is None else (float(s), False)
+def _from_trial_pairs(pairs, oracle_value=None) -> ExperimentResult:
+    """Aggregate the (value, censored) pairs that censored trials return."""
+    values = [v for v, _ in pairs]
+    censored = [c for _, c in pairs]
+    return ExperimentResult.from_measurements(values, censored,
+                                              oracle_value=oracle_value)
 
 
 def _trial_seed(seed: int, t: int) -> int:
@@ -450,11 +450,9 @@ def first_cycle_time_jk(d: int, p: float, trials: int, max_steps: int,
     Trials that exhaust ``max_steps`` are recorded at the budget with a
     censoring flag and excluded from the aggregates.
     """
-    task = partial(_first_cycle_trial, d, p, max_steps, cycle_kind, x0_mode, seed)
-    pairs = _map_trials(task, trials, jobs)
-    values = [v for v, _ in pairs]
-    censored = [c for _, c in pairs]
-    return ExperimentResult.from_measurements(values, censored)
+    task = partial(_adaptive_trial, d, p, max_steps, "first_cycle",
+                   {"cycle_kind": cycle_kind, "x0_mode": x0_mode}, seed)
+    return _from_trial_pairs(_map_trials(task, trials, jobs))
 
 
 def acs_growth_time_jk(d: int, p: float, trials: int, seed: int,
@@ -467,12 +465,10 @@ def acs_growth_time_jk(d: int, p: float, trials: int, seed: int,
     oracle is the summed geometric waiting times of vertex-by-vertex
     attachment.
     """
-    task = partial(_acs_growth_trial, d, p, max_steps, k0, x0_mode, seed)
-    pairs = _map_trials(task, trials, jobs)
-    values = [v for v, _ in pairs]
-    censored = [c for _, c in pairs]
+    task = partial(_adaptive_trial, d, p, max_steps, "full_acs",
+                   {"x0_mode": x0_mode, "plant_cycle": k0}, seed)
     exact, _ = oracle_total_growth(d, p)
-    return ExperimentResult.from_measurements(values, censored, oracle_value=exact)
+    return _from_trial_pairs(_map_trials(task, trials, jobs), oracle_value=exact)
 
 
 def _acs_attach_trial(k, p, max_steps, seed, t):
@@ -493,11 +489,8 @@ def acs_attach_experiment(k: int, p: float, trials: int, seed: int,
     r(k, p); the waiting time is geometric with mean 1/r.
     """
     task = partial(_acs_attach_trial, k, p, max_steps, seed)
-    pairs = _map_trials(task, trials, jobs)
-    values = [v for v, _ in pairs]
-    censored = [c for _, c in pairs]
-    return ExperimentResult.from_measurements(
-        values, censored, oracle_value=oracle_mean_waiting(k, p))
+    return _from_trial_pairs(_map_trials(task, trials, jobs),
+                             oracle_value=oracle_mean_waiting(k, p))
 
 
 def waiting_time_experiment(k: int, p: float, trials: int, seed: int) -> ExperimentResult:

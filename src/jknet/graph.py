@@ -381,16 +381,18 @@ def _pf_vector_irreducible(block: np.ndarray, tol: float, max_iter: int):
         f"Perron iteration did not reach tol={tol} in {max_iter} iterations")
 
 
-def _reachable_from(entries: np.ndarray, sources) -> set:
-    succ = _successor_lists(entries)
-    seen = set(int(s) for s in sources)
-    todo = list(seen)
-    while todo:
-        v = todo.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
+def _reachable_from(entries: np.ndarray, sources) -> np.ndarray:
+    """Boolean mask of the vertices reachable from ``sources``, included.
+
+    One pass per BFS layer: the next frontier is every unseen vertex with
+    an in-edge from the current one.
+    """
+    seen = np.zeros(entries.shape[0], dtype=bool)
+    seen[np.asarray(sources, dtype=np.intp)] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = entries[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
     return seen
 
 
@@ -430,16 +432,13 @@ def spectral_radius_pf(C: InteractionMatrix, tol: float = 1e-10,
     for i in basic:
         comp = nontrivial[i]
         reach = _reachable_from(C.entries, comp)
-        others = set()
-        for j in basic:
-            if j != i:
-                others.update(nontrivial[j])
-        if reach & others:
+        if any(reach[list(nontrivial[j])].any() for j in basic if j != i):
             continue
-        downstream = sorted(reach - set(comp))
+        reach[list(comp)] = False
+        downstream = np.flatnonzero(reach)
         v = np.zeros(C.d)
         v[list(comp)] = vectors[i]
-        if downstream:
+        if downstream.size:
             sub = a[np.ix_(downstream, downstream)]
             cross = a[np.ix_(downstream, list(comp))]
             sol = np.linalg.solve(rho * np.eye(len(downstream)) - sub,

@@ -85,6 +85,47 @@ class TestParseAndValidate:
         assert cfg.trials == 50  # flag wins
         assert cfg.seed == 4
 
+    def test_config_values_take_the_flag_types(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"trials": "5", "jobs": "2", "p": 1}))
+        cfg = parse_and_validate(["experiment", "waiting-time", "--k", "3",
+                                  "--seed", "1", "--config", str(cfg_path)])
+        assert (cfg.trials, cfg.jobs, cfg.p) == (5, 2, 1.0)
+        assert type(cfg.p) is float
+
+    def test_config_run_matches_flag_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"trials": "5"}))
+        argv = ["experiment", "waiting-time", "--k", "3", "--p", "0.2",
+                "--seed", "1"]
+        assert main(argv + ["--config", str(cfg_path)]) == 0
+        via_config = capsys.readouterr().out
+        assert main(argv + ["--trials", "5"]) == 0
+        assert via_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, file_cfg", [
+        (["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+          "--max-steps", "5"], {"x0_mode": "analytic"}),
+        (["experiment", "waiting-time", "--k", "3", "--p", "0.2",
+          "--seed", "1"], {"trials": "five"}),
+        (["experiment", "waiting-time", "--k", "3", "--p", "0.2",
+          "--seed", "1"], {"trials": 2.5}),
+        (["experiment", "waiting-time", "--k", "3", "--p", "0.2",
+          "--seed", "1"], {"jobs": True}),
+        (["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1"],
+         {"format": "xml"}),
+    ])
+    def test_bad_config_values_are_config_errors(self, tmp_path, capsys,
+                                                 argv, file_cfg):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config"
+        assert repr(next(iter(file_cfg))) in err["message"]
+
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"dd": 10}))
@@ -198,6 +239,32 @@ class TestSubcommands:
                         "--theta", "10", "--seed", "1", "--max-steps", "2"])
         assert proc.returncode == 1
         assert "conflict" in json.loads(proc.stderr)["message"]
+
+
+class TestOutputWriter:
+    # stdout under each --format is byte for byte one of the --out files
+    @pytest.mark.parametrize("argv, json_file, csv_file", [
+        (["equilibrium", "--d", "6", "--p", "0.3", "--seed", "2"],
+         ".json", ".json"),
+        (["integrate", "--d", "4", "--p", "0.4", "--seed", "2",
+          "--t-max", "0.05"], ".json", ".csv"),
+        (["adaptive-run", "--d", "8", "--p", "0.1", "--seed", "2",
+          "--max-steps", "4"], ".jsonl", ".jsonl"),
+        (["experiment", "waiting-time", "--k", "3", "--p", "0.2",
+          "--trials", "4", "--seed", "2"], ".json", ".csv"),
+        (["conjecture-scan", "first-cycle", "--d", "4,5,6", "--theta", "0.5",
+          "--trials", "2", "--seed", "2"], ".fit.json", ".csv"),
+        (["appendix-demo", "--d", "4", "--p", "0.5", "--trials", "2",
+          "--seed", "2", "--t-max", "1"], ".json", ".json"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_stdout_is_one_out_file(self, tmp_path, capsys, argv,
+                                    json_file, csv_file):
+        out = tmp_path / "run"
+        status = main(argv + ["--out", str(out)])
+        assert capsys.readouterr().out == ""
+        for fmt, suffix in (("json", json_file), ("csv", csv_file)):
+            assert main(argv + ["--format", fmt]) == status
+            assert capsys.readouterr().out == (tmp_path / f"run{suffix}").read_text()
 
 
 class TestDeterminism:

@@ -172,11 +172,13 @@ class TestIntegrateProjective:
                 for j in range(i + 1, len(finals)):
                     np.testing.assert_allclose(finals[i], finals[j], atol=1e-6)
 
-    def test_expm_method_matches_rk4(self, example2):
-        rk = integrate_projective(example2, uniform_state(3), phi=-1.0, t_end=10.0)
-        ex = integrate_projective(example2, uniform_state(3), phi=-1.0,
-                                  t_end=10.0, method="expm")
-        np.testing.assert_allclose(rk.states[-1], ex.states[-1], atol=1e-8)
+    def test_rk4_matches_exact_propagator(self, example2):
+        linalg = pytest.importorskip("scipy.linalg")
+        y0 = uniform_state(3)
+        rk = integrate_projective(example2, y0, phi=-1.0, t_end=10.0)
+        # y(t) = exp(t (C - phi I)) y0
+        y = linalg.expm(10.0 * (example2.as_float() + np.eye(3))) @ y0
+        np.testing.assert_allclose(rk.states[-1], y / y.sum(), rtol=0, atol=1e-8)
 
     def test_rejects_negative_start(self, example2):
         with pytest.raises(ValueError):
@@ -246,6 +248,12 @@ class TestEquilibrium:
         np.testing.assert_allclose(eq.x_star, [0.4, 0.3, 0.2, 0.1])
         assert eq.kind == "degenerate_no_edges"
         assert eq.residual == 0.0
+        # the analytic pick is the barycentre of the basis e_0, ..., e_3
+        basis = equilibrium_set_basis(m)
+        np.testing.assert_array_equal(basis.vectors, np.eye(4))
+        eq = equilibrium(m, analytic=True)
+        np.testing.assert_array_equal(eq.x_star, uniform_state(4))
+        assert eq.kind == "degenerate_no_edges" and eq.non_unique
 
     def test_analytic_example3_equal_weights_flagged(self, example3):
         eq = equilibrium(example3, analytic=True)
@@ -263,6 +271,14 @@ class TestEquilibrium:
         eq = equilibrium(m, analytic=True)
         np.testing.assert_allclose(eq.x_star, [0, 0, 1, 0, 0], atol=1e-12)
         assert not eq.non_unique
+
+    def test_analytic_ties_get_exactly_equal_weights(self):
+        # seven edges i -> 7 + i: seven tied terminals; a rescaled mean
+        # would round, since seven entries of 1/7 do not sum to 1.0
+        m = InteractionMatrix.from_edges(14, [(i, 7 + i) for i in range(7)])
+        eq = equilibrium(m, analytic=True)
+        np.testing.assert_array_equal(eq.x_star, [0.0] * 7 + [1.0 / 7] * 7)
+        assert eq.kind == "terminal_supported" and eq.non_unique
 
     def test_cyclic_limit_is_acs_supported(self):
         rng = stream(211)
@@ -394,7 +410,8 @@ class TestBlockSolver:
                 x0 /= x0.sum()
             eq = equilibrium(m, x0=x0)
             x = dense_flow_limit(m, x0)
-            support, _, kind = dynamics._classify(m.as_float(), x, 1e-9,
+            lam = float((m.as_float() @ x).sum())
+            support, _, kind = dynamics._classify(lam, x, 1e-9,
                                                   m.edge_count() > 0)
             np.testing.assert_array_equal(eq.support, support)
             assert eq.kind == kind

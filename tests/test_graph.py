@@ -488,6 +488,22 @@ class TestFileFormats:
             parse_interaction_matrix("")
 
 
+class TestReachableFrom:
+    def test_matches_floyd_warshall_on_seeded_corpus(self):
+        from jknet.graph import _reachable_from
+        rng = stream(5150)
+        for case in range(200):
+            d = int(rng.integers(3, 81))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.2, 3.0))), rng)
+            sources = np.flatnonzero(rng.random(d) < 0.15)
+            want = floyd_warshall_reachability(m.entries)[sources].any(axis=0)
+            want[sources] = True
+            # spectral_radius_pf passes SCCs as tuples of ints
+            given = tuple(sources.tolist()) if case % 2 else sources
+            np.testing.assert_array_equal(_reachable_from(m.entries, given), want)
+
+
 class TestReachabilityOracleSelfCheck:
     def test_floyd_warshall_on_chain(self):
         m = InteractionMatrix.from_edges(3, [(0, 1), (1, 2)])
