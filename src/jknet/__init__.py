@@ -32,13 +32,10 @@ from .dynamics import (
     vector_field,
 )
 from .graph import (
-    GraphAnalysis,
     InteractionMatrix,
     ModelParams,
     NonConvergenceError,
     SpectralData,
-    acs_from_eigenvector,
-    analyze_graph,
     dump_dense,
     dump_edge_list,
     has_directed_cycle,

@@ -136,15 +136,18 @@ def _parse_d(raw) -> tuple[int | None, tuple | None]:
         return None, None
     if isinstance(raw, int):
         return raw, None
-    if isinstance(raw, (list, tuple)):
-        return None, tuple(int(v) for v in raw)
-    text = str(raw)
-    if "," in text:
+    try:
+        if isinstance(raw, (list, tuple)):
+            return None, tuple(int(str(v)) for v in raw)  # 2.5 is no int
+        text = str(raw)
+        if "," not in text:
+            return int(text), None
         grid = tuple(int(v) for v in text.split(",") if v.strip())
-        if not grid:
-            raise CliError("empty d grid")
-        return None, grid
-    return int(text), None
+    except (TypeError, ValueError):
+        raise CliError(f"invalid d value {raw!r}")
+    if not grid:
+        raise CliError("empty d grid")
+    return None, grid
 
 
 def _coerce_config(file_cfg: dict, flags: dict) -> dict:
@@ -215,6 +218,8 @@ def parse_and_validate(argv) -> RunConfig:
 
     if cfg.trials < 1:
         raise CliError("trials must be >= 1")
+    if cfg.jobs < 1:
+        raise CliError("jobs must be >= 1")
     if cfg.seed is None and os.environ.get(SEED_ENV):
         try:
             cfg.seed = int(os.environ[SEED_ENV])

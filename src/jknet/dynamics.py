@@ -18,6 +18,7 @@ from .graph import (
     InteractionMatrix,
     NonConvergenceError,
     _reachable_from,
+    _weak_component_labels,
     has_directed_cycle,
     path_counts,
     spectral_radius_pf,
@@ -289,30 +290,6 @@ def _nilpotent_limit(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
             break
         best = nxt / s
     return best
-
-
-def _weak_component_labels(a: np.ndarray) -> np.ndarray:
-    """Label every vertex with the smallest vertex of its weak component.
-
-    Min-label propagation with pointer jumping, vectorised over the
-    edges: each edge hooks the larger of its endpoints' roots under the
-    smaller, then every vertex jumps to its root. Labels only decrease
-    and every label names a root that labels itself, so when no edge
-    joins two labels each component is labelled by its smallest vertex.
-    """
-    d = a.shape[0]
-    # flatnonzero of a bool array is several times faster than 2-D nonzero
-    rows, cols = np.divmod(np.flatnonzero(a > 0), d)
-    label = np.arange(d)
-    while True:
-        lo = np.minimum(label[rows], label[cols])
-        hi = np.maximum(label[rows], label[cols])
-        if (lo == hi).all():
-            return label
-        np.minimum.at(label, hi, lo)
-        up = label[label]
-        while (up != label).any():
-            label, up = up, up[up]
 
 
 # Width of the shared blocks that small components are packed into, and

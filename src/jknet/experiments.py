@@ -30,7 +30,6 @@ __all__ = [
     "oracle_cycle_mean",
     "directed_orientation_fraction",
     "sample_orientation_fraction",
-    "oracle_cycle_prob_one_step",
     "oracle_attach_prob",
     "oracle_mean_waiting",
     "oracle_total_growth",
@@ -188,14 +187,6 @@ def sample_orientation_fraction(k: int, samples: int, seed: int) -> float:
     bits = rng.integers(0, 2, size=(samples, k))
     total = bits.sum(axis=1)
     return float(((total == 0) | (total == k)).mean())
-
-
-def oracle_cycle_prob_one_step(d: int, p: float) -> float:
-    """Poisson heuristic 1 - e^{-dp}(1 + dp) for cycle creation in one update."""
-    dp = d * p
-    if dp < 0:
-        raise ValueError("dp must be non-negative")
-    return 1.0 - math.exp(-dp) * (1.0 + dp)
 
 
 def oracle_attach_prob(k: int, p: float) -> float:

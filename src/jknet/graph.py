@@ -18,7 +18,6 @@ __all__ = [
     "NonConvergenceError",
     "InteractionMatrix",
     "ModelParams",
-    "GraphAnalysis",
     "SpectralData",
     "sample_er_digraph",
     "resample_vertex",
@@ -26,11 +25,9 @@ __all__ = [
     "has_undirected_cycle",
     "strongly_connected_components",
     "is_acs",
-    "acs_from_eigenvector",
     "terminal_vertices",
     "path_counts",
     "spectral_radius_pf",
-    "analyze_graph",
     "parse_interaction_matrix",
     "load_interaction_matrix",
     "dump_edge_list",
@@ -124,18 +121,6 @@ class ModelParams:
     @classmethod
     def from_theta(cls, d: int, theta: float) -> "ModelParams":
         return cls(d=d, p=theta / d)
-
-
-@dataclass(frozen=True, eq=False)
-class GraphAnalysis:
-    """Combinatorial summary of one interaction graph."""
-
-    sccs: tuple
-    acyclic: bool
-    terminal_set: np.ndarray
-    path_counts: np.ndarray | None
-    directed_cycle_present: bool
-    undirected_cycle_present: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,28 +233,61 @@ def strongly_connected_components(C: InteractionMatrix) -> tuple:
     return tuple(comps)
 
 
-def has_directed_cycle(C: InteractionMatrix) -> bool:
-    """True iff the graph contains a directed cycle (length >= 2).
+def _peel(entries: np.ndarray) -> tuple[list, np.ndarray]:
+    """Kahn's peel, one layer at a time.
 
-    Kahn's peel, one layer at a time: a vertex with no in-edge lies on no
-    cycle, so every such vertex is removed at once and its out-edges are
-    taken off the in-degrees. The graph is cyclic iff some vertex
-    survives. Each column is summed once, so the numpy work is O(d^2),
-    plus one Python pass per layer.
-
-    With self-loops excluded this is equivalent to some SCC having size
-    at least 2 (``strongly_connected_components`` is the test oracle),
-    and to the matrix not being nilpotent.
+    A vertex with no in-edge lies on no cycle, so every such vertex is
+    removed at once and its out-edges are taken off the in-degrees.
+    Returns the layers, in order, as index arrays, and the mask of the
+    vertices that survive: those on a cycle or downstream of one. Each
+    column is summed once, so the numpy work is O(d^2), plus one Python
+    pass per layer.
     """
-    entries = C.entries
     indeg = entries.sum(axis=1)  # sums int8 into int64; int8 would wrap
     alive = np.ones(entries.shape[0], dtype=bool)
+    layers = []
     layer = np.flatnonzero(indeg == 0)
     while layer.size:
+        layers.append(layer)
         alive[layer] = False
         indeg -= entries[:, layer].sum(axis=1)
         layer = np.flatnonzero(alive & (indeg == 0))
-    return bool(alive.any())
+    return layers, alive
+
+
+def has_directed_cycle(C: InteractionMatrix) -> bool:
+    """True iff the graph contains a directed cycle (length >= 2).
+
+    The graph is cyclic iff some vertex survives ``_peel``. With
+    self-loops excluded this is equivalent to some SCC having size at
+    least 2 (``strongly_connected_components`` is the test oracle), and
+    to the matrix not being nilpotent.
+    """
+    return bool(_peel(C.entries)[1].any())
+
+
+def _weak_component_labels(a: np.ndarray) -> np.ndarray:
+    """Label every vertex with the smallest vertex of its weak component.
+
+    Min-label propagation with pointer jumping, vectorised over the
+    edges: each edge hooks the larger of its endpoints' roots under the
+    smaller, then every vertex jumps to its root. Labels only decrease
+    and every label names a root that labels itself, so when no edge
+    joins two labels each component is labelled by its smallest vertex.
+    """
+    d = a.shape[0]
+    # flatnonzero of a bool array is several times faster than 2-D nonzero
+    rows, cols = np.divmod(np.flatnonzero(a > 0), d)
+    label = np.arange(d)
+    while True:
+        lo = np.minimum(label[rows], label[cols])
+        hi = np.maximum(label[rows], label[cols])
+        if (lo == hi).all():
+            return label
+        np.minimum.at(label, hi, lo)
+        up = label[label]
+        while (up != label).any():
+            label, up = up, up[up]
 
 
 def has_undirected_cycle(C: InteractionMatrix) -> bool:
@@ -277,27 +295,14 @@ def has_undirected_cycle(C: InteractionMatrix) -> bool:
 
     The projection has an edge {i, j} iff c_ij = 1 or c_ji = 1; a lone
     directed 2-cycle collapses to a single undirected edge and is not a
-    cycle of the simple graph.
+    cycle of the simple graph. A simple graph is a forest iff its edge
+    count is d minus its number of components.
     """
     entries = C.entries
     d = entries.shape[0]
-    und = (entries | entries.T)
-    nbrs = [np.flatnonzero(und[v]).tolist() for v in range(d)]
-    visited = [False] * d
-    for root in range(d):
-        if visited[root]:
-            continue
-        visited[root] = True
-        todo = [(root, -1)]
-        while todo:
-            v, parent = todo.pop()
-            for w in nbrs[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    todo.append((w, v))
-                elif w != parent:
-                    return True
-    return False
+    labels = _weak_component_labels(entries)
+    return bool(np.count_nonzero(entries | entries.T) // 2
+                > d - np.count_nonzero(labels == np.arange(d)))
 
 
 def is_acs(C: InteractionMatrix, subset) -> bool:
@@ -315,19 +320,6 @@ def is_acs(C: InteractionMatrix, subset) -> bool:
     return bool((sub.sum(axis=1) >= 1).all())
 
 
-def acs_from_eigenvector(C: InteractionMatrix, v, atol: float = 1e-12) -> np.ndarray:
-    """Support of a non-negative eigenvector; verified to be an ACS."""
-    v = np.asarray(v, dtype=float)
-    if v.min() < -atol:
-        raise ValueError("eigenvector must be non-negative")
-    support = np.flatnonzero(v > atol)
-    if support.size == 0:
-        raise ValueError("eigenvector must be nonzero")
-    if not is_acs(C, support):
-        raise ValueError("support of the given vector is not an ACS")
-    return support
-
-
 def terminal_vertices(C: InteractionMatrix) -> np.ndarray:
     """Vertices with at least one incoming edge and no outgoing edge."""
     entries = C.entries
@@ -339,21 +331,20 @@ def terminal_vertices(C: InteractionMatrix) -> np.ndarray:
 def path_counts(C: InteractionMatrix) -> np.ndarray:
     """p(j) = number of vertices i != j with a directed path from i to j.
 
-    Requires an acyclic graph; computed from the boolean reachability
-    closure.
+    Requires an acyclic graph. A dynamic program over the Kahn layers:
+    every in-neighbour of a layer lies in an earlier layer, so the
+    ancestor set of j, j itself included, is the union of those of its
+    in-neighbours plus j. The products sum at most d 0/1 terms, so they
+    are exact in floating point.
     """
-    if has_directed_cycle(C):
+    layers, alive = _peel(C.entries)
+    if alive.any():
         raise ValueError("path counts are defined for acyclic graphs only")
-    a = C.as_float()
-    reach = a > 0
-    power = reach.astype(np.float64)
-    for _ in range(C.d - 1):
-        power = (power @ a) > 0
-        if not power.any():
-            break
-        reach |= power
-        power = power.astype(np.float64)
-    return reach.sum(axis=1).astype(int)
+    a = C.entries
+    anc = np.eye(C.d)
+    for layer in layers[1:]:
+        anc[layer] = np.minimum(a[layer] @ anc + anc[layer], 1.0)
+    return anc.sum(axis=1).astype(int) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +444,6 @@ def spectral_radius_pf(C: InteractionMatrix, tol: float = 1e-10,
 
     return SpectralData(lam=float(rho), pf_basis=tuple(basis),
                         multiplicity=len(basis))
-
-
-def analyze_graph(C: InteractionMatrix) -> GraphAnalysis:
-    """One-stop combinatorial summary (SCCs, terminals, cycles, p(j))."""
-    sccs = strongly_connected_components(C)
-    acyclic = all(len(c) == 1 for c in sccs)
-    return GraphAnalysis(
-        sccs=sccs,
-        acyclic=acyclic,
-        terminal_set=terminal_vertices(C),
-        path_counts=path_counts(C) if acyclic else None,
-        directed_cycle_present=not acyclic,
-        undirected_cycle_present=has_undirected_cycle(C),
-    )
 
 
 # ---------------------------------------------------------------------------

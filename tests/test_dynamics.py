@@ -432,18 +432,6 @@ class TestBlockSolver:
             for r, q in zip(trace.records, dense.records):
                 assert abs(r.lam - q.lam) <= 1e-12
 
-    def test_component_labels_match_brute_force(self):
-        rng = stream(77)
-        for _ in range(60):
-            d = int(rng.integers(2, 150))
-            m = sample_er_digraph(
-                ModelParams.from_theta(d, float(rng.uniform(0.2, 2.0))), rng)
-            und = m.entries | m.entries.T
-            reach = floyd_warshall_reachability(und) | np.eye(d, dtype=bool)
-            expect = reach.argmax(axis=0)  # smallest vertex joined to each
-            labels = dynamics._weak_component_labels(m.as_float())
-            np.testing.assert_array_equal(labels, expect)
-
     def test_equal_size_components_share_one_stack(self):
         # 20 two-cycles, 10 three-cycles and 30 isolated vertices, with
         # shuffled names: every component fits a tile, so one stack of

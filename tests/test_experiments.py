@@ -17,7 +17,6 @@ from jknet.experiments import (
     measure_cycle_counts,
     oracle_attach_prob,
     oracle_cycle_mean,
-    oracle_cycle_prob_one_step,
     oracle_mean_waiting,
     oracle_total_growth,
     sample_er_undirected,
@@ -50,12 +49,6 @@ class TestOracles:
         p = directed_orientation_fraction(5)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(est - p) < 3 * sigma
-
-    def test_one_step_cycle_probability(self):
-        assert oracle_cycle_prob_one_step(100, 0.02) == pytest.approx(
-            1 - math.exp(-2) * 3, abs=1e-12)
-        assert oracle_cycle_prob_one_step(100, 1e-9) < 1e-10
-        assert oracle_cycle_prob_one_step(100, 1.0) > 1 - 1e-10
 
     def test_attach_prob_instances(self):
         assert oracle_attach_prob(1, 0.3) == pytest.approx(0.3)

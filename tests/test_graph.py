@@ -5,8 +5,6 @@ from jknet import (
     InteractionMatrix,
     ModelParams,
     NonConvergenceError,
-    acs_from_eigenvector,
-    analyze_graph,
     dump_dense,
     dump_edge_list,
     has_directed_cycle,
@@ -20,6 +18,7 @@ from jknet import (
     strongly_connected_components,
     terminal_vertices,
 )
+from jknet import graph
 from jknet.rng import stream
 
 from conftest import random_matrices
@@ -257,6 +256,34 @@ class TestUndirectedCycles:
     def test_matches_component_count_oracle(self):
         for m in random_matrices(300, seed=103, d_range=(2, 7)):
             assert has_undirected_cycle(m) == brute_force_undirected_cycle(m.entries)
+        # up to d = 60: the projection has mean degree about 2 theta, so
+        # theta from 0.3 to 2 runs from mostly forests to mostly cyclic
+        rng = stream(117)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            d = int(rng.integers(2, 61))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.3, 2.0))), rng)
+            expect = brute_force_undirected_cycle(m.entries)
+            assert has_undirected_cycle(m) == expect
+            seen[expect] += 1
+        assert min(seen.values()) >= 40
+
+
+class TestWeakComponentLabels:
+    def test_component_labels_match_brute_force(self):
+        rng = stream(77)
+        for _ in range(60):
+            d = int(rng.integers(2, 150))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.2, 2.0))), rng)
+            und = m.entries | m.entries.T
+            reach = floyd_warshall_reachability(und) | np.eye(d, dtype=bool)
+            expect = reach.argmax(axis=0)  # smallest vertex joined to each
+            np.testing.assert_array_equal(
+                graph._weak_component_labels(m.as_float()), expect)
+            np.testing.assert_array_equal(
+                graph._weak_component_labels(m.entries), expect)
 
 
 class TestStronglyConnectedComponents:
@@ -333,28 +360,15 @@ class TestIsAcs:
 
 
 class TestAcsFromEigenvector:
-    def test_two_cycle_support(self):
-        m = InteractionMatrix.from_edges(4, [(0, 1), (1, 0)])
-        support = acs_from_eigenvector(m, [0.5, 0.5, 0.0, 0.0])
-        assert support.tolist() == [0, 1]
-
-    def test_example2_uniform_vector(self, example2):
-        support = acs_from_eigenvector(example2, [1 / 3, 1 / 3, 1 / 3])
-        assert support.tolist() == [0, 1, 2]
-        assert is_acs(example2, support)
-
-    def test_zero_vector_rejected(self, example2):
-        with pytest.raises(ValueError):
-            acs_from_eigenvector(example2, [0.0, 0.0, 0.0])
-
     def test_pf_support_is_acs_property_sweep(self):
+        # the support of every non-negative Perron vector is an ACS
         found = 0
         for m in random_matrices(300, seed=111):
             if not has_directed_cycle(m):
                 continue
             sd = spectral_radius_pf(m)
             for v in sd.pf_basis:
-                assert is_acs(m, acs_from_eigenvector(m, v))
+                assert is_acs(m, np.flatnonzero(v > 1e-12))
             found += 1
             if found >= 100:
                 break
@@ -394,6 +408,31 @@ class TestPathCounts:
             if has_directed_cycle(m):
                 continue
             assert path_counts(m).tolist() == brute_force_path_counts(m.entries).tolist()
+        # deep DAGs up to d = 60, half of them with a spanning chain
+        rng = stream(119)
+        for k in range(60):
+            d = int(rng.integers(2, 61))
+            m, _ = self.permuted_dag(d, float(rng.uniform(0.0, 0.5)), rng,
+                                     chain=k % 2 == 0)
+            assert path_counts(m).tolist() == \
+                brute_force_path_counts(m.entries).tolist()
+
+    @staticmethod
+    def permuted_dag(d, p, rng, chain):
+        # edges only from lower to higher positions of a random order;
+        # with chain=True every position also feeds the next one
+        a = np.tril(rng.random((d, d)) < p, -1)
+        if chain:
+            a[np.arange(1, d), np.arange(d - 1)] = True
+        perm = rng.permutation(d)
+        return InteractionMatrix(a[np.ix_(perm, perm)].astype(np.int8)), perm
+
+    def test_permuted_chains(self):
+        rng = stream(118)
+        for d in (2, 3, 17, 60):
+            m, perm = self.permuted_dag(d, 0.0, rng, chain=True)
+            # vertex i sits at chain position perm[i], below perm[i] others
+            assert path_counts(m).tolist() == perm.tolist()
 
 
 class TestSpectralRadius:
@@ -441,20 +480,6 @@ class TestSpectralRadius:
                 assert v.min() >= 0
                 assert v.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.abs(a @ v - sd.lam * v).sum() < 1e-8
-
-
-class TestAnalyzeGraph:
-    def test_fields_consistent(self):
-        for m in random_matrices(100, seed=116, d_range=(2, 7)):
-            ga = analyze_graph(m)
-            assert ga.acyclic == (not ga.directed_cycle_present)
-            assert ga.acyclic == all(len(c) == 1 for c in ga.sccs)
-            if ga.acyclic:
-                assert ga.path_counts is not None
-            else:
-                assert ga.path_counts is None
-            for j in ga.terminal_set:
-                assert m.entries[j].any() and not m.entries[:, j].any()
 
 
 class TestFileFormats:
