@@ -179,8 +179,7 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
                  stop: str = "none", cycle_kind: str = "directed",
                  x0_mode: str = "uniform", plant_cycle: int | None = None,
                  tol: float = 1e-10, zero_tol: float = 1e-9,
-                 rel_tol: float = 1e-9,
-                 check_invariants: bool = True) -> AdaptiveTrace:
+                 rel_tol: float = 1e-9) -> AdaptiveTrace:
     """Run the adaptive loop from a freshly sampled graph.
 
     Stops at ``max_steps`` updates or as soon as the stop condition holds:
@@ -189,7 +188,7 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
     set to be autocatalytic. Events are recorded either way; a trace that
     exhausted the budget simply leaves them None (censored).
 
-    ``check_invariants`` counts violations of the preservation law: while
+    ``invariant_violations`` counts violations of the preservation law: while
     some species sits at zero concentration, the chosen vertex must be one
     of them, the induced subgraph on the support must survive the update
     unchanged, and a directed cycle must persist.
@@ -238,7 +237,7 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
                                     x0_mode=x0_mode)
         trace.records.append(record)
 
-        if check_invariants and state.x_star.zero_set.size > 0:
+        if state.x_star.zero_set.size > 0:
             sup = state.x_star.support
             ok = record.chosen in set(state.x_star.zero_set.tolist())
             old = state.matrix.entries[np.ix_(sup, sup)]

@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: equilibrium, integrate, adaptive-run, experiment <kind>,
-conjecture-scan, appendix-demo. Flags override values from an optional
-JSON config file; unknown config keys are rejected. Exactly one of p and
-theta is required (the other is derived via theta = p*d). The seed comes
-from --seed, the config file, or the JKNET_SEED environment variable and
-is mandatory for every stochastic subcommand, so runs are reproducible by
-default.
+Entry points: equilibrium, integrate, adaptive-run, experiment <kind>,
+conjecture-scan <kind>, appendix-demo. Each takes only the flags its code
+reads, as ``FLAGS`` lists them; a JSON config file may set the same ones,
+and flags override it. Exactly one of p and theta may be given (the other
+is derived via theta = p*d). The seed comes from --seed, the config file,
+or the JKNET_SEED environment variable and is mandatory for every
+stochastic entry point, so runs are reproducible by default.
 
 Primary outputs are byte-deterministic for a given config and seed;
 wall-clock and host metadata go to a separate ``<out>.meta.json`` sidecar.
@@ -23,7 +23,7 @@ import platform
 import socket
 import sys
 import time
-from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,13 +39,16 @@ from .dynamics import (
 from .graph import InteractionMatrix, ModelParams, load_interaction_matrix, sample_er_digraph
 from .rng import stream
 
-__all__ = ["main", "parse_and_validate", "dispatch", "RunConfig", "CliError"]
+__all__ = ["main", "parse_and_validate", "dispatch", "CliError"]
 
-EXPERIMENT_KINDS = (
-    "cycle-dist", "first-cycle", "first-cycle-uniform",
-    "first-cycle-permutation", "acs-attach", "acs-growth", "waiting-time",
+ENTRY_POINTS = (
+    "equilibrium", "integrate", "adaptive-run",
+    "experiment cycle-dist", "experiment first-cycle",
+    "experiment first-cycle-uniform", "experiment first-cycle-permutation",
+    "experiment acs-attach", "experiment acs-growth", "experiment waiting-time",
+    "conjecture-scan first-cycle", "conjecture-scan acs-growth",
+    "appendix-demo",
 )
-SCAN_TARGETS = ("first-cycle", "acs-growth")
 SEED_ENV = "JKNET_SEED"
 
 
@@ -53,81 +56,86 @@ class CliError(Exception):
     """Configuration or dispatch failure reported on stderr as JSON."""
 
 
-@dataclass
-class RunConfig:
-    """Validated, merged configuration for one invocation."""
+class Flag(NamedTuple):
+    """A flag, and the entry points whose code reads it: only they take it,
+    on the command line or in a config file."""
 
-    command: str
-    kind: str | None = None
-    d: int | None = None
-    p: float | None = None
-    theta: float | None = None
-    d_grid: tuple | None = None
-    seed: int | None = None
-    trials: int = 100
-    tol: float = 1e-10
-    h: float = 0.01
-    t_max: float = 500.0
-    phi: float = -1.0
-    max_steps: int | None = None
-    k: int | None = None
-    k0: int = 2
-    cycle_kind: str = "directed"
-    x0_mode: str = "uniform"
-    jobs: int = 1
-    out: str | None = None
-    format: str = "json"
-    matrix: str | None = None
-    config: str | None = None
+    dest: str
+    readers: tuple
+    type: Callable | None = None
+    choices: tuple | None = None
+    default: object = None
+    help: str | None = None
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "config"}
+_FIRST_CYCLE = ("experiment first-cycle", "conjecture-scan first-cycle")
+_ACS_GROWTH = ("experiment acs-growth", "conjecture-scan acs-growth")
+_EDGE_EXPERIMENTS = ("experiment first-cycle-uniform",
+                     "experiment first-cycle-permutation")
+_RUN_ADAPTIVE = ("adaptive-run", "experiment first-cycle", "experiment acs-growth")
+# the entry points that draw graphs of d vertices at p = theta / d
+_SAMPLED = ("equilibrium", "integrate", "adaptive-run", "experiment cycle-dist",
+            *_FIRST_CYCLE, *_ACS_GROWTH, "appendix-demo")
+
+FLAGS = (
+    Flag("config", ENTRY_POINTS, help="JSON config file; flags override it"),
+    Flag("out", ENTRY_POINTS, help="output path stem"),
+    Flag("format", ENTRY_POINTS, choices=("json", "csv"), default="json"),
+    Flag("matrix", ("equilibrium", "integrate"), help="interaction matrix file"),
+    Flag("d", _SAMPLED + _EDGE_EXPERIMENTS, type=str,
+         help="vertex count (comma list for scans)"),
+    Flag("p", _SAMPLED + ("experiment acs-attach", "experiment waiting-time"),
+         type=float, help="edge probability"),
+    Flag("theta", _SAMPLED, type=float, help="mean degree p*d"),
+    Flag("seed", ENTRY_POINTS, type=int, help=f"RNG seed (or ${SEED_ENV})"),
+    Flag("trials", tuple(e for e in ENTRY_POINTS if e not in
+                         ("equilibrium", "integrate", "adaptive-run")),
+         type=int, default=100),
+    Flag("tol", ("equilibrium", "adaptive-run"), type=float, default=1e-10),
+    Flag("h", ("integrate", "appendix-demo"), type=float, default=0.01,
+         help="integrator step size"),
+    Flag("t_max", ("integrate", "appendix-demo"), type=float, default=500.0),
+    Flag("max_steps", _RUN_ADAPTIVE, type=int),
+    Flag("k", ("experiment cycle-dist", "experiment acs-attach",
+               "experiment waiting-time"), type=int,
+         help="cycle length / set size"),
+    Flag("k0", _ACS_GROWTH, type=int, default=2, help="planted cycle length"),
+    Flag("cycle_kind", ("adaptive-run",) + _FIRST_CYCLE,
+         choices=("directed", "undirected"), default="directed"),
+    # the adaptive loop reads each equilibrium from a flow start, so only
+    # the start modes of run_adaptive apply there
+    Flag("x0_mode", ("equilibrium",), choices=("uniform", "analytic"),
+         default="uniform"),
+    Flag("x0_mode", _RUN_ADAPTIVE, choices=X0_MODES, default="uniform"),
+    Flag("jobs", _FIRST_CYCLE + _ACS_GROWTH + _EDGE_EXPERIMENTS
+         + ("experiment acs-attach",), type=int, default=1,
+         help="worker processes for trials"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an entry point without --h or --k would read
+    # them as --help or --k0
     parser = argparse.ArgumentParser(
-        prog="jknet",
+        prog="jknet", allow_abbrev=False,
         description="Adaptive catalytic network simulator and experiment harness.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p_, x0_modes=("uniform", "carry", "analytic")):
-        p_.add_argument("--config", help="JSON config file; flags override it")
-        p_.add_argument("--d", type=str, help="vertex count (comma list for scans)")
-        p_.add_argument("--p", type=float, help="edge probability")
-        p_.add_argument("--theta", type=float, help="mean degree p*d")
-        p_.add_argument("--seed", type=int, help=f"RNG seed (or ${SEED_ENV})")
-        p_.add_argument("--trials", type=int)
-        p_.add_argument("--tol", type=float)
-        p_.add_argument("--h", type=float, help="integrator step size")
-        p_.add_argument("--t-max", dest="t_max", type=float)
-        p_.add_argument("--phi", type=float, help="cone-system shift")
-        p_.add_argument("--max-steps", dest="max_steps", type=int)
-        p_.add_argument("--k", type=int, help="cycle length / set size")
-        p_.add_argument("--k0", type=int, help="planted cycle length")
-        p_.add_argument("--cycle-kind", dest="cycle_kind",
-                        choices=("directed", "undirected"))
-        p_.add_argument("--x0-mode", dest="x0_mode", choices=x0_modes)
-        p_.add_argument("--jobs", type=int, help="worker processes for trials")
-        p_.add_argument("--out", help="output path stem")
-        p_.add_argument("--format", choices=("json", "csv"))
-        p_.add_argument("--matrix", help="interaction matrix file")
-        # config-file values meet the same types and choices as the flags
-        p_.set_defaults(flags={a.dest: a for a in p_._actions})
-
-    add_common(sub.add_parser("equilibrium", help="solve one graph's equilibrium"))
-    add_common(sub.add_parser("integrate", help="integrate the simplex flow"))
-    # the adaptive loop reads each equilibrium from a flow start, so only
-    # the start modes of run_adaptive apply there
-    add_common(sub.add_parser("adaptive-run", help="run the adaptive loop"),
-               X0_MODES)
-    exp = sub.add_parser("experiment", help="seeded Monte Carlo experiment")
-    exp.add_argument("kind", choices=EXPERIMENT_KINDS)
-    add_common(exp, X0_MODES)
-    scan = sub.add_parser("conjecture-scan", help="waiting-time scan over a d-grid")
-    scan.add_argument("kind", choices=SCAN_TARGETS)
-    add_common(scan, X0_MODES)
-    add_common(sub.add_parser("appendix-demo",
-                              help="demonstrate signed-model mass loss"))
+    commands, leaves = {}, {}
+    for entry in ENTRY_POINTS:
+        command, _, kind = entry.partition(" ")
+        if command not in commands:
+            cmd = sub.add_parser(command, help=_DISPATCH[command].__doc__,
+                                 allow_abbrev=False)
+            commands[command] = (cmd.add_subparsers(dest="kind", required=True)
+                                 if kind else cmd)
+        leaves[entry] = (commands[command].add_parser(kind, allow_abbrev=False)
+                         if kind else commands[command])
+    # flags default to None so that a config-file value can fill them
+    for flag in FLAGS:
+        for entry in flag.readers:
+            leaves[entry].add_argument("--" + flag.dest.replace("_", "-"),
+                                       type=flag.type, choices=flag.choices,
+                                       help=flag.help)
     return parser
 
 
@@ -159,25 +167,33 @@ def _coerce_config(file_cfg: dict, flags: dict) -> dict:
     """
     out = {}
     for key, val in file_cfg.items():
-        action = flags.get(key)
-        if action is not None and key != "d":
-            if action.type is not None:
+        flag = flags[key]
+        if key != "d":
+            if flag.type is not None:
                 try:
-                    val = action.type(str(val))
+                    val = flag.type(str(val))
                 except (TypeError, ValueError):
                     raise CliError(f"config key {key!r}: invalid "
-                                   f"{action.type.__name__} value {val!r}")
-            if action.choices is not None and val not in action.choices:
+                                   f"{flag.type.__name__} value {val!r}")
+            if flag.choices is not None and val not in flag.choices:
                 raise CliError(f"config key {key!r}: invalid choice {val!r} "
-                               f"(choose from {', '.join(action.choices)})")
+                               f"(choose from {', '.join(flag.choices)})")
         out[key] = val
     return out
 
 
-def parse_and_validate(argv) -> RunConfig:
-    """Merge CLI flags over the optional config file into a RunConfig."""
+def parse_and_validate(argv) -> argparse.Namespace:
+    """Merge CLI flags over the optional config file and the defaults.
+
+    The namespace holds ``command``, ``kind`` for experiments and scans,
+    and each flag the entry point reads; ``d_grid`` is set beside ``d``,
+    and ``p`` or ``theta`` is derived from the other where d is known.
+    """
     ns = build_parser().parse_args(argv)
-    merged: dict = {}
+    cfg = vars(ns)  # the namespace's own dict: writes below land in ns
+    entry = " ".join(filter(None, (ns.command, getattr(ns, "kind", None))))
+    flags = {f.dest: f for f in FLAGS if entry in f.readers}
+    file_cfg = {}
     if ns.config:
         try:
             with open(ns.config, "r", encoding="utf-8") as fh:
@@ -186,52 +202,41 @@ def parse_and_validate(argv) -> RunConfig:
             raise CliError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise CliError(f"config file is not valid JSON: {exc}")
-        unknown = set(file_cfg) - _CONFIG_KEYS
+        if not isinstance(file_cfg, dict):
+            raise CliError("config file must hold a JSON object")
+        unknown = set(file_cfg) - (set(flags) - {"config"})
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(_coerce_config(file_cfg, ns.flags))
-    for key, val in vars(ns).items():
-        if key in ("command", "config", "flags") or val is None:
-            continue
-        merged[key] = val
+    file_cfg = _coerce_config(file_cfg, flags)
+    for dest, flag in flags.items():
+        if cfg[dest] is None:  # a flag beats the file, the file the default
+            cfg[dest] = file_cfg.get(dest, flag.default)
 
-    cfg = RunConfig(command=ns.command, config=ns.config)
-    for key, val in merged.items():
-        setattr(cfg, key, val)
+    if "d" in flags:
+        cfg["d"], cfg["d_grid"] = _parse_d(cfg["d"])
+        # exactly one of p/theta may be given; the other is derived from d
+        p, theta, grid = cfg.get("p"), cfg.get("theta"), cfg["d_grid"]
+        ref_d = cfg["d"] if cfg["d"] is not None else (grid[0] if grid else None)
+        if p is not None and theta is not None:
+            raise CliError(
+                f"conflicting p and theta: give exactly one (got p={p!r}, "
+                f"theta={theta!r}); the other is derived via theta = p*d")
+        elif theta is not None and ref_d is not None and grid is None:
+            cfg["p"] = theta / ref_d
+        elif p is not None and ref_d is not None:
+            cfg["theta"] = p * ref_d
 
-    cfg.d, grid = _parse_d(merged.get("d"))
-    if grid is not None:
-        cfg.d_grid = grid
-    if cfg.d_grid is not None:
-        cfg.d_grid = tuple(int(v) for v in cfg.d_grid)
-
-    # exactly one of p/theta may be given; the other is derived from d
-    ref_d = cfg.d if cfg.d is not None else (cfg.d_grid[0] if cfg.d_grid else None)
-    if cfg.p is not None and cfg.theta is not None:
-        raise CliError(
-            f"conflicting p and theta: give exactly one (got p={cfg.p!r}, "
-            f"theta={cfg.theta!r}); the other is derived via theta = p*d")
-    elif cfg.theta is not None and ref_d is not None and cfg.d_grid is None:
-        cfg.p = cfg.theta / ref_d
-    elif cfg.p is not None and ref_d is not None:
-        cfg.theta = cfg.p * ref_d
-
-    if cfg.trials < 1:
-        raise CliError("trials must be >= 1")
-    if cfg.jobs < 1:
-        raise CliError("jobs must be >= 1")
-    if cfg.seed is None and os.environ.get(SEED_ENV):
+    for name in ("trials", "jobs"):
+        if name in flags and cfg[name] < 1:
+            raise CliError(f"{name} must be >= 1")
+    if ns.seed is None and os.environ.get(SEED_ENV):
         try:
-            cfg.seed = int(os.environ[SEED_ENV])
+            ns.seed = int(os.environ[SEED_ENV])
         except ValueError:
             raise CliError(f"${SEED_ENV} is not an integer")
-    needs_seed = cfg.command in ("experiment", "conjecture-scan",
-                                 "adaptive-run", "appendix-demo")
-    if cfg.command in ("equilibrium", "integrate") and cfg.matrix is None:
-        needs_seed = True
-    if needs_seed and cfg.seed is None:
+    if ns.seed is None and cfg.get("matrix") is None:
         raise CliError(f"a seed is required (--seed, config, or ${SEED_ENV})")
-    return cfg
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +263,7 @@ def _write_meta(out: str, argv) -> None:
     _write(out + ".meta.json", _json_text(meta))
 
 
-def _emit(cfg: RunConfig, outputs: dict) -> None:
+def _emit(cfg: argparse.Namespace, outputs: dict) -> None:
     """Write the primary outputs, ``{suffix: text}`` with the main one first.
 
     With --out every entry goes to ``<out><suffix>``. Otherwise stdout
@@ -274,13 +279,13 @@ def _emit(cfg: RunConfig, outputs: dict) -> None:
         sys.stdout.write(next(iter(outputs.values())))
 
 
-def _require(cfg: RunConfig, *names) -> None:
+def _require(cfg: argparse.Namespace, *names) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise CliError(f"--{name.replace('_', '-')} is required for this command")
 
 
-def _load_or_sample_matrix(cfg: RunConfig) -> InteractionMatrix:
+def _load_or_sample_matrix(cfg: argparse.Namespace) -> InteractionMatrix:
     if cfg.matrix:
         try:
             return load_interaction_matrix(cfg.matrix, d=cfg.d)
@@ -294,17 +299,18 @@ def _load_or_sample_matrix(cfg: RunConfig) -> InteractionMatrix:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_equilibrium(cfg: RunConfig) -> int:
+def _cmd_equilibrium(cfg: argparse.Namespace) -> int:
+    """Solve one graph's equilibrium."""
     matrix = _load_or_sample_matrix(cfg)
     eq = equilibrium(matrix, analytic=(cfg.x0_mode == "analytic"), tol=cfg.tol)
     _emit(cfg, {".json": _json_text(equilibrium_to_json_dict(eq))})
     return 0
 
 
-def _cmd_integrate(cfg: RunConfig) -> int:
+def _cmd_integrate(cfg: argparse.Namespace) -> int:
+    """Integrate the simplex flow."""
     matrix = _load_or_sample_matrix(cfg)
-    t_end = cfg.t_max if cfg.t_max is not None else 50.0
-    traj = integrate(matrix, uniform_state(matrix.d), t_end=t_end, h=cfg.h)
+    traj = integrate(matrix, uniform_state(matrix.d), t_end=cfg.t_max, h=cfg.h)
     summary = {
         "t_end": float(traj.times[-1]),
         "final_state": [float(v) for v in traj.states[-1]],
@@ -315,7 +321,8 @@ def _cmd_integrate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_adaptive_run(cfg: RunConfig) -> int:
+def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
+    """Run the adaptive loop."""
     _require(cfg, "d", "p", "seed", "max_steps")
     trace = run_adaptive(ModelParams(d=cfg.d, p=cfg.p), seed=cfg.seed,
                          max_steps=cfg.max_steps, stop="none",
@@ -325,7 +332,7 @@ def _cmd_adaptive_run(cfg: RunConfig) -> int:
     return 0
 
 
-def _experiment_result(cfg: RunConfig):
+def _experiment_result(cfg: argparse.Namespace):
     kind = cfg.kind
     if kind == "cycle-dist":
         _require(cfg, "d", "theta", "k", "seed")
@@ -359,10 +366,10 @@ def _experiment_result(cfg: RunConfig):
         _require(cfg, "k", "p", "seed")
         return experiments.waiting_time_experiment(cfg.k, cfg.p, cfg.trials,
                                                    cfg.seed)
-    raise CliError(f"unknown experiment kind {kind!r}")
 
 
-def _cmd_experiment(cfg: RunConfig) -> int:
+def _cmd_experiment(cfg: argparse.Namespace) -> int:
+    """Seeded Monte Carlo experiment."""
     result = _experiment_result(cfg)
     payload = {"config": _config_dict(cfg), "result": result.to_json_dict()}
     _emit(cfg, {".json": _json_text(payload), ".csv": result.to_csv()})
@@ -371,14 +378,17 @@ def _cmd_experiment(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_conjecture_scan(cfg: RunConfig) -> int:
+def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
+    """Waiting-time scan over a d-grid."""
     _require(cfg, "theta", "seed")
     if not cfg.d_grid:
         raise CliError("conjecture-scan needs --d with a comma-separated grid")
+    # a cycle scan reads the cycle kind, a growth scan the planted cycle
+    knob = ({"cycle_kind": cfg.cycle_kind} if cfg.kind == "first-cycle"
+            else {"k0": cfg.k0})
     scan = experiments.conjecture_scan(cfg.kind.replace("-", "_"), cfg.theta,
                                        cfg.d_grid, cfg.trials, cfg.seed,
-                                       k0=cfg.k0, cycle_kind=cfg.cycle_kind,
-                                       jobs=cfg.jobs)
+                                       jobs=cfg.jobs, **knob)
     fit = {
         "kind": scan.kind,
         "slope": None if scan.fit is None else scan.fit.slope,
@@ -392,26 +402,22 @@ def _cmd_conjecture_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_appendix_demo(cfg: RunConfig) -> int:
+def _cmd_appendix_demo(cfg: argparse.Namespace) -> int:
+    """Demonstrate signed-model mass loss."""
     _require(cfg, "d", "p", "seed")
-    t_max = cfg.t_max if cfg.t_max is not None else 50.0
     report = signed_model.demonstrate_inconsistency(cfg.d, cfg.p, cfg.trials,
-                                                    cfg.seed, t_max=t_max,
+                                                    cfg.seed, t_max=cfg.t_max,
                                                     h=cfg.h)
     _emit(cfg, {".json": _json_text(signed_model.report_to_json_dict(report))})
     return 0
 
 
-def _config_dict(cfg: RunConfig) -> dict:
+def _config_dict(cfg: argparse.Namespace) -> dict:
     # jobs is an execution knob, not part of the experiment's identity;
     # keeping it out makes outputs byte-identical across worker counts
-    out = {}
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if val is None or f.name in ("out", "format", "config", "jobs"):
-            continue
-        out[f.name] = list(val) if isinstance(val, tuple) else val
-    return out
+    return {key: list(val) if isinstance(val, tuple) else val
+            for key, val in vars(cfg).items()
+            if val is not None and key not in ("out", "format", "config", "jobs")}
 
 
 _DISPATCH = {
@@ -424,7 +430,7 @@ _DISPATCH = {
 }
 
 
-def dispatch(cfg: RunConfig, argv=()) -> int:
+def dispatch(cfg: argparse.Namespace, argv=()) -> int:
     status = _DISPATCH[cfg.command](cfg)
     if cfg.out:
         _write_meta(cfg.out, argv)

@@ -11,6 +11,7 @@ squaring of I + C (cyclic case) or by the last nonvanishing power C^m x0
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -154,11 +155,12 @@ def _residual(a: np.ndarray, x: np.ndarray) -> float:
 # Integration
 # ---------------------------------------------------------------------------
 
-def _rk4_step(a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = _field(a, x)
-    k2 = _field(a, x + 0.5 * h * k1)
-    k3 = _field(a, x + 0.5 * h * k2)
-    k4 = _field(a, x + h * k3)
+def _rk4_step(field, x: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of x' = field(x)."""
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -175,6 +177,7 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     ||f(x)||_1 falls below it.
     """
     a = C.as_float()
+    field = partial(_field, a)
     x = simplex_vector(x0)
     times = [0.0]
     states = [x.copy()]
@@ -201,11 +204,11 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     while t < t_end - 1e-12:
         h_step = min(h_cur, t_end - t)
         if not adaptive:
-            x = accept(_rk4_step(a, x, h_step), h_step)
+            x = accept(_rk4_step(field, x, h_step), h_step)
             t += h_step
         else:
-            full = _rk4_step(a, x, h_step)
-            half = _rk4_step(a, _rk4_step(a, x, h_step / 2), h_step / 2)
+            full = _rk4_step(field, x, h_step)
+            half = _rk4_step(field, _rk4_step(field, x, h_step / 2), h_step / 2)
             err = np.abs(full - half).sum() / 15.0
             if err > tol and h_step > 1e-8:
                 h_cur = h_step / 2
@@ -231,8 +234,7 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
 
 
 def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
-                         t_end: float = 50.0, h: float = 0.01,
-                         record_every: int = 1) -> Trajectory:
+                         t_end: float = 50.0, h: float = 0.01) -> Trajectory:
     """Integrate the cone system y' = Cy - phi*y with RK4, renormalising.
 
     Renormalisation is legitimate because every point of a ray projects
@@ -247,19 +249,14 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
         raise ValueError("y0 must be non-negative and nonzero")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    gen = a - phi * np.eye(C.d)
+    field = partial(np.matmul, a - phi * np.eye(C.d))
     y = y / y.sum()
     times = [0.0]
     states = [y.copy()]
     residuals = [_residual(a, y)]
     n_steps = int(np.ceil(t_end / h - 1e-12))
     for step in range(1, n_steps + 1):
-        dt = min(h, t_end - (step - 1) * h)
-        k1 = gen @ y
-        k2 = gen @ (y + 0.5 * dt * k1)
-        k3 = gen @ (y + 0.5 * dt * k2)
-        k4 = gen @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4_step(field, y, min(h, t_end - (step - 1) * h))
         mass = y.sum()
         if not (np.isfinite(mass) and mass > 1e-300):
             raise NonConvergenceError(
@@ -267,10 +264,9 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
                 f"at step {step}; reduce h or |phi|")
         y = np.clip(y, 0.0, None)
         y /= y.sum()
-        if step % record_every == 0 or step == n_steps:
-            times.append(min(step * h, t_end))
-            states.append(y.copy())
-            residuals.append(_residual(a, y))
+        times.append(min(step * h, t_end))
+        states.append(y.copy())
+        residuals.append(_residual(a, y))
     return Trajectory(times=np.array(times), states=np.array(states),
                       residuals=np.array(residuals),
                       mass_drift_rate=0.0, min_component=float(min(s.min() for s in states)))

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MAX_CYCLE_LENGTH = 5
+SCAN_BUDGET_FACTOR = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,14 +518,14 @@ def scaling_fit(xs, ys) -> ScalingFit:
 
 
 def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
-                    max_steps_factor: float = 8.0, k0: int = 2,
-                    cycle_kind: str = "directed", jobs: int = 1) -> ScanResult:
+                    k0: int = 2, cycle_kind: str = "directed",
+                    jobs: int = 1) -> ScanResult:
     """Waiting-time scan over a d-grid at fixed theta = p*d.
 
     kind "first_cycle" measures steps to the first cycle from scratch;
     kind "acs_growth" measures steps until the planted seed set spans the
-    graph. The budget per trial scales with the relevant heuristic:
-    d^2/(3 theta) for cycles, the summed attachment times for growth.
+    graph. The budget per trial is ``SCAN_BUDGET_FACTOR`` times the
+    heuristic: d^2/(3 theta) for cycles, summed attachment times for growth.
     ``trials`` may be a single count or one count per grid point (small
     graphs are cheap, so oversampling them stabilises the fit).
     """
@@ -542,13 +543,13 @@ def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
     for i, (d, n) in enumerate(zip(ds, trial_counts)):
         p = theta / d
         if kind == "first_cycle":
-            budget = int(max_steps_factor * max(d * d / (3.0 * theta), 50.0))
+            budget = int(SCAN_BUDGET_FACTOR * max(d * d / (3.0 * theta), 50.0))
             res = first_cycle_time_jk(d, p, n, budget, _trial_seed(seed, i),
                                       cycle_kind=cycle_kind, jobs=jobs)
             oracle = None
         else:
             exact, _ = oracle_total_growth(d, p)
-            budget = int(max_steps_factor * max(exact, 50.0))
+            budget = int(SCAN_BUDGET_FACTOR * max(exact, 50.0))
             res = acs_growth_time_jk(d, p, n, _trial_seed(seed, i), budget,
                                      k0=k0, jobs=jobs)
             oracle = res.oracle_value

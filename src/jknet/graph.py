@@ -351,7 +351,8 @@ def path_counts(C: InteractionMatrix) -> np.ndarray:
 # Spectral analysis
 # ---------------------------------------------------------------------------
 
-def _pf_vector_irreducible(block: np.ndarray, tol: float, max_iter: int):
+def _pf_vector_irreducible(block: np.ndarray, tol: float,
+                           max_iter: int = 100_000):
     """Perron vector and radius of an irreducible non-negative block.
 
     Power iteration on block + I; the unit diagonal shift makes the
@@ -387,8 +388,7 @@ def _reachable_from(entries: np.ndarray, sources) -> np.ndarray:
     return seen
 
 
-def spectral_radius_pf(C: InteractionMatrix, tol: float = 1e-10,
-                       max_iter: int = 100_000) -> SpectralData:
+def spectral_radius_pf(C: InteractionMatrix, tol: float = 1e-10) -> SpectralData:
     """Spectral radius of C and a non-negative basis of its eigenspace.
 
     The matrix is reducible in general, so the eigenspace is assembled
@@ -410,7 +410,7 @@ def spectral_radius_pf(C: InteractionMatrix, tol: float = 1e-10,
     vectors = []
     for comp in nontrivial:
         block = a[np.ix_(comp, comp)]
-        lam_b, v_b = _pf_vector_irreducible(block, tol, max_iter)
+        lam_b, v_b = _pf_vector_irreducible(block, tol)
         radii.append(lam_b)
         vectors.append(v_b)
 

@@ -16,9 +16,11 @@ exactly the defect being demonstrated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .dynamics import _rk4_step
 from .rng import stream
 
 __all__ = [
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 BOUNDARY_ATOL = 1e-12
+CONTACT_ATOL = 1e-10
+STOP_DRIFT = 10.0
+MASS_RATE_MIN = 1e-3
+DRIFT_MIN = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,28 +136,19 @@ def constrained_field(M: SignedMatrix, x) -> np.ndarray:
     return out
 
 
-def _rk4(M: SignedMatrix, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = constrained_field(M, x)
-    k2 = constrained_field(M, x + 0.5 * h * k1)
-    k3 = constrained_field(M, x + 0.5 * h * k2)
-    k4 = constrained_field(M, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
-                          t_max: float = 50.0,
-                          contact_atol: float = 1e-10,
-                          stop_drift: float = 10.0) -> ConstrainedRun:
+                          t_max: float = 50.0) -> ConstrainedRun:
     """Integrate the clamped system without renormalisation.
 
     The first time a component crosses zero the step is bisected until
-    the component sits within ``contact_atol`` of the boundary, then
+    the component sits within ``CONTACT_ATOL`` of the boundary, then
     clamped; if the field there points outward the contact is recorded
     (time, state, total mass derivative) and integration continues so the
-    mass drift can be observed. Once |mass - 1| exceeds ``stop_drift``
+    mass drift can be observed. Once |mass - 1| exceeds ``STOP_DRIFT``
     the run ends: the trajectory has left the constraint set for good and
     the quadratic field would blow up numerically soon after.
     """
+    field = partial(constrained_field, M)
     x = np.asarray(x0, dtype=float).copy()
     t = 0.0
     times = [0.0]
@@ -164,20 +161,20 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
 
     while t < t_max - 1e-12:
         step = min(h, t_max - t)
-        x_new = _rk4(M, x, step)
-        if contact_time is None and x_new.min() < -contact_atol:
+        x_new = _rk4_step(field, x, step)
+        if contact_time is None and x_new.min() < -CONTACT_ATOL:
             lo, hi = 0.0, step
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                probe = _rk4(M, x, mid)
-                if probe.min() < -contact_atol:
+                probe = _rk4_step(field, x, mid)
+                if probe.min() < -CONTACT_ATOL:
                     hi = mid
-                elif probe.min() > contact_atol:
+                elif probe.min() > CONTACT_ATOL:
                     lo = mid
                 else:
                     break
             step = 0.5 * (lo + hi)
-            x_new = np.clip(_rk4(M, x, step), 0.0, None)
+            x_new = np.clip(_rk4_step(field, x, step), 0.0, None)
             idx = int(np.argmin(x_new))
             f = M.entries @ x_new - x_new * (M.entries @ x_new).sum()
             if f[idx] < 0:
@@ -190,7 +187,7 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
         times.append(t)
         states.append(x.copy())
         mass.append(float(x.sum()))
-        if step <= 0 or abs(mass[-1] - 1.0) >= stop_drift:
+        if step <= 0 or abs(mass[-1] - 1.0) >= STOP_DRIFT:
             break
 
     return ConstrainedRun(times=np.array(times), states=np.array(states),
@@ -201,14 +198,13 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
 
 
 def demonstrate_inconsistency(d: int, p: float, trials: int, seed: int,
-                              t_max: float = 50.0, h: float = 0.01,
-                              mass_rate_min: float = 1e-3,
-                              drift_min: float = 0.01) -> InconsistencyReport:
+                              t_max: float = 50.0,
+                              h: float = 0.01) -> InconsistencyReport:
     """Search seeded trials for a boundary witness of mass non-conservation.
 
     A witness is a trajectory reaching some x_r = 0 with f_r < 0 and
-    |sum_i x_i'| > ``mass_rate_min`` there, whose total mass subsequently
-    drifts from 1 by more than ``drift_min``. Returns the first such
+    |sum_i x_i'| > ``MASS_RATE_MIN`` there, whose total mass subsequently
+    drifts from 1 by more than ``DRIFT_MIN``. Returns the first such
     witness; ``found`` is False only if every trial stayed interior or no
     contact produced the required drift.
     """
@@ -224,14 +220,14 @@ def demonstrate_inconsistency(d: int, p: float, trials: int, seed: int,
         if run.contact_time is None:
             continue
         contacts += 1
-        if abs(run.mass_derivative) <= mass_rate_min:
+        if abs(run.mass_derivative) <= MASS_RATE_MIN:
             continue
         after = run.times >= run.contact_time - 1e-12
         drift = np.abs(run.mass - 1.0)
         series = tuple((float(t), float(dr))
                        for t, dr in zip(run.times[after], drift[after]))
         max_drift = float(drift[after].max())
-        if max_drift > drift_min:
+        if max_drift > DRIFT_MIN:
             return InconsistencyReport(
                 found=True, trial=trial, matrix=M,
                 t_contact=float(run.contact_time),

@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jknet.cli import CliError, dispatch, main, parse_and_validate
+from jknet.cli import ENTRY_POINTS, CliError, build_parser, main, parse_and_validate
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -61,8 +64,15 @@ class TestParseAndValidate:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--x0-mode", "analytic"])
         assert exc.value.code == 2
-        assert "invalid choice: 'analytic'" in capsys.readouterr().err
-        assert parse_and_validate(argv + ["--x0-mode", "carry"]).x0_mode == "carry"
+        if argv[0] == "conjecture-scan":
+            # a scan starts every trial from the uniform state: no --x0-mode
+            assert "unrecognized arguments: --x0-mode" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--x0-mode", "carry"])
+            assert exc.value.code == 2
+        else:
+            assert "invalid choice: 'analytic'" in capsys.readouterr().err
+            assert parse_and_validate(argv + ["--x0-mode", "carry"]).x0_mode == "carry"
 
     def test_seed_required_for_experiments(self):
         with pytest.raises(CliError, match="seed"):
@@ -88,7 +98,7 @@ class TestParseAndValidate:
     def test_config_values_take_the_flag_types(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"trials": "5", "jobs": "2", "p": 1}))
-        cfg = parse_and_validate(["experiment", "waiting-time", "--k", "3",
+        cfg = parse_and_validate(["experiment", "acs-attach", "--k", "3",
                                   "--seed", "1", "--config", str(cfg_path)])
         assert (cfg.trials, cfg.jobs, cfg.p) == (5, 2, 1.0)
         assert type(cfg.p) is float
@@ -110,7 +120,7 @@ class TestParseAndValidate:
           "--seed", "1"], {"trials": "five"}),
         (["experiment", "waiting-time", "--k", "3", "--p", "0.2",
           "--seed", "1"], {"trials": 2.5}),
-        (["experiment", "waiting-time", "--k", "3", "--p", "0.2",
+        (["experiment", "acs-attach", "--k", "3", "--p", "0.2",
           "--seed", "1"], {"jobs": True}),
         (["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1"],
          {"format": "xml"}),
@@ -158,11 +168,173 @@ class TestParseAndValidate:
             parse_and_validate(["equilibrium", "--config", str(cfg_path),
                                 "--matrix", "x"])
 
+    @pytest.mark.parametrize("argv, file_cfg", [
+        # only --d sets d_grid
+        (["conjecture-scan", "first-cycle", "--theta", "0.5", "--seed", "1",
+          "--trials", "1"], {"d_grid": ["a"]}),
+        (["conjecture-scan", "first-cycle", "--theta", "0.5", "--seed", "1",
+          "--trials", "1"], {"d_grid": "10,20,30"}),
+        # no command reads phi, and the command line names the kind
+        (["experiment", "first-cycle", "--d", "10", "--p", "0.1",
+          "--seed", "1"], {"phi": 9}),
+        (["experiment", "first-cycle", "--d", "10", "--p", "0.1",
+          "--seed", "1"], {"kind": "acs-growth"}),
+    ])
+    def test_keys_of_no_flag_are_config_errors(self, tmp_path, capsys, argv,
+                                               file_cfg):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"] == f"unknown config keys: {list(file_cfg)}"
+
+    @pytest.mark.parametrize("content", [5, "abc", ["d"], None])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(content))
+        assert main(["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1",
+                     "--config", str(cfg_path)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": "config file must hold a JSON object"}
+
     def test_d_grid_parsing(self):
         cfg = parse_and_validate(["conjecture-scan", "acs-growth",
                                   "--d", "25,50,100", "--theta", "0.5",
                                   "--seed", "1"])
         assert cfg.d_grid == (25, 50, 100)
+
+
+def entry_parsers(parser=None, prefix=()):
+    """(entry point, its argparse parser) for every leaf of the CLI."""
+    parser = build_parser() if parser is None else parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from entry_parsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+SHARED_FLAGS = ("--config", "--out", "--format")
+
+
+def entry_flags(parser) -> dict:
+    """{dest: option} of the flags an entry point takes, --help and the
+    shared flags left out."""
+    return {a.dest: a.option_strings[0] for a in parser._actions
+            if a.option_strings and a.dest != "help"
+            and a.option_strings[0] not in SHARED_FLAGS}
+
+
+ALL_FLAGS = {dest: opt for _, parser in entry_parsers()
+             for dest, opt in entry_flags(parser).items()}
+FLAG_VALUES = {"matrix": "m.edges", "d": "6", "p": "0.3", "theta": "1.8",
+               "seed": "1", "trials": "2", "tol": "1e-10", "h": "0.05",
+               "t_max": "0.5", "max_steps": "3", "k": "3", "k0": "2",
+               "cycle_kind": "directed", "x0_mode": "uniform", "jobs": "1"}
+
+
+def full_argv(entry, flags):
+    """Every flag the entry point reads, but --matrix (the graph is drawn)
+    and --theta where --p is read too (theta is derived from p)."""
+    argv = entry.split(" ")
+    for dest, opt in flags.items():
+        if dest == "matrix" or (dest == "theta" and "p" in flags):
+            continue
+        val = FLAG_VALUES[dest]
+        if dest == "d" and entry.startswith("conjecture-scan"):
+            val = "4,5,6"
+        argv += [opt, val]
+    return argv
+
+
+class TestFlagTable:
+    def test_entry_points(self):
+        assert [e for e, _ in entry_parsers()] == list(ENTRY_POINTS)
+        assert len(ENTRY_POINTS) == 13
+        assert "--phi" not in ALL_FLAGS.values()
+
+    @pytest.mark.parametrize("entry, parser", list(entry_parsers()),
+                             ids=[e for e, _ in entry_parsers()])
+    def test_entry_point_takes_only_the_flags_it_reads(self, tmp_path, capsys,
+                                                       entry, parser):
+        flags = entry_flags(parser)
+        argv = full_argv(entry, flags)
+        parse_and_validate(argv)
+        unread = {d: o for d, o in ALL_FLAGS.items() if d not in flags}
+        assert unread
+        for dest, opt in unread.items():
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [opt, FLAG_VALUES[dest]])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {opt}" in capsys.readouterr().err
+            cfg_path = tmp_path / f"{dest}.json"
+            cfg_path.write_text(json.dumps({dest: FLAG_VALUES[dest]}))
+            assert main(argv + ["--config", str(cfg_path)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "config",
+                           "message": f"unknown config keys: [{dest!r}]"}
+
+        command = entry.split(" ")[0]
+        if command not in ("experiment", "conjecture-scan"):
+            return
+        # the config block records exactly the values that ran
+        assert main(argv) in (0, 2)
+        config = json.loads(capsys.readouterr().out)["config"]
+        want = set(flags) - {"jobs"} | {"command", "kind"}
+        if command == "conjecture-scan":
+            want = want - {"d"} | {"d_grid"}
+            assert config["d_grid"] == [4, 5, 6]
+        assert set(config) == want
+        assert (config["command"], config["kind"]) == tuple(entry.split(" "))
+        if "theta" in flags:
+            d = config.get("d") or config["d_grid"][0]
+            assert config["theta"] == pytest.approx(config["p"] * d)
+
+    @pytest.mark.parametrize("argv", [
+        ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
+         "--seed", "1", "--trials", "4", "--x0-mode", "carry"],
+        ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
+         "--seed", "1", "--trials", "4", "--max-steps", "3"],
+        ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
+         "--seed", "1", "--trials", "4", "--tol", "5"],
+        ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
+         "--seed", "1", "--trials", "4", "--phi", "9"],
+        ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
+         "--seed", "1", "--trials", "4", "--h", "7"],
+        ["integrate", "--d", "5", "--p", "0.2", "--seed", "1",
+         "--x0-mode", "analytic"],
+        ["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+         "--max-steps", "5", "--matrix", "f"],
+        ["experiment", "waiting-time", "--k", "3", "--p", "0.2", "--seed", "1",
+         "--jobs", "2"],
+        ["experiment", "first-cycle-uniform", "--d", "10", "--seed", "1",
+         "--p", "0.7"],
+    ], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
+    def test_flags_that_did_nothing_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_equilibrium_has_no_carry_start(self, capsys):
+        # carry means the previous state's equilibrium: equilibrium has none
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1",
+                  "--x0-mode", "carry"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'carry'" in capsys.readouterr().err
+
+    def test_readme_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([a-z -]+)` \| (.*) \|$", section, re.M)
+        documented = {entry: re.findall(r"`(--[a-z0-9-]+)`", cells)
+                      for entry, cells in rows}
+        parsed = {entry: list(entry_flags(parser).values())
+                  for entry, parser in entry_parsers()}
+        assert documented == parsed
 
 
 class TestSubcommands:
