@@ -5,6 +5,13 @@ and numerical equilibria of the autocatalytic flow on a fixed digraph,
 the discrete delete-and-resample adaptation loop, and seeded Monte Carlo
 experiments with closed-form waiting-time oracles.
 """
+import os
+import sys
+
+if "numpy" not in sys.modules:  # one BLAS thread: bytes do not depend on the host
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .adaptation import (
     AdaptiveState,
     AdaptiveTrace,

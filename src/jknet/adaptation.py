@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import KIND_ACS, EquilibriumResult, equilibrium
+from .dynamics import KIND_ACS, ZERO_TOL, EquilibriumResult, equilibrium
 from .graph import (
+    TOL,
     InteractionMatrix,
     ModelParams,
     has_undirected_cycle,
@@ -39,6 +40,7 @@ __all__ = [
 
 STOP_MODES = ("none", "first_cycle", "full_acs")
 X0_MODES = ("uniform", "carry")
+REL_TOL = 1e-9  # within REL_TOL * max(1, min) of the minimum ties for it
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +113,14 @@ class AdaptiveTrace:
         return len(self.records) - 1
 
 
-def min_prevalence_set(x_star, rel_tol: float = 1e-9) -> np.ndarray:
+def min_prevalence_set(x_star) -> np.ndarray:
     """Floating-point tie set of the minimum concentration.
 
-    Returns {j : x_j <= min_k x_k + rel_tol * max(1, min_k)}.
+    Returns {j : x_j <= min_k x_k + REL_TOL * max(1, min_k)}.
     """
     x = np.asarray(x_star, dtype=float)
     m = float(x.min())
-    return np.flatnonzero(x <= m + rel_tol * max(1.0, m))
+    return np.flatnonzero(x <= m + REL_TOL * max(1.0, m))
 
 
 def _carry_state(prev: np.ndarray, j: int) -> np.ndarray:
@@ -128,8 +130,7 @@ def _carry_state(prev: np.ndarray, j: int) -> np.ndarray:
 
 
 def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
-            tol: float = 1e-10, zero_tol: float = 1e-9,
-            rel_tol: float = 1e-9, x0_mode: str = "uniform"):
+            tol: float = TOL, x0_mode: str = "uniform"):
     """One adaptive update; returns (next state, record of this state).
 
     ``x0_mode`` picks the initial condition the new equilibrium is read
@@ -140,20 +141,17 @@ def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
     if x0_mode not in X0_MODES:
         raise ValueError(f"x0_mode must be one of {X0_MODES}")
     x = state.x_star.x_star
-    jset = min_prevalence_set(x, rel_tol)
+    jset = min_prevalence_set(x)
     chosen = int(jset[rng.integers(jset.size)])
     new_matrix = resample_vertex(state.matrix, chosen, p, rng)
     x0 = _carry_state(x, chosen) if x0_mode == "carry" else None
-    new_eq = equilibrium(new_matrix, x0=x0, tol=tol, zero_tol=zero_tol)
+    new_eq = equilibrium(new_matrix, x0=x0, tol=tol)
     record = _record_state(state, chosen, jset)
     return AdaptiveState(state.s + 1, new_matrix, new_eq), record
 
 
 def _record_state(state: AdaptiveState, chosen: int | None,
-                  jset: np.ndarray | None = None,
-                  rel_tol: float = 1e-9) -> StepRecord:
-    if jset is None:
-        jset = min_prevalence_set(state.x_star.x_star, rel_tol)
+                  jset: np.ndarray) -> StepRecord:
     return StepRecord(
         s=state.s,
         j_min_set=tuple(int(v) for v in jset),
@@ -178,8 +176,7 @@ def plant_directed_cycle(C: InteractionMatrix, length: int = 2) -> InteractionMa
 def run_adaptive(params: ModelParams, seed: int, max_steps: int,
                  stop: str = "none", cycle_kind: str = "directed",
                  x0_mode: str = "uniform", plant_cycle: int | None = None,
-                 tol: float = 1e-10, zero_tol: float = 1e-9,
-                 rel_tol: float = 1e-9) -> AdaptiveTrace:
+                 tol: float = TOL) -> AdaptiveTrace:
     """Run the adaptive loop from a freshly sampled graph.
 
     Stops at ``max_steps`` updates or as soon as the stop condition holds:
@@ -206,11 +203,11 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
     matrix = sample_er_digraph(params, rng)
     if plant_cycle is not None:
         matrix = plant_directed_cycle(matrix, plant_cycle)
-    state = AdaptiveState(0, matrix, equilibrium(matrix, tol=tol, zero_tol=zero_tol))
+    state = AdaptiveState(0, matrix, equilibrium(matrix, tol=tol))
 
     options = {"max_steps": max_steps, "stop": stop, "cycle_kind": cycle_kind,
                "x0_mode": x0_mode, "plant_cycle": plant_cycle, "tol": tol,
-               "zero_tol": zero_tol, "rel_tol": rel_tol}
+               "zero_tol": ZERO_TOL, "rel_tol": REL_TOL}
     trace = AdaptiveTrace(params=params, seed=seed, options=options)
 
     while True:
@@ -229,12 +226,11 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
             or (stop == "full_acs" and trace.full_acs_step is not None)
         )
         if done:
-            trace.records.append(_record_state(state, None, rel_tol=rel_tol))
+            jset = min_prevalence_set(state.x_star.x_star)
+            trace.records.append(_record_state(state, None, jset))
             break
 
-        new_state, record = jk_step(state, params.p, rng, tol=tol,
-                                    zero_tol=zero_tol, rel_tol=rel_tol,
-                                    x0_mode=x0_mode)
+        new_state, record = jk_step(state, params.p, rng, tol=tol, x0_mode=x0_mode)
         trace.records.append(record)
 
         if state.x_star.zero_set.size > 0:

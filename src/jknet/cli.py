@@ -36,7 +36,8 @@ from .dynamics import (
     trajectory_to_csv,
     uniform_state,
 )
-from .graph import InteractionMatrix, ModelParams, load_interaction_matrix, sample_er_digraph
+from .graph import (TOL, InteractionMatrix, ModelParams, load_interaction_matrix,
+                    sample_er_digraph)
 from .rng import stream
 
 __all__ = ["main", "parse_and_validate", "dispatch", "CliError"]
@@ -80,18 +81,22 @@ _SAMPLED = ("equilibrium", "integrate", "adaptive-run", "experiment cycle-dist",
 FLAGS = (
     Flag("config", ENTRY_POINTS, help="JSON config file; flags override it"),
     Flag("out", ENTRY_POINTS, help="output path stem"),
-    Flag("format", ENTRY_POINTS, choices=("json", "csv"), default="json"),
+    Flag("format", tuple(e for e in ENTRY_POINTS if e not in  # those with a CSV
+                         ("equilibrium", "adaptive-run", "appendix-demo")),
+         choices=("json", "csv"), default="json"),
     Flag("matrix", ("equilibrium", "integrate"), help="interaction matrix file"),
     Flag("d", _SAMPLED + _EDGE_EXPERIMENTS, type=str,
          help="vertex count (comma list for scans)"),
-    Flag("p", _SAMPLED + ("experiment acs-attach", "experiment waiting-time"),
+    # a scan keeps theta fixed over its d grid
+    Flag("p", tuple(e for e in _SAMPLED if not e.startswith("conjecture-scan"))
+         + ("experiment acs-attach", "experiment waiting-time"),
          type=float, help="edge probability"),
     Flag("theta", _SAMPLED, type=float, help="mean degree p*d"),
     Flag("seed", ENTRY_POINTS, type=int, help=f"RNG seed (or ${SEED_ENV})"),
     Flag("trials", tuple(e for e in ENTRY_POINTS if e not in
                          ("equilibrium", "integrate", "adaptive-run")),
          type=int, default=100),
-    Flag("tol", ("equilibrium", "adaptive-run"), type=float, default=1e-10),
+    Flag("tol", ("equilibrium", "adaptive-run"), type=float, default=TOL),
     Flag("h", ("integrate", "appendix-demo"), type=float, default=0.01,
          help="integrator step size"),
     Flag("t_max", ("integrate", "appendix-demo"), type=float, default=500.0),
@@ -215,19 +220,18 @@ def parse_and_validate(argv) -> argparse.Namespace:
     if "d" in flags:
         cfg["d"], cfg["d_grid"] = _parse_d(cfg["d"])
         # exactly one of p/theta may be given; the other is derived from d
-        p, theta, grid = cfg.get("p"), cfg.get("theta"), cfg["d_grid"]
-        ref_d = cfg["d"] if cfg["d"] is not None else (grid[0] if grid else None)
+        p, theta, d = cfg.get("p"), cfg.get("theta"), cfg["d"]
         if p is not None and theta is not None:
             raise CliError(
                 f"conflicting p and theta: give exactly one (got p={p!r}, "
                 f"theta={theta!r}); the other is derived via theta = p*d")
-        elif theta is not None and ref_d is not None and grid is None:
-            cfg["p"] = theta / ref_d
-        elif p is not None and ref_d is not None:
-            cfg["theta"] = p * ref_d
+        elif theta is not None and d is not None:
+            cfg["p"] = theta / d
+        elif p is not None and d is not None:
+            cfg["theta"] = p * d
 
-    for name in ("trials", "jobs"):
-        if name in flags and cfg[name] < 1:
+    for name in ("trials", "jobs", "max_steps"):
+        if cfg.get(name) is not None and cfg[name] < 1:
             raise CliError(f"{name} must be >= 1")
     if ns.seed is None and os.environ.get(SEED_ENV):
         try:
@@ -267,13 +271,12 @@ def _emit(cfg: argparse.Namespace, outputs: dict) -> None:
     """Write the primary outputs, ``{suffix: text}`` with the main one first.
 
     With --out every entry goes to ``<out><suffix>``. Otherwise stdout
-    gets the ``.csv`` text under --format csv when there is one, and the
-    first entry in every other case.
+    gets the ``.csv`` text under --format csv, otherwise the first entry.
     """
     if cfg.out:
         for suffix, text in outputs.items():
             _write(cfg.out + suffix, text)
-    elif cfg.format == "csv" and ".csv" in outputs:
+    elif getattr(cfg, "format", "json") == "csv":
         sys.stdout.write(outputs[".csv"])
     else:
         sys.stdout.write(next(iter(outputs.values())))
@@ -325,9 +328,8 @@ def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
     """Run the adaptive loop."""
     _require(cfg, "d", "p", "seed", "max_steps")
     trace = run_adaptive(ModelParams(d=cfg.d, p=cfg.p), seed=cfg.seed,
-                         max_steps=cfg.max_steps, stop="none",
-                         cycle_kind=cfg.cycle_kind, x0_mode=cfg.x0_mode,
-                         plant_cycle=None, tol=cfg.tol)
+                         max_steps=cfg.max_steps, cycle_kind=cfg.cycle_kind,
+                         x0_mode=cfg.x0_mode, tol=cfg.tol)
     _emit(cfg, {".jsonl": trace_to_json_lines(trace)})
     return 0
 
@@ -340,9 +342,10 @@ def _experiment_result(cfg: argparse.Namespace):
                                                 cfg.trials, cfg.seed)
     if kind == "first-cycle":
         _require(cfg, "d", "p", "seed")
-        max_steps = cfg.max_steps or int(20 * cfg.d / max(cfg.p, 1e-9))
+        # written back, so that the config block records the budget that ran
+        cfg.max_steps = cfg.max_steps or int(20 * cfg.d / max(cfg.p, 1e-9))
         return experiments.first_cycle_time_jk(cfg.d, cfg.p, cfg.trials,
-                                               max_steps, cfg.seed,
+                                               cfg.max_steps, cfg.seed,
                                                cycle_kind=cfg.cycle_kind,
                                                x0_mode=cfg.x0_mode, jobs=cfg.jobs)
     if kind in ("first-cycle-uniform", "first-cycle-permutation"):
@@ -357,9 +360,9 @@ def _experiment_result(cfg: argparse.Namespace):
     if kind == "acs-growth":
         _require(cfg, "d", "p", "seed")
         exact, _ = experiments.oracle_total_growth(cfg.d, cfg.p)
-        max_steps = cfg.max_steps or int(10 * max(exact, 50.0))
+        cfg.max_steps = cfg.max_steps or int(10 * max(exact, 50.0))
         return experiments.acs_growth_time_jk(cfg.d, cfg.p, cfg.trials,
-                                              cfg.seed, max_steps,
+                                              cfg.seed, cfg.max_steps,
                                               k0=cfg.k0, x0_mode=cfg.x0_mode,
                                               jobs=cfg.jobs)
     if kind == "waiting-time":

@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from .graph import (
+    TOL,
     InteractionMatrix,
     NonConvergenceError,
     _reachable_from,
@@ -47,6 +48,11 @@ __all__ = [
 KIND_ACS = "acs_supported"
 KIND_TERMINAL = "terminal_supported"
 KIND_DEGENERATE = "degenerate_no_edges"
+
+ZERO_TOL = 1e-9  # a concentration at or below it is outside the support
+MAX_DOUBLINGS = 70  # squarings of I + C before the flow-limit solve gives up
+RESIDUAL_FLOOR = 1e-9  # an equilibrium's residual passes below it whatever tol is
+MASS_ATOL = 1e-9  # how far a state's mass may stray from 1 to be renormalised
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +114,6 @@ class AndiVariables:
     r: np.ndarray
     R: np.ndarray
 
-    @property
-    def depth(self) -> int:
-        return self.r.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # States and the vector field
@@ -121,15 +123,15 @@ def uniform_state(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d)
 
 
-def simplex_vector(x, atol: float = 1e-9) -> np.ndarray:
+def simplex_vector(x) -> np.ndarray:
     """Validate, clamp (>= -1e-12) and exactly renormalise a state."""
     x = np.asarray(x, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError("state must be a vector")
     if x.min() < -1e-12:
         raise ValueError(f"negative component {x.min():.3e} below -1e-12")
-    if abs(x.sum() - 1.0) > atol:
-        raise ValueError(f"mass {x.sum()!r} deviates from 1 beyond {atol}")
+    if abs(x.sum() - 1.0) > MASS_ATOL:
+        raise ValueError(f"mass {x.sum()!r} deviates from 1 beyond {MASS_ATOL}")
     x = np.clip(x, 0.0, None)
     return x / x.sum()
 
@@ -343,8 +345,7 @@ def _block_layout(a: np.ndarray) -> list | None:
     return groups
 
 
-def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
-                        zero_tol: float, max_doublings: int) -> np.ndarray:
+def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -408,9 +409,9 @@ def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going until none is stranded in
     # the ambiguous band around the support threshold
-    band_lo, band_hi = zero_tol * 1e-3, 1e-4
+    band_lo, band_hi = ZERO_TOL * 1e-3, 1e-4
     polish_left = 32
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         square()
         y = slots[pos]
         y = y / y.sum()
@@ -424,7 +425,7 @@ def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
 
 
 def _flow_limit(C: InteractionMatrix, a: np.ndarray, start: np.ndarray,
-                tol: float, zero_tol: float, max_doublings: int) -> np.ndarray:
+                tol: float) -> np.ndarray:
     """Limit direction of exp(tC) start, solved where the flow can go.
 
     The flow never leaves the vertices reachable from supp(start), so a
@@ -442,16 +443,16 @@ def _flow_limit(C: InteractionMatrix, a: np.ndarray, start: np.ndarray,
         a = a[np.ix_(live, live)]
     x = np.zeros(C.d)
     if has_directed_cycle(sub):
-        x[live] = _dominant_direction(a, start[live], tol, zero_tol, max_doublings)
+        x[live] = _dominant_direction(a, start[live], tol)
     else:
         x[live] = _nilpotent_limit(a, start[live])
     return x
 
 
-def _classify(lam: float, x: np.ndarray, zero_tol: float, has_edges: bool):
+def _classify(lam: float, x: np.ndarray, has_edges: bool):
     """Support, zero set and kind of an equilibrium x with |C x|_1 = lam."""
-    support = np.flatnonzero(x > zero_tol)
-    zero_set = np.flatnonzero(x <= zero_tol)
+    support = np.flatnonzero(x > ZERO_TOL)
+    zero_set = np.flatnonzero(x <= ZERO_TOL)
     if not has_edges:
         kind = KIND_DEGENERATE
     elif lam >= 0.5:
@@ -462,8 +463,7 @@ def _classify(lam: float, x: np.ndarray, zero_tol: float, has_edges: bool):
 
 
 def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
-                tol: float = 1e-10, zero_tol: float = 1e-9,
-                max_doublings: int = 70) -> EquilibriumResult:
+                tol: float = TOL) -> EquilibriumResult:
     """Equilibrium of the simplex flow for the given graph.
 
     Default mode returns the limit of the flow started at ``x0``
@@ -491,19 +491,19 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
         non_unique = x0 is None
     else:
         start = uniform_state(C.d) if x0 is None else simplex_vector(x0)
-        x = _flow_limit(C, a, start, tol, zero_tol, max_doublings)
+        x = _flow_limit(C, a, start, tol)
 
     residual = _residual(a, x)
-    if residual > max(tol, 1e-9):
+    if residual > max(tol, RESIDUAL_FLOOR):
         raise NonConvergenceError(f"equilibrium residual {residual:.3e} > {tol}")
     lam = float((a @ x).sum())
-    support, zero_set, kind = _classify(lam, x, zero_tol, has_edges)
+    support, zero_set, kind = _classify(lam, x, has_edges)
     return EquilibriumResult(x_star=x, residual=residual, support=support,
                              zero_set=zero_set, kind=kind, non_unique=non_unique,
                              lam=lam)
 
 
-def equilibrium_set_basis(C: InteractionMatrix, tol: float = 1e-10) -> EquilibriumSetBasis:
+def equilibrium_set_basis(C: InteractionMatrix, tol: float = TOL) -> EquilibriumSetBasis:
     """Generators of the attracting equilibrium set X_*.
 
     Cyclic graph: the non-negative unit-1-norm basis of the leading
@@ -534,7 +534,7 @@ def equilibrium_set_basis(C: InteractionMatrix, tol: float = 1e-10) -> Equilibri
     checks /= checks.sum(axis=1, keepdims=True)
     cx = checks @ a.T
     if (np.abs(cx - cx.sum(axis=1, keepdims=True) * checks).sum(axis=1)
-            > max(tol, 1e-9)).any():
+            > max(tol, RESIDUAL_FLOOR)).any():
         raise NonConvergenceError(
             "combination of basis vectors fails the equilibrium check")
     return EquilibriumSetBasis(kind=kind, vectors=vectors,
@@ -566,20 +566,17 @@ def andi_sequences(C: InteractionMatrix, x, n_max: int) -> AndiVariables:
     return AndiVariables(r=R.sum(axis=1), R=R)
 
 
-def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int,
-                  h: float | None = None) -> float:
+def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int) -> float:
     """max |dr_n/dt - (r_{n+1} - r_n r_1)| via central differences.
 
-    The trajectory must be uniformly sampled; the finite-difference
-    error is O(h^2), which halving h shrinks fourfold.
+    The trajectory must be uniformly sampled, with spacing h; the
+    finite-difference error is O(h^2), which halving h shrinks fourfold.
     """
     times = trajectory.times
     if times.size < 3:
         raise ValueError("need at least 3 samples")
-    gaps = np.diff(times)
-    if h is None:
-        h = float(gaps[0])
-    if not np.allclose(gaps, h, rtol=1e-8, atol=1e-12):
+    h = float(times[1] - times[0])
+    if not np.allclose(np.diff(times), h, rtol=1e-8, atol=1e-12):
         raise ValueError("trajectory is not uniformly sampled")
     a = C.as_float()
     powers = trajectory.states @ a.T

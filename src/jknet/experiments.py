@@ -49,15 +49,16 @@ __all__ = [
 
 MAX_CYCLE_LENGTH = 5
 SCAN_BUDGET_FACTOR = 8.0
+ATTACH_MAX_STEPS = 10_000_000  # redraws before an acs-attach trial is censored
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Per-trial measurements plus aggregates against an analytic oracle.
 
-    Aggregates are over uncensored trials unless ``include_censored``
-    was requested; ``std_error = sqrt(variance / n_used)`` and the
-    z-score compares the mean against ``oracle_value`` when present.
+    Aggregates are over the uncensored trials; ``std_error =
+    sqrt(variance / n_used)`` and the z-score compares the mean against
+    ``oracle_value`` when present.
     """
 
     per_trial: np.ndarray
@@ -68,7 +69,6 @@ class ExperimentResult:
     oracle_value: float | None
     z_score: float | None
     n_used: int
-    include_censored: bool
 
     @property
     def trials(self) -> int:
@@ -79,29 +79,26 @@ class ExperimentResult:
         return int(self.censored.sum())
 
     @classmethod
-    def from_measurements(cls, values, censored=None, oracle_value=None,
-                          include_censored=False) -> "ExperimentResult":
+    def from_measurements(cls, values, censored=None,
+                          oracle_value=None) -> "ExperimentResult":
         values = np.asarray(values, dtype=float)
         if censored is None:
             censored = np.zeros(values.size, dtype=bool)
         censored = np.asarray(censored, dtype=bool)
-        used = values if include_censored else values[~censored]
+        used = values[~censored]
         if used.size == 0:
-            mean = float("nan")
-            variance = float("nan")
-            std_error = float("nan")
+            mean = variance = std_error = float("nan")
         else:
             mean = float(used.mean())
             variance = float(used.var(ddof=1)) if used.size > 1 else 0.0
-            std_error = math.sqrt(variance / used.size) if used.size else float("nan")
+            std_error = math.sqrt(variance / used.size)
         z = None
         if oracle_value is not None and used.size > 1 and std_error > 0:
             z = (mean - oracle_value) / std_error
         return cls(per_trial=values, censored=censored, mean=mean,
                    variance=variance, std_error=std_error,
                    oracle_value=None if oracle_value is None else float(oracle_value),
-                   z_score=z, n_used=int(used.size),
-                   include_censored=include_censored)
+                   z_score=z, n_used=int(used.size))
 
     def to_json_dict(self) -> dict:
         return {
@@ -463,24 +460,24 @@ def acs_growth_time_jk(d: int, p: float, trials: int, seed: int,
     return _from_trial_pairs(_map_trials(task, trials, jobs), oracle_value=exact)
 
 
-def _acs_attach_trial(k, p, max_steps, seed, t):
+def _acs_attach_trial(k, p, seed, t):
     # count redraws of a vertex's k potential in-edges until one appears
     rng = stream(seed, t)
-    for step in range(1, max_steps + 1):
+    for step in range(1, ATTACH_MAX_STEPS + 1):
         if (rng.random(k) < p).any():
             return float(step), False
-    return float(max_steps), True
+    return float(ATTACH_MAX_STEPS), True
 
 
 def acs_attach_experiment(k: int, p: float, trials: int, seed: int,
-                          max_steps: int = 10_000_000, jobs: int = 1) -> ExperimentResult:
+                          jobs: int = 1) -> ExperimentResult:
     """Resampling rounds until a vertex gains an in-edge from a k-set.
 
     Directly exercises the per-step attachment trial: each round redraws
     the k potential in-edges Bernoulli(p), succeeding with probability
     r(k, p); the waiting time is geometric with mean 1/r.
     """
-    task = partial(_acs_attach_trial, k, p, max_steps, seed)
+    task = partial(_acs_attach_trial, k, p, seed)
     return _from_trial_pairs(_map_trials(task, trials, jobs),
                              oracle_value=oracle_mean_waiting(k, p))
 

@@ -34,6 +34,8 @@ __all__ = [
     "dump_dense",
 ]
 
+TOL = 1e-10  # the residual tolerance every solver's ``tol`` defaults to
+
 
 class NonConvergenceError(RuntimeError):
     """An iterative solve exceeded its iteration budget."""
@@ -388,7 +390,7 @@ def _reachable_from(entries: np.ndarray, sources) -> np.ndarray:
     return seen
 
 
-def spectral_radius_pf(C: InteractionMatrix, tol: float = 1e-10) -> SpectralData:
+def spectral_radius_pf(C: InteractionMatrix, tol: float = TOL) -> SpectralData:
     """Spectral radius of C and a non-negative basis of its eigenspace.
 
     The matrix is reducible in general, so the eigenspace is assembled

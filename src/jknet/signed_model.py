@@ -104,7 +104,6 @@ class InconsistencyReport:
     mass_derivative: float | None
     drift_series: tuple
     max_drift: float
-    drift_exceeded: bool
     trials_run: int
     contacts_seen: int
 
@@ -234,13 +233,11 @@ def demonstrate_inconsistency(d: int, p: float, trials: int, seed: int,
                 x_at_contact=run.contact_state,
                 mass_derivative=float(run.mass_derivative),
                 drift_series=series, max_drift=max_drift,
-                drift_exceeded=True, trials_run=trial + 1,
-                contacts_seen=contacts)
+                trials_run=trial + 1, contacts_seen=contacts)
     return InconsistencyReport(found=False, trial=None, matrix=None,
                                t_contact=None, x_at_contact=None,
                                mass_derivative=None, drift_series=(),
-                               max_drift=0.0, drift_exceeded=False,
-                               trials_run=trials, contacts_seen=contacts)
+                               max_drift=0.0, trials_run=trials, contacts_seen=contacts)
 
 
 def report_to_json_dict(report: InconsistencyReport) -> dict:

@@ -30,11 +30,11 @@ class TestMinPrevalenceSet:
 
     def test_tolerance_separates_near_ties(self):
         x = [0.5, 0.5 - 1e-12, 0.0]
-        assert min_prevalence_set(x, rel_tol=1e-9).tolist() == [2]
+        assert min_prevalence_set(x).tolist() == [2]
 
     def test_tolerance_includes_float_noise(self):
         x = [0.5, 0.25 + 1e-12, 0.25]
-        assert min_prevalence_set(x, rel_tol=1e-9).tolist() == [1, 2]
+        assert min_prevalence_set(x).tolist() == [1, 2]
 
 
 def make_state(matrix, x0=None):
@@ -274,6 +274,15 @@ class TestTraceSerialisation:
         assert header["theta"] == pytest.approx(0.8)
         assert header["seed"] == 10
         assert header["options"]["max_steps"] == 5
+
+    def test_header_records_the_threshold_constants(self):
+        # no caller sets the support and tie thresholds, but a trace still
+        # names them, so that it says which tests made it
+        import json
+        trace = run_adaptive(ModelParams(d=8, p=0.1), seed=10, max_steps=5)
+        options = json.loads(trace_to_json_lines(trace).splitlines()[0])["options"]
+        assert (options["zero_tol"], options["rel_tol"], options["tol"]) == (
+            1e-9, 1e-9, 1e-10)
 
     def test_record_lines_use_documented_field_names(self):
         import json

@@ -122,7 +122,7 @@ class TestParseAndValidate:
           "--seed", "1"], {"trials": 2.5}),
         (["experiment", "acs-attach", "--k", "3", "--p", "0.2",
           "--seed", "1"], {"jobs": True}),
-        (["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1"],
+        (["integrate", "--d", "5", "--p", "0.2", "--seed", "1"],
          {"format": "xml"}),
     ])
     def test_bad_config_values_are_config_errors(self, tmp_path, capsys,
@@ -160,6 +160,35 @@ class TestParseAndValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "config"
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "first-cycle", "--d", "10", "--p", "0.1", "--trials", "2",
+         "--seed", "1", "--max-steps", "0"],
+        ["experiment", "first-cycle", "--d", "10", "--p", "0.1", "--trials", "2",
+         "--seed", "1", "--max-steps", "-5"],
+        ["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+         "--max-steps", "0"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_max_steps_below_one_is_a_config_error(self, capsys, argv):
+        # a budget below one is rejected at the edge, as --trials and --jobs are
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config", "message": "max_steps must be >= 1"}
+
+    @pytest.mark.parametrize("kind, budget", [
+        ("first-cycle", 2000),  # 20 d / p
+        ("acs-growth", 500),  # 10 * max(the growth oracle, 50)
+    ])
+    def test_default_max_steps_is_recorded(self, capsys, kind, budget):
+        argv = ["experiment", kind, "--d", "10", "--p", "0.1", "--trials", "2",
+                "--seed", "1"]
+        main(argv)
+        ran = json.loads(capsys.readouterr().out)
+        assert ran["config"]["max_steps"] == budget
+        main(argv + ["--max-steps", str(budget)])
+        assert json.loads(capsys.readouterr().out) == ran
 
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -216,7 +245,7 @@ def entry_parsers(parser=None, prefix=()):
     yield " ".join(prefix), parser
 
 
-SHARED_FLAGS = ("--config", "--out", "--format")
+SHARED_FLAGS = ("--config", "--out")
 
 
 def entry_flags(parser) -> dict:
@@ -229,8 +258,8 @@ def entry_flags(parser) -> dict:
 
 ALL_FLAGS = {dest: opt for _, parser in entry_parsers()
              for dest, opt in entry_flags(parser).items()}
-FLAG_VALUES = {"matrix": "m.edges", "d": "6", "p": "0.3", "theta": "1.8",
-               "seed": "1", "trials": "2", "tol": "1e-10", "h": "0.05",
+FLAG_VALUES = {"format": "json", "matrix": "m.edges", "d": "6", "p": "0.3",
+               "theta": "1.8", "seed": "1", "trials": "2", "tol": "1e-10", "h": "0.05",
                "t_max": "0.5", "max_steps": "3", "k": "3", "k0": "2",
                "cycle_kind": "directed", "x0_mode": "uniform", "jobs": "1"}
 
@@ -282,15 +311,14 @@ class TestFlagTable:
         # the config block records exactly the values that ran
         assert main(argv) in (0, 2)
         config = json.loads(capsys.readouterr().out)["config"]
-        want = set(flags) - {"jobs"} | {"command", "kind"}
+        want = set(flags) - {"jobs", "format"} | {"command", "kind"}
         if command == "conjecture-scan":
             want = want - {"d"} | {"d_grid"}
             assert config["d_grid"] == [4, 5, 6]
         assert set(config) == want
         assert (config["command"], config["kind"]) == tuple(entry.split(" "))
-        if "theta" in flags:
-            d = config.get("d") or config["d_grid"][0]
-            assert config["theta"] == pytest.approx(config["p"] * d)
+        if "p" in flags and "theta" in flags:
+            assert config["theta"] == pytest.approx(config["p"] * config["d"])
 
     @pytest.mark.parametrize("argv", [
         ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
@@ -303,6 +331,18 @@ class TestFlagTable:
          "--seed", "1", "--trials", "4", "--phi", "9"],
         ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--theta", "0.5",
          "--seed", "1", "--trials", "4", "--h", "7"],
+        # a scan runs at one theta; p = theta / d changes along the grid
+        ["conjecture-scan", "first-cycle", "--d", "8,12,16", "--seed", "1",
+         "--trials", "4", "--p", "0.1"],
+        ["conjecture-scan", "acs-growth", "--d", "8,12,16", "--seed", "1",
+         "--trials", "4", "--p", "0.1"],
+        # these write no CSV
+        ["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1",
+         "--format", "csv"],
+        ["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+         "--max-steps", "5", "--format", "csv"],
+        ["appendix-demo", "--d", "4", "--p", "0.5", "--trials", "2",
+         "--seed", "1", "--format", "csv"],
         ["integrate", "--d", "5", "--p", "0.2", "--seed", "1",
          "--x0-mode", "analytic"],
         ["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
@@ -459,8 +499,15 @@ class TestOutputWriter:
         out = tmp_path / "run"
         status = main(argv + ["--out", str(out)])
         assert capsys.readouterr().out == ""
-        for fmt, suffix in (("json", json_file), ("csv", csv_file)):
-            assert main(argv + ["--format", fmt]) == status
+        runs = [(["--format", fmt], suffix)
+                for fmt, suffix in (("json", json_file), ("csv", csv_file))]
+        if csv_file == json_file:  # no CSV, so no --format
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", "csv"])
+            assert exc.value.code == 2
+            runs = [([], json_file)]
+        for flag, suffix in runs:
+            assert main(argv + flag) == status
             assert capsys.readouterr().out == (tmp_path / f"run{suffix}").read_text()
 
 
@@ -481,9 +528,7 @@ class TestDeterminism:
         assert (tmp_path / "j1.json").read_bytes() == (tmp_path / "j8.json").read_bytes()
         assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j8.csv").read_bytes()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the flow-limit squaring runs threaded BLAS products, "
-        "so lambda and x_star move by a few ulps with the thread count"))
+    # the package pins BLAS to one thread when it is imported before numpy
     @pytest.mark.parametrize("args", [
         ["adaptive-run", "--d", "300", "--p", "0.005", "--seed", "4",
          "--max-steps", "40"],

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -322,9 +324,10 @@ class TestEquilibrium:
         eq = equilibrium(m, x0=[0.6, 0.0, 0.2, 0.2])
         np.testing.assert_allclose(eq.x_star, [0, 0.75, 0, 0.25], atol=1e-12)
 
-    def test_non_convergence_raises(self, example4):
+    def test_non_convergence_raises(self, example4, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_DOUBLINGS", 2)
         with pytest.raises(NonConvergenceError):
-            equilibrium(example4, max_doublings=2, tol=1e-14)
+            equilibrium(example4, tol=1e-14)
 
     def test_start_that_reaches_no_cycle(self):
         # the 2-cycle grows fastest, but the start never reaches it: the
@@ -411,8 +414,7 @@ class TestBlockSolver:
             eq = equilibrium(m, x0=x0)
             x = dense_flow_limit(m, x0)
             lam = float((m.as_float() @ x).sum())
-            support, _, kind = dynamics._classify(lam, x, 1e-9,
-                                                  m.edge_count() > 0)
+            support, _, kind = dynamics._classify(lam, x, m.edge_count() > 0)
             np.testing.assert_array_equal(eq.support, support)
             assert eq.kind == kind
             np.testing.assert_allclose(eq.x_star, x, rtol=0, atol=1e-6)
@@ -423,8 +425,9 @@ class TestBlockSolver:
         params = ModelParams.from_theta(400, 0.5)
         fast = [run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
                 for s in range(3)]
-        monkeypatch.setattr(dynamics, "_dominant_direction",
-                            dense_dominant_direction)
+        monkeypatch.setattr(dynamics, "_dominant_direction", partial(
+            dense_dominant_direction, zero_tol=dynamics.ZERO_TOL,
+            max_doublings=dynamics.MAX_DOUBLINGS))
         for s, trace in enumerate(fast):
             dense = run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
             assert ([r.chosen for r in trace.records]

@@ -95,12 +95,6 @@ class TestExperimentResult:
         assert res.censored_count == 1
         assert res.n_used == 2
 
-    def test_include_censored_flag(self):
-        res = ExperimentResult.from_measurements(
-            [1.0, 2.0, 100.0], censored=[False, False, True],
-            include_censored=True)
-        assert res.mean == pytest.approx(103 / 3)
-
     def test_order_invariance_of_aggregates(self):
         vals = stream(32).random(50).tolist()
         a = ExperimentResult.from_measurements(vals)
