@@ -62,7 +62,9 @@ class AdaptiveState:
     mass 1/d.
 
     ``full_acs`` is the in-degree test: the whole vertex set is
-    autocatalytic iff every vertex has an in-edge.
+    autocatalytic iff every vertex has an in-edge, that is iff every
+    vertex is the target of some arc of ``matrix.arcs``. The in-degrees
+    are one ``bincount`` over the edge list, not a pass over d x d.
     """
 
     s: int
@@ -75,7 +77,8 @@ class AdaptiveState:
 
     @property
     def full_acs(self) -> bool:
-        return bool(self.matrix.entries.any(axis=1).all())
+        dst, _ = self.matrix.arcs
+        return bool(np.bincount(dst, minlength=self.matrix.d).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +157,7 @@ def _record_state(state: AdaptiveState, chosen: int | None,
                   jset: np.ndarray) -> StepRecord:
     return StepRecord(
         s=state.s,
-        j_min_set=tuple(int(v) for v in jset),
+        j_min_set=tuple(jset.tolist()),
         chosen=chosen,
         lam=state.x_star.lam,
         support_size=int(state.x_star.support.size),

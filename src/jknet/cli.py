@@ -54,7 +54,15 @@ SEED_ENV = "JKNET_SEED"
 
 
 class CliError(Exception):
-    """Configuration or dispatch failure reported on stderr as JSON."""
+    """Configuration or dispatch failure reported on stderr as JSON.
+
+    ``status`` is the exit code: 1, or 2 for a configuration under which
+    every trial would be censored, the code such a run exits with.
+    """
+
+    def __init__(self, message: str, status: int = 1):
+        super().__init__(message)
+        self.status = status
 
 
 class Flag(NamedTuple):
@@ -342,8 +350,15 @@ def _experiment_result(cfg: argparse.Namespace):
                                                 cfg.trials, cfg.seed)
     if kind == "first-cycle":
         _require(cfg, "d", "p", "seed")
-        # written back, so that the config block records the budget that ran
-        cfg.max_steps = cfg.max_steps or int(20 * cfg.d / max(cfg.p, 1e-9))
+        if cfg.max_steps is None:
+            # the default scales with 1/p, but at p = 0 no edge is ever
+            # drawn and no trial can end within any budget
+            if cfg.p == 0:
+                raise CliError("p = 0 never draws an edge, so every trial would "
+                               "be censored; give --max-steps to run it anyway",
+                               status=2)
+            # written back, so that the config block records the budget that ran
+            cfg.max_steps = int(20 * cfg.d / cfg.p)
         return experiments.first_cycle_time_jk(cfg.d, cfg.p, cfg.trials,
                                                cfg.max_steps, cfg.seed,
                                                cycle_kind=cfg.cycle_kind,
@@ -447,7 +462,7 @@ def main(argv=None) -> int:
         return dispatch(cfg, argv)
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
-        return 1
+        return exc.status
     except Exception as exc:  # propagate module errors machine-readably
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

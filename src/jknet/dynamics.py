@@ -153,6 +153,18 @@ def _residual(a: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(_field(a, x)).sum())
 
 
+def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:
+    """C x summed over the edge list: no dense copy, no BLAS."""
+    dst, src = C.arcs
+    return np.bincount(dst, weights=x[src], minlength=C.d)
+
+
+def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> float:
+    """||f(x)||_1 with C x from ``_arc_product``."""
+    cx = _arc_product(C, x)
+    return float(np.abs(cx - cx.sum() * x).sum())
+
+
 # ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------
@@ -278,11 +290,11 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
 # Equilibria
 # ---------------------------------------------------------------------------
 
-def _nilpotent_limit(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) x0 for nilpotent C: last nonzero C^n x0."""
     best = x0 / x0.sum()
-    for _ in range(a.shape[0]):
-        nxt = a @ best
+    for _ in range(C.d):
+        nxt = _arc_product(C, best)
         s = nxt.sum()
         if s <= 0.0:
             break
@@ -296,11 +308,11 @@ _TILE = 32
 _ONE_BLOCK = 64
 
 
-def _block_layout(a: np.ndarray) -> list | None:
+def _block_layout(C: InteractionMatrix) -> list | None:
     """Diagonal blocks of I + C that cover every weak component of C.
 
     Returns int index arrays of shape (n, s), row k listing the vertices
-    of the k-th (s, s) block, so that
+    of the k-th (s, s) block, so that, with a = C as a dense matrix,
     ``a[idx[:, :, None], idx[:, None, :]]`` is the (n, s, s) stack of
     those blocks of C. No edge joins two blocks, so squaring the stack
     squares I + C. None means one block of all d vertices in order: up
@@ -311,14 +323,15 @@ def _block_layout(a: np.ndarray) -> list | None:
     with the others of its size. The rest share tiles of at most
     ``_TILE`` slots: each is padded to a power of two and laid out
     largest first, so that none straddles two tiles, and padding slots
-    hold the index d, which the caller maps to a zero row and column.
-    Tiles keep the number of stacks, and with it the per-squaring
-    Python overhead, small when a graph has many little components.
+    hold the index d, which ``_block_stacks`` maps to a zero row and
+    column. Tiles keep the number of stacks, and with it the
+    per-squaring Python overhead, small when a graph has many little
+    components.
     """
-    d = a.shape[0]
+    d = C.d
     if d <= _ONE_BLOCK:
         return None
-    label = _weak_component_labels(a)
+    label = _weak_component_labels(*C.arcs, d)
     size = np.bincount(label)[label]
     big = size > _TILE
     groups = []
@@ -345,7 +358,39 @@ def _block_layout(a: np.ndarray) -> list | None:
     return groups
 
 
-def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
+def _block_stacks(C: InteractionMatrix, groups: list) -> tuple[list, np.ndarray]:
+    """The (n, s, s) stacks of blocks of I + C that ``groups`` lists.
+
+    Stack g holds ``one[idx[:, :, None], idx[:, None, :]]`` for
+    ``idx = groups[g]``, where ``one`` is I + C with a zero row and
+    column d for the padding slots. It is scattered from the edge list,
+    with no dense ``one``: in the buffer the stacks share, the slot t of
+    a stack of width s starts its block row at t * s and is column
+    t % s, and every edge joins two slots of one block. Also returns
+    the slot of each vertex in the concatenated groups.
+    """
+    sizes = [idx.size * idx.shape[1] for idx in groups]
+    buf = np.zeros(sum(sizes))
+    row, col, base = [], [], 0
+    for idx, size in zip(groups, sizes):
+        slot = np.arange(idx.size)
+        row.append(base + slot * idx.shape[1])
+        col.append(slot % idx.shape[1])
+        base += size
+    # the slots of the vertices 0..d-1; the padding slots sort last
+    pos = np.argsort(np.concatenate([idx.ravel() for idx in groups]),
+                     kind="stable")[:C.d]
+    row, col = np.concatenate(row)[pos], np.concatenate(col)[pos]
+    dst, src = C.arcs
+    buf[row + col] = 1.0
+    buf[row[dst] + col[src]] = 1.0
+    blocks = [block.reshape(-1, idx.shape[1], idx.shape[1]) for block, idx
+              in zip(np.split(buf, np.cumsum(sizes)[:-1]), groups)]
+    return blocks, pos
+
+
+def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
+                        tol: float) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -363,19 +408,19 @@ def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray
     iterate, the number of squarings and the stop test are the dense
     ones; only the summation order inside each product changes. A
     squaring costs O(sum s^3) over the blocks instead of O(d^3).
+
+    Nothing here is O(d^2) outside the blocks: they are scattered from
+    ``C.arcs`` (``_block_stacks``), and each residual sums C y over the
+    edge list (``_arc_residual``).
     """
-    d = a.shape[0]
-    groups = _block_layout(a)
+    d = C.d
+    groups = _block_layout(C)
     if groups is None:  # one block, held as a plain matrix
-        blocks, starts, pos = [np.eye(d) + a], [x0], slice(None)
+        m = np.eye(d)
+        m[C.arcs] = 1.0
+        blocks, starts, pos = [m], [x0], slice(None)
     else:
-        # slot of each vertex in the concatenated blocks; padding sorts last
-        pos = np.argsort(np.concatenate([idx.ravel() for idx in groups]),
-                         kind="stable")[:d]
-        one = np.zeros((d + 1, d + 1))  # I + C, with a zero padding vertex d
-        one[:d, :d] = a
-        one.flat[:d * (d + 2):d + 2] = 1.0
-        blocks = [one[idx[:, :, None], idx[:, None, :]] for idx in groups]
+        blocks, pos = _block_stacks(C, groups)
         x_pad = np.concatenate([x0, [0.0]])
         starts = [x_pad[idx][:, :, None] for idx in groups]
     slots = np.empty(sum(start.size for start in starts))  # M x0 by stack
@@ -415,16 +460,16 @@ def _dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray
         square()
         y = slots[pos]
         y = y / y.sum()
-        if _residual(a, y) <= tol:
+        if _arc_residual(C, y) <= tol:
             in_band = bool(((y > band_lo) & (y < band_hi)).any())
             if not in_band or polish_left == 0:
                 return y
             polish_left -= 1
     raise NonConvergenceError(
-        f"projective iteration residual {_residual(a, y):.3e} > tol={tol}")
+        f"projective iteration residual {_arc_residual(C, y):.3e} > tol={tol}")
 
 
-def _flow_limit(C: InteractionMatrix, a: np.ndarray, start: np.ndarray,
+def _flow_limit(C: InteractionMatrix, start: np.ndarray,
                 tol: float) -> np.ndarray:
     """Limit direction of exp(tC) start, solved where the flow can go.
 
@@ -436,16 +481,15 @@ def _flow_limit(C: InteractionMatrix, a: np.ndarray, start: np.ndarray,
     """
     live, sub = slice(None), C
     if not start.all():
-        live = np.flatnonzero(_reachable_from(C.entries, np.flatnonzero(start)))
+        live = np.flatnonzero(_reachable_from(C, np.flatnonzero(start)))
         if live.size == 1:  # a start on one sink is already stationary
             return start
         sub = InteractionMatrix(C.entries[np.ix_(live, live)])
-        a = a[np.ix_(live, live)]
     x = np.zeros(C.d)
     if has_directed_cycle(sub):
-        x[live] = _dominant_direction(a, start[live], tol)
+        x[live] = _dominant_direction(sub, start[live], tol)
     else:
-        x[live] = _nilpotent_limit(a, start[live])
+        x[live] = _nilpotent_limit(sub, start[live])
     return x
 
 
@@ -474,7 +518,6 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
     For the zero matrix every state is stationary and x0 itself is
     returned with kind ``degenerate_no_edges``.
     """
-    a = C.as_float()
     has_edges = C.edge_count() > 0
     non_unique = False
 
@@ -491,12 +534,15 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
         non_unique = x0 is None
     else:
         start = uniform_state(C.d) if x0 is None else simplex_vector(x0)
-        x = _flow_limit(C, a, start, tol)
+        x = _flow_limit(C, start, tol)
 
-    residual = _residual(a, x)
+    # the analytic residual stays dense: recorded outputs hold its bits,
+    # which a sum in another order would move
+    cx = C.as_float() @ x if analytic else _arc_product(C, x)
+    residual = float(np.abs(cx - cx.sum() * x).sum())
     if residual > max(tol, RESIDUAL_FLOOR):
         raise NonConvergenceError(f"equilibrium residual {residual:.3e} > {tol}")
-    lam = float((a @ x).sum())
+    lam = float(cx.sum())
     support, zero_set, kind = _classify(lam, x, has_edges)
     return EquilibriumResult(x_star=x, residual=residual, support=support,
                              zero_set=zero_set, kind=kind, non_unique=non_unique,

@@ -72,8 +72,25 @@ class InteractionMatrix:
     def as_float(self) -> np.ndarray:
         return self.entries.astype(np.float64)
 
+    @property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as read-only ``(dst, src)`` index arrays, by dst then src.
+
+        Computed on first use and kept: ``entries`` is frozen, so the
+        list never goes stale. The per-state passes of the adaptive loop
+        read it instead of the d x d matrix.
+        """
+        arcs = self.__dict__.get("_arcs")
+        if arcs is None:
+            # flatnonzero of a bool view is several times faster than on int8
+            arcs = np.divmod(np.flatnonzero(self.entries.view(np.bool_)), self.d)
+            for half in arcs:
+                half.setflags(write=False)
+            object.__setattr__(self, "_arcs", arcs)
+        return arcs
+
     def edge_count(self) -> int:
-        return int(self.entries.sum())
+        return int(self.arcs[0].size)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (src, dst) pairs, sorted."""
@@ -175,20 +192,20 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
 # Cycle structure
 # ---------------------------------------------------------------------------
 
-def _successor_lists(entries: np.ndarray) -> list[list[int]]:
-    # out-neighbours of v are the nonzero rows of column v
-    return [np.flatnonzero(entries[:, v]).tolist() for v in range(entries.shape[0])]
-
-
 def strongly_connected_components(C: InteractionMatrix) -> tuple:
     """Partition of the vertices into SCCs (Tarjan, iterative).
 
     Returns a tuple of sorted vertex tuples. Components are emitted in
-    reverse topological order of the condensation.
+    reverse topological order of the condensation. Each vertex's
+    successors are visited in ascending order.
     """
-    entries = C.entries
-    d = entries.shape[0]
-    succ = _successor_lists(entries)
+    d = C.d
+    dst, src = C.arcs
+    # the arcs run by dst then src; a stable sort makes them run by src
+    # then dst, so succ[begin[v]:end[v]] lists v's successors in order
+    succ = dst[np.argsort(src, kind="stable")].tolist()
+    end = np.cumsum(np.bincount(src, minlength=d)).tolist()
+    begin = [0] + end[:-1]
     index = [-1] * d
     low = [0] * d
     on_stack = [False] * d
@@ -199,20 +216,20 @@ def strongly_connected_components(C: InteractionMatrix) -> tuple:
     for root in range(d):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, begin[root])]
         while work:
             v, pi = work[-1]
-            if pi == 0:
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             descended = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            for i in range(pi, end[v]):
+                w = succ[i]
                 if index[w] == -1:
                     work[-1] = (v, i + 1)
-                    work.append((w, 0))
+                    work.append((w, begin[w]))
                     descended = True
                     break
                 if on_stack[w]:
@@ -235,24 +252,27 @@ def strongly_connected_components(C: InteractionMatrix) -> tuple:
     return tuple(comps)
 
 
-def _peel(entries: np.ndarray) -> tuple[list, np.ndarray]:
-    """Kahn's peel, one layer at a time.
+def _peel(C: InteractionMatrix) -> tuple[list, np.ndarray]:
+    """Kahn's peel, one layer at a time, over the edge list.
 
     A vertex with no in-edge lies on no cycle, so every such vertex is
     removed at once and its out-edges are taken off the in-degrees.
     Returns the layers, in order, as index arrays, and the mask of the
-    vertices that survive: those on a cycle or downstream of one. Each
-    column is summed once, so the numpy work is O(d^2), plus one Python
-    pass per layer.
+    vertices that survive: those on a cycle or downstream of one. The
+    in-degrees are one ``bincount`` over the targets, and each layer
+    costs O(d) plus O(edges left), plus one Python pass.
     """
-    indeg = entries.sum(axis=1)  # sums int8 into int64; int8 would wrap
-    alive = np.ones(entries.shape[0], dtype=bool)
+    dst, src = C.arcs
+    indeg = np.bincount(dst, minlength=C.d)
+    alive = np.ones(C.d, dtype=bool)
     layers = []
     layer = np.flatnonzero(indeg == 0)
     while layer.size:
         layers.append(layer)
         alive[layer] = False
-        indeg -= entries[:, layer].sum(axis=1)
+        keep = alive[src]  # the rest are this layer's out-edges
+        indeg -= np.bincount(dst[~keep], minlength=C.d)
+        dst, src = dst[keep], src[keep]
         layer = np.flatnonzero(alive & (indeg == 0))
     return layers, alive
 
@@ -265,21 +285,21 @@ def has_directed_cycle(C: InteractionMatrix) -> bool:
     least 2 (``strongly_connected_components`` is the test oracle), and
     to the matrix not being nilpotent.
     """
-    return bool(_peel(C.entries)[1].any())
+    return bool(_peel(C)[1].any())
 
 
-def _weak_component_labels(a: np.ndarray) -> np.ndarray:
+def _weak_component_labels(rows: np.ndarray, cols: np.ndarray,
+                           d: int) -> np.ndarray:
     """Label every vertex with the smallest vertex of its weak component.
 
-    Min-label propagation with pointer jumping, vectorised over the
-    edges: each edge hooks the larger of its endpoints' roots under the
-    smaller, then every vertex jumps to its root. Labels only decrease
-    and every label names a root that labels itself, so when no edge
-    joins two labels each component is labelled by its smallest vertex.
+    ``rows`` and ``cols`` hold the two ends of each edge, in either
+    orientation. Min-label propagation with pointer jumping, vectorised
+    over the edges: each edge hooks the larger of its endpoints' roots
+    under the smaller, then every vertex jumps to its root. Labels only
+    decrease and every label names a root that labels itself, so when no
+    edge joins two labels each component is labelled by its smallest
+    vertex.
     """
-    d = a.shape[0]
-    # flatnonzero of a bool array is several times faster than 2-D nonzero
-    rows, cols = np.divmod(np.flatnonzero(a > 0), d)
     label = np.arange(d)
     while True:
         lo = np.minimum(label[rows], label[cols])
@@ -300,11 +320,11 @@ def has_undirected_cycle(C: InteractionMatrix) -> bool:
     cycle of the simple graph. A simple graph is a forest iff its edge
     count is d minus its number of components.
     """
-    entries = C.entries
-    d = entries.shape[0]
-    labels = _weak_component_labels(entries)
-    return bool(np.count_nonzero(entries | entries.T) // 2
-                > d - np.count_nonzero(labels == np.arange(d)))
+    d = C.d
+    dst, src = C.arcs
+    labels = _weak_component_labels(dst, src, d)
+    pairs = np.unique(np.minimum(dst, src) * d + np.maximum(dst, src)).size
+    return bool(pairs > d - np.count_nonzero(labels == np.arange(d)))
 
 
 def is_acs(C: InteractionMatrix, subset) -> bool:
@@ -339,7 +359,7 @@ def path_counts(C: InteractionMatrix) -> np.ndarray:
     in-neighbours plus j. The products sum at most d 0/1 terms, so they
     are exact in floating point.
     """
-    layers, alive = _peel(C.entries)
+    layers, alive = _peel(C)
     if alive.any():
         raise ValueError("path counts are defined for acyclic graphs only")
     a = C.entries
@@ -375,17 +395,20 @@ def _pf_vector_irreducible(block: np.ndarray, tol: float,
         f"Perron iteration did not reach tol={tol} in {max_iter} iterations")
 
 
-def _reachable_from(entries: np.ndarray, sources) -> np.ndarray:
+def _reachable_from(C: InteractionMatrix, sources) -> np.ndarray:
     """Boolean mask of the vertices reachable from ``sources``, included.
 
-    One pass per BFS layer: the next frontier is every unseen vertex with
-    an in-edge from the current one.
+    One pass over the edge list per BFS layer: the next frontier is
+    every unseen target of an edge whose source is in the current one.
     """
-    seen = np.zeros(entries.shape[0], dtype=bool)
+    dst, src = C.arcs
+    seen = np.zeros(C.d, dtype=bool)
     seen[np.asarray(sources, dtype=np.intp)] = True
     frontier = seen.copy()
     while frontier.any():
-        frontier = entries[:, frontier].any(axis=1) & ~seen
+        hit = np.zeros(C.d, dtype=bool)
+        hit[dst[frontier[src]]] = True
+        frontier = hit & ~seen
         seen |= frontier
     return seen
 
@@ -424,7 +447,7 @@ def spectral_radius_pf(C: InteractionMatrix, tol: float = TOL) -> SpectralData:
     basis = []
     for i in basic:
         comp = nontrivial[i]
-        reach = _reachable_from(C.entries, comp)
+        reach = _reachable_from(C, comp)
         if any(reach[list(nontrivial[j])].any() for j in basic if j != i):
             continue
         reach[list(comp)] = False

@@ -3,8 +3,9 @@
 These deliberately avoid the library's algorithms: reachability by
 Floyd-Warshall, cycles by explicit path enumeration, spectral radii by
 dense eigensolves, the vector field by a double loop, the flow limit by
-squaring the whole dense I + C. Each oracle pairs
-with a production routine in a dual-route test.
+squaring the whole dense I + C, or its blocks cut from a dense copy,
+with dense products throughout. Each oracle pairs with a production
+routine in a dual-route test.
 """
 from __future__ import annotations
 
@@ -166,8 +167,41 @@ def dfs_has_cycle_undirected_multigraph(edge_list: list, d: int) -> bool:
     return False
 
 
+def dense_nilpotent_limit(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Last nonzero C^n x0, normalised, with dense products."""
+    best = x0 / x0.sum()
+    for _ in range(a.shape[0]):
+        nxt = a @ best
+        s = nxt.sum()
+        if s <= 0.0:
+            break
+        best = nxt / s
+    return best
+
+
+def dense_reachable_from(entries: np.ndarray, sources) -> np.ndarray:
+    """Vertices reachable from ``sources``, by BFS over dense columns."""
+    seen = np.zeros(entries.shape[0], dtype=bool)
+    seen[np.asarray(sources, dtype=np.intp)] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = entries[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return seen
+
+
+def dense_block_stacks(a: np.ndarray, groups) -> list:
+    """Blocks of I + C cut from a dense (d+1)^2 matrix, padding row d zero."""
+    d = a.shape[0]
+    one = np.zeros((d + 1, d + 1))
+    one[:d, :d] = a
+    one.flat[:d * (d + 2):d + 2] = 1.0
+    return [one[idx[:, :, None], idx[:, None, :]] for idx in groups]
+
+
 def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
-                             zero_tol: float, max_doublings: int) -> np.ndarray:
+                             zero_tol: float, max_doublings: int,
+                             groups=None) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -177,20 +211,33 @@ def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
     but halves per squaring here). After the residual tolerance is met,
     extra squarings run until no component is stranded near the support
     threshold, so the zero set is classified cleanly.
+
+    With ``groups``, a block layout, only those blocks are squared, cut
+    from a dense I + C, all divided by one global maximum; without, the
+    whole dense I + C is. Every residual is a dense product.
     """
     d = a.shape[0]
-    m = np.eye(d) + a
-    y = x0 / x0.sum()
+    if groups is None:
+        blocks, starts, pos = [np.eye(d) + a], [x0], slice(None)
+    else:
+        pos = np.argsort(np.concatenate([idx.ravel() for idx in groups]),
+                         kind="stable")[:d]
+        blocks = dense_block_stacks(a, groups)
+        x_pad = np.concatenate([x0, [0.0]])
+        starts = [x_pad[idx][:, :, None] for idx in groups]
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going until none is stranded in
     # the ambiguous band around the support threshold
     band_lo, band_hi = zero_tol * 1e-3, 1e-4
     polish_left = 32
     for _ in range(max_doublings):
-        m = m @ m
-        m /= m.max()
-        y = m @ x0
-        y /= y.sum()
+        blocks = [m @ m for m in blocks]
+        top = max([m.max() for m in blocks])
+        for m in blocks:
+            m /= top
+        y = np.concatenate([(m @ start).ravel()
+                            for m, start in zip(blocks, starts)])[pos]
+        y = y / y.sum()
         if _residual(a, y) <= tol:
             in_band = bool(((y > band_lo) & (y < band_hi)).any())
             if not in_band or polish_left == 0:
@@ -198,3 +245,47 @@ def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
             polish_left -= 1
     raise NonConvergenceError(
         f"projective iteration residual {_residual(a, y):.3e} > tol={tol}")
+
+
+def dense_is_cyclic(entries: np.ndarray) -> bool:
+    """Kahn's peel over dense column sums: True iff some vertex survives."""
+    indeg = entries.sum(axis=1, dtype=np.int64)
+    alive = np.ones(entries.shape[0], dtype=bool)
+    layer = np.flatnonzero(indeg == 0)
+    while layer.size:
+        alive[layer] = False
+        indeg -= entries[:, layer].sum(axis=1, dtype=np.int64)
+        layer = np.flatnonzero(alive & (indeg == 0))
+    return bool(alive.any())
+
+
+def dense_flow_equilibrium(entries: np.ndarray, x0, tol: float,
+                           zero_tol: float, max_doublings: int, layout):
+    """The flow-limit equilibrium on dense float copies: (x, lam, residual).
+
+    Reachability, the cycle test, the nilpotent limit, the blocks of
+    I + C and every C x are dense. ``layout(sub_entries)`` gives the
+    block layout of the reachable subgraph (None for one block).
+    """
+    d = entries.shape[0]
+    if x0 is None:
+        start = np.full(d, 1.0 / d)
+    else:  # renormalised, as simplex_vector does
+        start = np.asarray(x0, dtype=float) / np.sum(x0)
+    x = start
+    if entries.any():
+        live = np.arange(d)
+        if not start.all():
+            live = np.flatnonzero(
+                dense_reachable_from(entries, np.flatnonzero(start)))
+        if live.size > 1:
+            sub = np.ascontiguousarray(entries[np.ix_(live, live)])
+            a = sub.astype(float)
+            x = np.zeros(d)
+            if dense_is_cyclic(sub):
+                x[live] = dense_dominant_direction(a, start[live], tol, zero_tol,
+                                                   max_doublings, layout(sub))
+            else:
+                x[live] = dense_nilpotent_limit(a, start[live])
+    a = entries.astype(float)
+    return x, float((a @ x).sum()), _residual(a, x)

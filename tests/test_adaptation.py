@@ -290,3 +290,17 @@ class TestTraceSerialisation:
         line = json.loads(trace_to_json_lines(trace).splitlines()[1])
         assert set(line) == {"s", "j_min_set", "chosen", "lambda",
                              "support_size", "directed_cycle", "full_acs"}
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+def test_adaptive_steps_make_no_dense_float_copy(monkeypatch, x0_mode):
+    # every per-state pass reads the edge list; a d x d float copy per
+    # step is what they replaced
+    def refuse(self):
+        raise AssertionError("as_float() called on the adaptive path")
+
+    monkeypatch.setattr(InteractionMatrix, "as_float", refuse)
+    trace = run_adaptive(ModelParams.from_theta(400, 0.5), seed=3, max_steps=20,
+                         plant_cycle=2, x0_mode=x0_mode)
+    assert trace.steps == 20
+    assert trace.invariant_violations == 0

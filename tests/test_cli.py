@@ -190,6 +190,27 @@ class TestParseAndValidate:
         main(argv + ["--max-steps", str(budget)])
         assert json.loads(capsys.readouterr().out) == ran
 
+    def test_p_zero_without_max_steps_is_a_config_error(self, capsys):
+        # the default budget scales with 1/p; at p = 0 no trial can end, so
+        # the run is refused with the exit code of an all-censored one
+        assert main(["experiment", "first-cycle", "--d", "10", "--p", "0",
+                     "--trials", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and "--max-steps" in err["message"]
+        # acs-growth sets no budget at p = 0: its oracle rejects p first
+        assert main(["experiment", "acs-growth", "--d", "10", "--p", "0",
+                     "--trials", "1", "--seed", "1"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_p_zero_with_max_steps_still_runs(self, capsys):
+        assert main(["experiment", "first-cycle", "--d", "10", "--p", "0",
+                     "--trials", "2", "--seed", "1", "--max-steps", "3"]) == 2
+        ran = json.loads(capsys.readouterr().out)
+        assert ran["config"]["max_steps"] == 3
+        assert ran["result"]["censored_count"] == 2
+
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"dd": 10}))

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -24,14 +22,15 @@ from jknet import (
     vector_field,
 )
 from jknet import dynamics
-from jknet.adaptation import run_adaptive
+from jknet.adaptation import plant_directed_cycle, run_adaptive
 from jknet.dynamics import equilibrium_to_json_dict, trajectory_to_csv
 from jknet.rng import stream
 
 from conftest import interior_state, random_matrices
 from oracles import (
-    brute_force_directed_cycle,
+    dense_block_stacks,
     dense_dominant_direction,
+    dense_flow_equilibrium,
     floyd_warshall_reachability,
     naive_vector_field,
 )
@@ -369,19 +368,9 @@ class TestEquilibrium:
 
 
 def dense_flow_limit(C, x0, tol=1e-10, zero_tol=1e-9):
-    """The flow limit with the dense squaring, on the reachable vertices."""
-    d = C.d
-    start = np.full(d, 1.0 / d) if x0 is None else np.asarray(x0, dtype=float)
-    reach = floyd_warshall_reachability(C.entries)
-    live = (start > 0) | reach[start > 0].any(axis=0)
-    sub = C.entries[np.ix_(live, live)]
-    a = sub.astype(float)
-    x = np.zeros(d)
-    if brute_force_directed_cycle(sub):
-        x[live] = dense_dominant_direction(a, start[live], tol, zero_tol, 70)
-    else:
-        x[live] = dynamics._nilpotent_limit(a, start[live])
-    return x
+    """The flow limit with the whole dense I + C squared."""
+    return dense_flow_equilibrium(C.entries, x0, tol, zero_tol, 70,
+                                  lambda sub: None)[0]
 
 
 def covering_rows(groups, d):
@@ -425,15 +414,68 @@ class TestBlockSolver:
         params = ModelParams.from_theta(400, 0.5)
         fast = [run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
                 for s in range(3)]
-        monkeypatch.setattr(dynamics, "_dominant_direction", partial(
-            dense_dominant_direction, zero_tol=dynamics.ZERO_TOL,
-            max_doublings=dynamics.MAX_DOUBLINGS))
+        monkeypatch.setattr(
+            dynamics, "_dominant_direction",
+            lambda C, x0, tol: dense_dominant_direction(
+                C.as_float(), x0, tol, dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS))
         for s, trace in enumerate(fast):
             dense = run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
             assert ([r.chosen for r in trace.records]
                     == [r.chosen for r in dense.records])
             for r, q in zip(trace.records, dense.records):
                 assert abs(r.lam - q.lam) <= 1e-12
+
+    def test_edge_list_path_matches_dense_path_bit_for_bit(self):
+        # the flow path reads C.arcs; the oracle runs the same squaring on
+        # blocks cut from a dense I + C, with dense products throughout
+        rng = stream(2718)
+        kinds = set()
+        for case in range(60):
+            d = int(np.exp(rng.uniform(np.log(12), np.log(1000))))
+            theta = float(rng.uniform(0.3, 3.0))
+            m = sample_er_digraph(ModelParams.from_theta(d, theta), rng)
+            if case % 3 == 0:
+                m = plant_directed_cycle(m, 2)
+            x0 = None
+            if case % 2:
+                x0 = np.where(rng.random(d) < 0.3, rng.random(d), 0.0)
+                x0[int(rng.integers(d))] += 0.1
+                x0 /= x0.sum()
+            eq = equilibrium(m, x0=x0)
+            x, lam, _ = dense_flow_equilibrium(
+                m.entries, x0, 1e-10, dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS,
+                lambda sub: dynamics._block_layout(InteractionMatrix(sub)))
+            support, _, kind = dynamics._classify(lam, x, m.edge_count() > 0)
+            np.testing.assert_array_equal(eq.x_star, x)
+            np.testing.assert_array_equal(eq.support, support)
+            assert eq.kind == kind
+            assert abs(eq.lam - lam) <= 1e-12 * max(1.0, abs(lam))
+            kinds.add((kind, x0 is None, d > dynamics._ONE_BLOCK))
+        assert len(kinds) == 8
+
+    def test_block_stacks_match_dense_extraction(self):
+        # padding slots included: they are zero rows and columns, with a
+        # zero diagonal, in both
+        rng = stream(77)
+        seen = set()
+        for _ in range(40):
+            d = int(rng.integers(dynamics._ONE_BLOCK + 1, 400))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.2, 2.5))), rng)
+            groups = dynamics._block_layout(m)
+            blocks, pos = dynamics._block_stacks(m, groups)
+            want = dense_block_stacks(m.as_float(), groups)
+            assert len(blocks) == len(want)
+            for got, ref in zip(blocks, want):
+                assert got.shape == ref.shape
+                np.testing.assert_array_equal(got, ref)
+            flat = np.concatenate([idx.ravel() for idx in groups])
+            np.testing.assert_array_equal(flat[pos], np.arange(d))
+            seen.update("own block" if idx.shape[1] > dynamics._TILE else "tiles"
+                        for idx in groups)
+            if (flat == d).any():
+                seen.add("padding")
+        assert seen == {"own block", "tiles", "padding"}
 
     def test_equal_size_components_share_one_stack(self):
         # 20 two-cycles, 10 three-cycles and 30 isolated vertices, with
@@ -449,7 +491,7 @@ class TestBlockSolver:
             edges += [(u, u + 1), (u + 1, u + 2), (u + 2, u)]
         m = InteractionMatrix.from_edges(
             100, [(int(perm[u]), int(perm[v])) for u, v in edges])
-        groups = dynamics._block_layout(m.as_float())
+        groups = dynamics._block_layout(m)
         assert len(groups) == 1 and groups[0].shape[1] == dynamics._TILE
         where = covering_rows(groups, 100)
         for u, v in edges:
@@ -466,7 +508,7 @@ class TestBlockSolver:
             ring = list(range(c, 120, 3))
             edges += list(zip(ring, ring[1:] + ring[:1]))
         m = InteractionMatrix.from_edges(140, edges)
-        groups = dynamics._block_layout(m.as_float())
+        groups = dynamics._block_layout(m)
         assert sorted(g.shape for g in groups) == [(1, 32), (3, 40)]
         rings = next(g for g in groups if g.shape == (3, 40))
         np.testing.assert_array_equal(rings, np.arange(120).reshape(40, 3).T)
@@ -479,7 +521,7 @@ class TestBlockSolver:
         d = 100
         ring = [(v, (v + 1) % d) for v in range(d)]
         m = InteractionMatrix.from_edges(d, ring + [(0, 50), (70, 20)])
-        groups = dynamics._block_layout(m.as_float())
+        groups = dynamics._block_layout(m)
         assert len(groups) == 1
         np.testing.assert_array_equal(groups[0], np.arange(d)[None, :])
         np.testing.assert_allclose(equilibrium(m).x_star,
@@ -489,12 +531,12 @@ class TestBlockSolver:
     def test_small_graph_is_one_block(self):
         d = dynamics._ONE_BLOCK
         m = InteractionMatrix.from_edges(d, [(0, 1), (1, 0), (5, 6)])
-        assert dynamics._block_layout(m.as_float()) is None
+        assert dynamics._block_layout(m) is None
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)
         m = InteractionMatrix.from_edges(d + 1, [(0, 1), (1, 0), (5, 6)])
-        assert len(dynamics._block_layout(m.as_float())) == 1
+        assert len(dynamics._block_layout(m)) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason=(

@@ -73,6 +73,17 @@ class TestInteractionMatrix:
         assert m.entries[1, 0] == 1
         assert m.entries.sum() == 1
 
+    def test_arcs_are_the_nonzero_entries_and_cached(self):
+        graphs = random_matrices(60, seed=31, d_range=(2, 60), p_range=(0.0, 0.5))
+        for m in graphs + [InteractionMatrix.zero(4)]:
+            dst, src = m.arcs
+            want_dst, want_src = np.nonzero(m.entries)
+            np.testing.assert_array_equal(dst, want_dst)
+            np.testing.assert_array_equal(src, want_src)
+            assert m.arcs is m.arcs  # built once, then read back
+            assert not dst.flags.writeable and not src.flags.writeable
+            assert m.edge_count() == int(m.entries.sum())
+
 
 class TestModelParams:
     def test_theta_is_derived(self):
@@ -230,6 +241,22 @@ class TestKahnPeelAgainstTarjan:
         assert tarjan_cyclic(m) == cyclic
         assert has_directed_cycle(m) == cyclic
 
+    def test_tarjan_emits_components_in_reverse_topological_order(self):
+        # every edge leaves a component emitted no earlier than its target's
+        rng = stream(110)
+        for _ in range(400):
+            d = int(rng.integers(2, 401))
+            theta = float(rng.uniform(0.2, 4.0))
+            m = sample_er_digraph(ModelParams(d=d, p=min(theta / d, 1.0)), rng)
+            comps = strongly_connected_components(m)
+            rank = np.empty(d, dtype=int)
+            for k, comp in enumerate(comps):
+                assert list(comp) == sorted(comp)
+                rank[list(comp)] = k
+            assert sorted(v for comp in comps for v in comp) == list(range(d))
+            dst, src = m.arcs
+            assert (rank[src] >= rank[dst]).all()
+
     def test_in_degrees_beyond_int8(self):
         # vertex 0 has 256 in-edges and lies on the 2-cycle 0 -> 1 -> 0;
         # an int8 in-degree sum wraps to 0 and would peel it with the sources
@@ -280,10 +307,12 @@ class TestWeakComponentLabels:
             und = m.entries | m.entries.T
             reach = floyd_warshall_reachability(und) | np.eye(d, dtype=bool)
             expect = reach.argmax(axis=0)  # smallest vertex joined to each
+            dst, src = m.arcs
             np.testing.assert_array_equal(
-                graph._weak_component_labels(m.as_float()), expect)
+                graph._weak_component_labels(dst, src, d), expect)
+            # the labels ignore orientation: the reversed edges give them too
             np.testing.assert_array_equal(
-                graph._weak_component_labels(m.entries), expect)
+                graph._weak_component_labels(src, dst, d), expect)
 
 
 class TestStronglyConnectedComponents:
@@ -526,7 +555,7 @@ class TestReachableFrom:
             want[sources] = True
             # spectral_radius_pf passes SCCs as tuples of ints
             given = tuple(sources.tolist()) if case % 2 else sources
-            np.testing.assert_array_equal(_reachable_from(m.entries, given), want)
+            np.testing.assert_array_equal(_reachable_from(m, given), want)
 
 
 class TestReachabilityOracleSelfCheck:
