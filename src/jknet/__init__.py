@@ -24,12 +24,10 @@ from .adaptation import (
     trace_to_json_lines,
 )
 from .dynamics import (
-    AndiVariables,
     EquilibriumResult,
     EquilibriumSetBasis,
     Trajectory,
     andi_residual,
-    andi_sequences,
     equilibrium,
     equilibrium_set_basis,
     integrate,
@@ -43,7 +41,6 @@ from .graph import (
     ModelParams,
     NonConvergenceError,
     SpectralData,
-    dump_dense,
     dump_edge_list,
     has_directed_cycle,
     has_undirected_cycle,

@@ -237,6 +237,14 @@ def parse_and_validate(argv) -> argparse.Namespace:
             cfg["p"] = theta / d
         elif p is not None and d is not None:
             cfg["theta"] = p * d
+    # every graph is drawn at p; a scan's at p = theta / d for each d of its grid
+    if ns.command == "conjecture-scan" and cfg["theta"] is not None:
+        draws = [cfg["theta"] / d for d in cfg["d_grid"] or () if d > 0]
+    else:
+        draws = [cfg.get("p")]
+    for p in draws:
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise CliError(f"p must lie in [0, 1], got p = {p!r}")
 
     for name in ("trials", "jobs", "max_steps"):
         if cfg.get(name) is not None and cfg[name] < 1:
@@ -342,6 +350,9 @@ def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
     return 0
 
 
+_NO_EDGES = "{} = 0 never draws an edge, so every trial would be censored"
+
+
 def _experiment_result(cfg: argparse.Namespace):
     kind = cfg.kind
     if kind == "cycle-dist":
@@ -354,9 +365,8 @@ def _experiment_result(cfg: argparse.Namespace):
             # the default scales with 1/p, but at p = 0 no edge is ever
             # drawn and no trial can end within any budget
             if cfg.p == 0:
-                raise CliError("p = 0 never draws an edge, so every trial would "
-                               "be censored; give --max-steps to run it anyway",
-                               status=2)
+                raise CliError(_NO_EDGES.format("p") + "; give --max-steps to "
+                               "run it anyway", status=2)
             # written back, so that the config block records the budget that ran
             cfg.max_steps = int(20 * cfg.d / cfg.p)
         return experiments.first_cycle_time_jk(cfg.d, cfg.p, cfg.trials,
@@ -374,6 +384,8 @@ def _experiment_result(cfg: argparse.Namespace):
                                                  cfg.seed, jobs=cfg.jobs)
     if kind == "acs-growth":
         _require(cfg, "d", "p", "seed")
+        if cfg.p == 0:
+            raise CliError(_NO_EDGES.format("p"), status=2)
         exact, _ = experiments.oracle_total_growth(cfg.d, cfg.p)
         cfg.max_steps = cfg.max_steps or int(10 * max(exact, 50.0))
         return experiments.acs_growth_time_jk(cfg.d, cfg.p, cfg.trials,
@@ -401,6 +413,8 @@ def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
     _require(cfg, "theta", "seed")
     if not cfg.d_grid:
         raise CliError("conjecture-scan needs --d with a comma-separated grid")
+    if cfg.theta == 0:
+        raise CliError(_NO_EDGES.format("theta"), status=2)
     # a cycle scan reads the cycle kind, a growth scan the planted cycle
     knob = ({"cycle_kind": cfg.cycle_kind} if cfg.kind == "first-cycle"
             else {"k0": cfg.k0})

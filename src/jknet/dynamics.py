@@ -31,7 +31,6 @@ __all__ = [
     "Trajectory",
     "EquilibriumResult",
     "EquilibriumSetBasis",
-    "AndiVariables",
     "uniform_state",
     "simplex_vector",
     "vector_field",
@@ -39,7 +38,6 @@ __all__ = [
     "integrate_projective",
     "equilibrium",
     "equilibrium_set_basis",
-    "andi_sequences",
     "andi_residual",
     "trajectory_to_csv",
     "equilibrium_to_json_dict",
@@ -107,14 +105,6 @@ class EquilibriumSetBasis:
     non_unique: bool
 
 
-@dataclass(frozen=True, eq=False)
-class AndiVariables:
-    """Power-weighted observables r_n = sum_j (C^n x)_j and R_n = C^n x."""
-
-    r: np.ndarray
-    R: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # States and the vector field
 # ---------------------------------------------------------------------------
@@ -180,7 +170,6 @@ def _rk4_step(field, x: np.ndarray, h: float) -> np.ndarray:
 
 def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
               adaptive: bool = False, tol: float = 1e-9,
-              record_every: int = 1,
               stop_residual: float | None = None) -> Trajectory:
     """Integrate the simplex flow with classical RK4.
 
@@ -211,7 +200,6 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
         return x_new / x_new.sum()
 
     t = 0.0
-    step = 0
     h_cur = min(h, t_end) if t_end > 0 else h
     if h_cur <= 0:
         raise ValueError("step size underflow")
@@ -233,13 +221,11 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
                 h_cur = min(h_step * 2, h)
         if h_cur < 1e-10:
             raise NonConvergenceError("step size underflow")
-        step += 1
-        if step % record_every == 0 or t >= t_end - 1e-12:
-            times.append(t)
-            states.append(x.copy())
-            residuals.append(_residual(a, x))
-            if stop_residual is not None and residuals[-1] < stop_residual:
-                break
+        times.append(t)
+        states.append(x.copy())
+        residuals.append(_residual(a, x))
+        if stop_residual is not None and residuals[-1] < stop_residual:
+            break
 
     return Trajectory(times=np.array(times), states=np.array(states),
                       residuals=np.array(residuals),
@@ -591,30 +577,12 @@ def equilibrium_set_basis(C: InteractionMatrix, tol: float = TOL) -> Equilibrium
 # Power-weighted observables
 # ---------------------------------------------------------------------------
 
-def andi_sequences(C: InteractionMatrix, x, n_max: int) -> AndiVariables:
-    """r_n = sum_j (C^n x)_j and R_n = C^n x for n = 1..n_max.
-
-    Along any solution these satisfy the closed hierarchy
-    r_n' = r_{n+1} - r_n r_1, which ties the cycle structure of the
-    graph to the vertex dynamics.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    a = C.as_float()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (C.d,):
-        raise ValueError("dimension mismatch")
-    R = np.empty((n_max, C.d))
-    cur = x
-    for n in range(n_max):
-        cur = a @ cur
-        R[n] = cur
-    return AndiVariables(r=R.sum(axis=1), R=R)
-
-
 def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int) -> float:
     """max |dr_n/dt - (r_{n+1} - r_n r_1)| via central differences.
 
+    r_n = sum_j (C^n x)_j are the power-weighted observables. Along any
+    solution they satisfy the closed hierarchy r_n' = r_{n+1} - r_n r_1,
+    which ties the cycle structure of the graph to the vertex dynamics.
     The trajectory must be uniformly sampled, with spacing h; the
     finite-difference error is O(h^2), which halving h shrinks fourfold.
     """

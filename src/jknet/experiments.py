@@ -28,8 +28,6 @@ __all__ = [
     "ScanResult",
     "UnionFind",
     "oracle_cycle_mean",
-    "directed_orientation_fraction",
-    "sample_orientation_fraction",
     "oracle_attach_prob",
     "oracle_mean_waiting",
     "oracle_total_growth",
@@ -170,21 +168,6 @@ def oracle_cycle_mean(theta: float, k: int) -> float:
     if theta < 0:
         raise ValueError("theta must be non-negative")
     return theta ** k / (2 * k)
-
-
-def directed_orientation_fraction(k: int) -> float:
-    """Fraction 2 / 2^k of k-cycle edge orientations that are directed."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return 2.0 / 2 ** k
-
-
-def sample_orientation_fraction(k: int, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the directed-orientation fraction."""
-    rng = stream(seed)
-    bits = rng.integers(0, 2, size=(samples, k))
-    total = bits.sum(axis=1)
-    return float(((total == 0) | (total == k)).mean())
 
 
 def oracle_attach_prob(k: int, p: float) -> float:
@@ -352,9 +335,10 @@ def first_cycle_permutation_model(d: int, rng: np.random.Generator) -> int:
         raise ValueError("d must be >= 3")
     uf = UnionFind(d)
     seen = set()
-    total_pairs = d * (d - 1) // 2
     edges = 0
-    while edges < total_pairs:
+    # a forest on d vertices has at most d - 1 edges, so edge d at the
+    # latest closes a cycle, and C(d, 2) >= d pairs are there to draw
+    while True:
         while True:
             i = int(rng.integers(d))
             j = int(rng.integers(d))
@@ -367,7 +351,6 @@ def first_cycle_permutation_model(d: int, rng: np.random.Generator) -> int:
         edges += 1
         if not uf.union(key[0], key[1]):
             return edges
-    raise AssertionError("process exhausted all pairs without a cycle")
 
 
 _EDGE_MODELS = {

@@ -31,10 +31,10 @@ __all__ = [
     "parse_interaction_matrix",
     "load_interaction_matrix",
     "dump_edge_list",
-    "dump_dense",
 ]
 
 TOL = 1e-10  # the residual tolerance every solver's ``tol`` defaults to
+PF_MAX_ITER = 100_000  # power iterations before a Perron vector solve gives up
 
 
 class NonConvergenceError(RuntimeError):
@@ -94,7 +94,7 @@ class InteractionMatrix:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (src, dst) pairs, sorted."""
-        dst, src = np.nonzero(self.entries)
+        dst, src = self.arcs
         return sorted(zip(src.tolist(), dst.tolist()))
 
     @classmethod
@@ -373,8 +373,7 @@ def path_counts(C: InteractionMatrix) -> np.ndarray:
 # Spectral analysis
 # ---------------------------------------------------------------------------
 
-def _pf_vector_irreducible(block: np.ndarray, tol: float,
-                           max_iter: int = 100_000):
+def _pf_vector_irreducible(block: np.ndarray, tol: float):
     """Perron vector and radius of an irreducible non-negative block.
 
     Power iteration on block + I; the unit diagonal shift makes the
@@ -384,7 +383,7 @@ def _pf_vector_irreducible(block: np.ndarray, tol: float,
     n = block.shape[0]
     shifted = block + np.eye(n)
     v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(PF_MAX_ITER):
         w = shifted @ v
         v = w / w.sum()
         bv = block @ v
@@ -392,7 +391,7 @@ def _pf_vector_irreducible(block: np.ndarray, tol: float,
         if np.abs(bv - lam * v).sum() <= tol * max(1.0, lam):
             return lam, v
     raise NonConvergenceError(
-        f"Perron iteration did not reach tol={tol} in {max_iter} iterations")
+        f"Perron iteration did not reach tol={tol} in {PF_MAX_ITER} iterations")
 
 
 def _reachable_from(C: InteractionMatrix, sources) -> np.ndarray:
@@ -494,10 +493,9 @@ def parse_interaction_matrix(text: str, d: int | None = None) -> InteractionMatr
         dd = int(rows[0][0])
         if len(rows) != dd + 1:
             raise ValueError(f"dense format: expected {dd} rows, got {len(rows) - 1}")
-        a = np.array([[int(v) for v in r] for r in rows[1:]], dtype=np.int8)
-        if a.shape != (dd, dd):
+        if any(len(r) != dd for r in rows[1:]):
             raise ValueError("dense format: ragged or wrongly sized rows")
-        return InteractionMatrix(a)
+        return InteractionMatrix(np.array([[int(v) for v in r] for r in rows[1:]]))
     edges = []
     for r in rows:
         if len(r) != 2:
@@ -516,10 +514,3 @@ def load_interaction_matrix(path, d: int | None = None) -> InteractionMatrix:
 
 def dump_edge_list(C: InteractionMatrix) -> str:
     return "".join(f"{s} {t}\n" for s, t in C.edges())
-
-
-def dump_dense(C: InteractionMatrix) -> str:
-    lines = [str(C.d)]
-    for row in C.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"

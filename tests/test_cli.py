@@ -199,10 +199,47 @@ class TestParseAndValidate:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "config" and "--max-steps" in err["message"]
-        # acs-growth sets no budget at p = 0: its oracle rejects p first
-        assert main(["experiment", "acs-growth", "--d", "10", "--p", "0",
-                     "--trials", "1", "--seed", "1"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "acs-growth", "--d", "10", "--p", "0"],
+        ["experiment", "acs-growth", "--d", "10", "--p", "0", "--max-steps", "3"],
+        ["experiment", "acs-growth", "--d", "10", "--theta", "0"],
+        ["conjecture-scan", "acs-growth", "--d", "10,12,14", "--theta", "0"],
+        ["conjecture-scan", "first-cycle", "--d", "10,12,14", "--theta", "0"],
+    ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+    def test_no_edges_is_a_config_error_that_exits_2(self, capsys, argv):
+        # no vertex ever gains an edge, so no trial can end: the run is
+        # refused, with the exit code of an all-censored one, before the
+        # growth oracle or a budget divides by p
+        assert main(argv + ["--trials", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and "never draws an edge" in err["message"]
+
+    @pytest.mark.parametrize("argv, p", [
+        (["experiment", "acs-growth", "--d", "10", "--p", "-0.5"], -0.5),
+        (["experiment", "first-cycle", "--d", "10", "--p", "1.5"], 1.5),
+        (["experiment", "first-cycle", "--d", "10", "--theta", "40"], 4.0),
+        (["adaptive-run", "--d", "10", "--theta", "-1", "--max-steps", "3"], -0.1),
+        (["experiment", "acs-attach", "--k", "3", "--p", "2"], 2.0),
+        # a scan's smallest d gives its largest p = theta / d
+        (["conjecture-scan", "first-cycle", "--d", "50,25,100", "--theta", "40"],
+         1.6),
+        (["conjecture-scan", "acs-growth", "--d", "25,50,100", "--theta", "-0.5"],
+         -0.02),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else repr(v))
+    def test_p_outside_the_unit_interval_is_a_config_error(self, capsys, argv, p):
+        assert main(argv + ["--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config", "message": f"p must lie in [0, 1], got p = {p!r}"}
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_p_at_the_ends_of_the_unit_interval_runs(self, capsys, p):
+        assert main(["equilibrium", "--d", "5", "--p", p, "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"]
 
     def test_p_zero_with_max_steps_still_runs(self, capsys):
         assert main(["experiment", "first-cycle", "--d", "10", "--p", "0",
@@ -406,6 +443,17 @@ class TestSubcommands:
         np.testing.assert_allclose(doc["x_star"], [0.5, 0.5, 0.0], atol=1e-9)
         assert doc["kind"] == "acs_supported"
 
+    def test_equilibrium_from_dense_file(self, ex1_file, tmp_path, capsys):
+        # the same graph as ex1_file, in the dense format: same bytes out
+        dense = tmp_path / "ex1.dense"
+        dense.write_text("3\n0 1 1\n1 0 0\n0 0 0\n")
+        assert main(["equilibrium", "--matrix", str(dense)]) == 0
+        out = capsys.readouterr().out
+        np.testing.assert_allclose(json.loads(out)["x_star"], [0.5, 0.5, 0.0],
+                                   atol=1e-9)
+        assert main(["equilibrium", "--matrix", ex1_file]) == 0
+        assert capsys.readouterr().out == out
+
     def test_equilibrium_analytic_mode(self, ex1_file):
         proc = run_cli(["equilibrium", "--matrix", ex1_file,
                         "--x0-mode", "analytic"])
@@ -574,10 +622,10 @@ class TestDeterminism:
 
 class TestRoundTrips:
     def test_matrix_dump_load_round_trip(self, tmp_path):
-        from jknet import InteractionMatrix, dump_dense, load_interaction_matrix
+        from jknet import InteractionMatrix, load_interaction_matrix
         m = InteractionMatrix.from_edges(4, [(0, 1), (2, 3), (3, 0)])
         path = tmp_path / "m.dense"
-        path.write_text(dump_dense(m))
+        path.write_text("4\n0 0 0 1\n1 0 0 0\n0 0 0 0\n0 0 1 0\n")
         back = load_interaction_matrix(str(path))
         assert (back.entries == m.entries).all()
 

@@ -9,7 +9,6 @@ from jknet.experiments import (
     acs_attach_experiment,
     conjecture_scan,
     count_cycles_of_length,
-    directed_orientation_fraction,
     first_cycle_edge_experiment,
     first_cycle_permutation_model,
     first_cycle_time_jk,
@@ -20,7 +19,6 @@ from jknet.experiments import (
     oracle_mean_waiting,
     oracle_total_growth,
     sample_er_undirected,
-    sample_orientation_fraction,
     scaling_fit,
     waiting_time_experiment,
 )
@@ -36,19 +34,6 @@ class TestOracles:
         assert oracle_cycle_mean(0.0, 3) == 0.0
         with pytest.raises(ValueError):
             oracle_cycle_mean(1.0, 2)
-
-    def test_orientation_fraction(self):
-        assert directed_orientation_fraction(3) == pytest.approx(0.25)
-        assert directed_orientation_fraction(2) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            directed_orientation_fraction(1)
-
-    def test_orientation_fraction_monte_carlo(self):
-        n = 10 ** 6
-        est = sample_orientation_fraction(5, n, seed=31)
-        p = directed_orientation_fraction(5)
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(est - p) < 3 * sigma
 
     def test_attach_prob_instances(self):
         assert oracle_attach_prob(1, 0.3) == pytest.approx(0.3)

@@ -5,7 +5,6 @@ from jknet import (
     InteractionMatrix,
     ModelParams,
     NonConvergenceError,
-    dump_dense,
     dump_edge_list,
     has_directed_cycle,
     has_undirected_cycle,
@@ -518,9 +517,23 @@ class TestFileFormats:
         assert (back.entries == example1.entries).all()
 
     def test_dense_round_trip(self, example4):
-        text = dump_dense(example4)
-        back = parse_interaction_matrix(text)
+        # row i lists the in-edges of vertex i
+        back = parse_interaction_matrix("4\n0 1 0 0\n1 0 0 0\n1 0 0 1\n0 0 1 0\n")
         assert (back.entries == example4.entries).all()
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n0 1 0\n1 0 0\n", "expected 3 rows, got 2"),
+        ("3\n0 1 0\n1 0\n0 0 0\n", "ragged or wrongly sized rows"),
+        ("2\n0 1 0\n1 0 0\n", "ragged or wrongly sized rows"),
+        ("2\n0 2\n1 0\n", "entries must be 0 or 1"),
+        ("2\n0 300\n1 0\n", "entries must be 0 or 1"),  # no int8 overflow
+        ("2\n0 x\n1 0\n", "invalid literal"),
+        ("2\n1 1\n1 0\n", "diagonal must be zero"),
+    ], ids=["row-count", "ragged", "wide", "entry-2", "entry-300", "entry-x",
+            "diagonal"])
+    def test_dense_format_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_interaction_matrix(text)
 
     def test_edge_list_loader_transposes(self):
         m = parse_interaction_matrix("0 1\n")
