@@ -8,9 +8,10 @@ experiments with closed-form waiting-time oracles.
 import os
 import sys
 
+# the environment variables that set BLAS's thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules:  # one BLAS thread: bytes do not depend on the host
-    os.environ.update(dict.fromkeys(
-        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from .adaptation import (
     AdaptiveState,

@@ -23,18 +23,19 @@ import platform
 import socket
 import sys
 import time
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import experiments, signed_model
+from . import BLAS_THREAD_VARS, experiments, signed_model
 from .adaptation import X0_MODES, run_adaptive, trace_to_json_lines
 from .dynamics import (
     equilibrium,
     equilibrium_to_json_dict,
     integrate,
-    trajectory_to_csv,
     uniform_state,
+    write_trajectory_csv,
 )
 from .graph import (TOL, InteractionMatrix, ModelParams, load_interaction_matrix,
                     sample_er_digraph)
@@ -267,35 +268,58 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path: str, text: str) -> None:
+def _put(stream, output) -> None:
+    """Write ``output`` to a text stream: text, or a writer that takes the stream."""
+    if callable(output):
+        output(stream)
+    else:
+        stream.write(output)
+
+
+def _write(path: str, output) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        _put(fh, output)
 
 
-def _write_meta(out: str, argv) -> None:
+def _write_meta(out: str, argv, wall_s: float) -> None:
+    """Write the ``<out>.meta.json`` sidecar: host facts and resources used.
+
+    ``peak_rss_mb`` is ``ru_maxrss``, the peak of the whole process so far,
+    which in a process that ran several commands need not be this one's.
+    """
+    import resource  # here, not at the top: the import would add to start-up
+
     meta = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "argv": list(argv),
         "host": socket.gethostname(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "wall_s": wall_s,
+        # kilobytes on Linux, bytes on macOS
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     _write(out + ".meta.json", _json_text(meta))
 
 
 def _emit(cfg: argparse.Namespace, outputs: dict) -> None:
-    """Write the primary outputs, ``{suffix: text}`` with the main one first.
+    """Write the primary outputs, ``{suffix: output}`` with the main one first.
 
+    An output is its text, or a writer: a callable that writes the text to
+    the stream it is given, so that a large output is never held whole.
     With --out every entry goes to ``<out><suffix>``. Otherwise stdout
-    gets the ``.csv`` text under --format csv, otherwise the first entry.
+    gets the ``.csv`` output under --format csv, otherwise the first entry.
     """
     if cfg.out:
-        for suffix, text in outputs.items():
-            _write(cfg.out + suffix, text)
+        for suffix, output in outputs.items():
+            _write(cfg.out + suffix, output)
     elif getattr(cfg, "format", "json") == "csv":
-        sys.stdout.write(outputs[".csv"])
+        _put(sys.stdout, outputs[".csv"])
     else:
-        sys.stdout.write(next(iter(outputs.values())))
+        _put(sys.stdout, next(iter(outputs.values())))
 
 
 def _require(cfg: argparse.Namespace, *names) -> None:
@@ -336,7 +360,8 @@ def _cmd_integrate(cfg: argparse.Namespace) -> int:
         "final_residual": float(traj.residuals[-1]),
         "mass_drift_rate": traj.mass_drift_rate,
     }
-    _emit(cfg, {".json": _json_text(summary), ".csv": trajectory_to_csv(traj)})
+    _emit(cfg, {".json": _json_text(summary),
+                ".csv": partial(write_trajectory_csv, traj)})
     return 0
 
 
@@ -351,6 +376,15 @@ def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
 
 
 _NO_EDGES = "{} = 0 never draws an edge, so every trial would be censored"
+
+
+def _check_attach_p(p: float) -> None:
+    # the attachment oracle 1/r(k, p) needs 0 < p < 1; at p = 0 no trial
+    # ends, so refuse both before any trial runs
+    if p == 0:
+        raise CliError(_NO_EDGES.format("p"), status=2)
+    if p == 1:
+        raise CliError(f"the attachment oracle needs p in (0, 1), got p = {p!r}")
 
 
 def _experiment_result(cfg: argparse.Namespace):
@@ -380,6 +414,7 @@ def _experiment_result(cfg: argparse.Namespace):
                                                        cfg.seed, jobs=cfg.jobs)
     if kind == "acs-attach":
         _require(cfg, "k", "p", "seed")
+        _check_attach_p(cfg.p)
         return experiments.acs_attach_experiment(cfg.k, cfg.p, cfg.trials,
                                                  cfg.seed, jobs=cfg.jobs)
     if kind == "acs-growth":
@@ -394,6 +429,7 @@ def _experiment_result(cfg: argparse.Namespace):
                                               jobs=cfg.jobs)
     if kind == "waiting-time":
         _require(cfg, "k", "p", "seed")
+        _check_attach_p(cfg.p)
         return experiments.waiting_time_experiment(cfg.k, cfg.p, cfg.trials,
                                                    cfg.seed)
 
@@ -413,6 +449,9 @@ def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
     _require(cfg, "theta", "seed")
     if not cfg.d_grid:
         raise CliError("conjecture-scan needs --d with a comma-separated grid")
+    small = [d for d in cfg.d_grid if d < 2]
+    if small:
+        raise CliError(f"every d of the grid must be >= 2, got d = {small[0]}")
     if cfg.theta == 0:
         raise CliError(_NO_EDGES.format("theta"), status=2)
     # a cycle scan reads the cycle kind, a growth scan the planted cycle
@@ -463,9 +502,10 @@ _DISPATCH = {
 
 
 def dispatch(cfg: argparse.Namespace, argv=()) -> int:
+    start = time.perf_counter()
     status = _DISPATCH[cfg.command](cfg)
     if cfg.out:
-        _write_meta(cfg.out, argv)
+        _write_meta(cfg.out, argv, time.perf_counter() - start)
     return status
 
 

@@ -10,6 +10,8 @@ squaring of I + C (cyclic case) or by the last nonvanishing power C^m x0
 """
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,6 +42,7 @@ __all__ = [
     "equilibrium_set_basis",
     "andi_residual",
     "trajectory_to_csv",
+    "write_trajectory_csv",
     "equilibrium_to_json_dict",
 ]
 
@@ -159,9 +162,9 @@ def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> float:
 # Integration
 # ---------------------------------------------------------------------------
 
-def _rk4_step(field, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of x' = field(x)."""
-    k1 = field(x)
+def _rk4_step(field, x: np.ndarray, h: float, k1=None) -> np.ndarray:
+    """One classical RK4 step of x' = field(x); ``k1`` is field(x) if known."""
+    k1 = field(x) if k1 is None else k1
     k2 = field(x + 0.5 * h * k1)
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
@@ -182,9 +185,7 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     a = C.as_float()
     field = partial(_field, a)
     x = simplex_vector(x0)
-    times = [0.0]
-    states = [x.copy()]
-    residuals = [_residual(a, x)]
+    fx = field(x)  # the residual's f(x) is the next step's k1
     max_drift_rate = 0.0
     min_component = float(x.min())
 
@@ -203,14 +204,22 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     h_cur = min(h, t_end) if t_end > 0 else h
     if h_cur <= 0:
         raise ValueError("step size underflow")
+    # fixed steps fill ceil(t_end / h) + 2 rows (the last step may be a
+    # rounding remainder); the buffers double if a run needs more, as an
+    # adaptive one can
+    rows = math.ceil(t_end / h_cur) + 2 if t_end > 0 else 1
+    times, residuals = np.empty(rows), np.empty(rows)
+    states = np.empty((rows, x.size))
+    times[0], states[0], residuals[0] = t, x, np.abs(fx).sum()
+    n = 1
     while t < t_end - 1e-12:
         h_step = min(h_cur, t_end - t)
         if not adaptive:
-            x = accept(_rk4_step(field, x, h_step), h_step)
+            x = accept(_rk4_step(field, x, h_step, fx), h_step)
             t += h_step
         else:
-            full = _rk4_step(field, x, h_step)
-            half = _rk4_step(field, _rk4_step(field, x, h_step / 2), h_step / 2)
+            full = _rk4_step(field, x, h_step, fx)
+            half = _rk4_step(field, _rk4_step(field, x, h_step / 2, fx), h_step / 2)
             err = np.abs(full - half).sum() / 15.0
             if err > tol and h_step > 1e-8:
                 h_cur = h_step / 2
@@ -221,16 +230,24 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
                 h_cur = min(h_step * 2, h)
         if h_cur < 1e-10:
             raise NonConvergenceError("step size underflow")
-        times.append(t)
-        states.append(x.copy())
-        residuals.append(_residual(a, x))
-        if stop_residual is not None and residuals[-1] < stop_residual:
+        if n == len(times):
+            times, states, residuals = (_doubled(b) for b in (times, states, residuals))
+        fx = field(x)
+        times[n], states[n], residuals[n] = t, x, np.abs(fx).sum()
+        n += 1
+        if stop_residual is not None and residuals[n - 1] < stop_residual:
             break
 
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      residuals=np.array(residuals),
+    return Trajectory(times=times[:n], states=states[:n], residuals=residuals[:n],
                       mass_drift_rate=max_drift_rate,
                       min_component=min_component)
+
+
+def _doubled(buf: np.ndarray) -> np.ndarray:
+    """``buf`` copied into the front of an uninitialised buffer twice as long."""
+    out = np.empty((2 * len(buf),) + buf.shape[1:])
+    out[:len(buf)] = buf
+    return out
 
 
 def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
@@ -608,15 +625,25 @@ def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int) -> float
 # Serialisation
 # ---------------------------------------------------------------------------
 
+def write_trajectory_csv(traj: Trajectory, out) -> None:
+    """Write the CSV to the text stream ``out``, one row at a time.
+
+    The columns are t, x_0 ... x_{d-1} and the residual; each value is the
+    ``repr`` of its float, so the text reads back to the same bits.
+    """
+    states = np.asarray(traj.states, dtype=float)
+    out.write("t," + ",".join(f"x_{j}" for j in range(states.shape[1]))
+              + ",residual\n")
+    for t, row, res in zip(np.asarray(traj.times, dtype=float).tolist(), states,
+                           np.asarray(traj.residuals, dtype=float).tolist()):
+        out.write(",".join(map(repr, [t, *row.tolist(), res])) + "\n")
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    d = traj.states.shape[1]
-    header = "t," + ",".join(f"x_{j}" for j in range(d)) + ",residual"
-    lines = [header]
-    for t, row, res in zip(traj.times, traj.states, traj.residuals):
-        lines.append(",".join([repr(float(t))]
-                              + [repr(float(v)) for v in row]
-                              + [repr(float(res))]))
-    return "\n".join(lines) + "\n"
+    """The text ``write_trajectory_csv`` writes, as one string."""
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    return buf.getvalue()
 
 
 def equilibrium_to_json_dict(eq: EquilibriumResult) -> dict:

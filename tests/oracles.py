@@ -4,7 +4,8 @@ These deliberately avoid the library's algorithms: reachability by
 Floyd-Warshall, cycles by explicit path enumeration, spectral radii by
 dense eigensolves, the vector field by a double loop, the flow limit by
 squaring the whole dense I + C, or its blocks cut from a dense copy,
-with dense products throughout. Each oracle pairs with a production
+with dense products throughout; the RK4 flow recorded into lists, and
+its CSV joined from row strings. Each oracle pairs with a production
 routine in a dual-route test.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from jknet.dynamics import _residual
+from jknet.dynamics import _field, _residual, simplex_vector
 from jknet.graph import NonConvergenceError
 
 
@@ -289,3 +290,81 @@ def dense_flow_equilibrium(entries: np.ndarray, x0, tol: float,
                 x[live] = dense_nilpotent_limit(a, start[live])
     a = entries.astype(float)
     return x, float((a @ x).sum()), _residual(a, x)
+
+
+def list_integrate(C, x0, t_end: float, h: float = 0.01, adaptive: bool = False,
+                   tol: float = 1e-9, stop_residual: float | None = None):
+    """The RK4 simplex flow recorded into lists, one state copy per row.
+
+    It evaluates the field five times per fixed step, f(x) once more for
+    each residual, and copies the lists into arrays at the end. Returns
+    (times, states, residuals, mass_drift_rate, min_component).
+    """
+    a = C.as_float()
+
+    def field(x):
+        return _field(a, x)
+
+    def rk4(x, dt):
+        k1 = field(x)
+        k2 = field(x + 0.5 * dt * k1)
+        k3 = field(x + 0.5 * dt * k2)
+        k4 = field(x + dt * k3)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x = simplex_vector(x0)
+    times, states, residuals = [0.0], [x.copy()], [_residual(a, x)]
+    max_drift_rate = 0.0
+    min_component = float(x.min())
+
+    def accept(x_new, dt):
+        nonlocal max_drift_rate, min_component
+        max_drift_rate = max(max_drift_rate, abs(x_new.sum() - 1.0) / dt)
+        mc = float(x_new.min())
+        min_component = min(min_component, mc)
+        if mc < -1e-9:
+            raise FloatingPointError(f"component undershoot {mc:.3e}")
+        x_new = np.clip(x_new, 0.0, None)
+        return x_new / x_new.sum()
+
+    t = 0.0
+    h_cur = min(h, t_end) if t_end > 0 else h
+    if h_cur <= 0:
+        raise ValueError("step size underflow")
+    while t < t_end - 1e-12:
+        h_step = min(h_cur, t_end - t)
+        if not adaptive:
+            x = accept(rk4(x, h_step), h_step)
+            t += h_step
+        else:
+            full = rk4(x, h_step)
+            half = rk4(rk4(x, h_step / 2), h_step / 2)
+            err = np.abs(full - half).sum() / 15.0
+            if err > tol and h_step > 1e-8:
+                h_cur = h_step / 2
+                continue
+            x = accept(half, h_step)
+            t += h_step
+            if err < tol / 32.0:
+                h_cur = min(h_step * 2, h)
+        if h_cur < 1e-10:
+            raise NonConvergenceError("step size underflow")
+        times.append(t)
+        states.append(x.copy())
+        residuals.append(_residual(a, x))
+        if stop_residual is not None and residuals[-1] < stop_residual:
+            break
+    return (np.array(times), np.array(states), np.array(residuals),
+            max_drift_rate, min_component)
+
+
+def joined_trajectory_csv(times, states, residuals) -> str:
+    """The trajectory CSV built as one list of row strings, then joined."""
+    d = states.shape[1]
+    header = "t," + ",".join(f"x_{j}" for j in range(d)) + ",residual"
+    lines = [header]
+    for t, row, res in zip(times, states, residuals):
+        lines.append(",".join([repr(float(t))]
+                              + [repr(float(v)) for v in row]
+                              + [repr(float(res))]))
+    return "\n".join(lines) + "\n"

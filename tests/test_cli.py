@@ -4,12 +4,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jknet import BLAS_THREAD_VARS, ModelParams, dynamics, experiments, sample_er_digraph
 from jknet.cli import ENTRY_POINTS, CliError, build_parser, main, parse_and_validate
+from jknet.rng import stream
+
+from oracles import joined_trajectory_csv, list_integrate
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -28,6 +33,10 @@ def ex1_file(tmp_path):
     path = tmp_path / "ex1.edges"
     path.write_text("0 1\n1 0\n2 0\n")
     return str(path)
+
+
+def _no_trials(*args, **kwargs):
+    raise RuntimeError("a trial ran")
 
 
 class TestParseAndValidate:
@@ -206,11 +215,16 @@ class TestParseAndValidate:
         ["experiment", "acs-growth", "--d", "10", "--theta", "0"],
         ["conjecture-scan", "acs-growth", "--d", "10,12,14", "--theta", "0"],
         ["conjecture-scan", "first-cycle", "--d", "10,12,14", "--theta", "0"],
+        ["experiment", "acs-attach", "--k", "3", "--p", "0"],
+        ["experiment", "waiting-time", "--k", "3", "--p", "0"],
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
-    def test_no_edges_is_a_config_error_that_exits_2(self, capsys, argv):
+    def test_no_edges_is_a_config_error_that_exits_2(self, capsys, monkeypatch,
+                                                      argv):
         # no vertex ever gains an edge, so no trial can end: the run is
         # refused, with the exit code of an all-censored one, before the
-        # growth oracle or a budget divides by p
+        # growth oracle or a budget divides by p, and before any trial
+        for name in ("acs_attach_experiment", "waiting_time_experiment"):
+            monkeypatch.setattr(experiments, name, _no_trials)
         assert main(argv + ["--trials", "1", "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -235,6 +249,33 @@ class TestParseAndValidate:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "config", "message": f"p must lie in [0, 1], got p = {p!r}"}
+
+    @pytest.mark.parametrize("kind", ["acs-attach", "waiting-time"])
+    def test_attachment_oracle_at_p_one_is_a_config_error(self, capsys,
+                                                          monkeypatch, kind):
+        monkeypatch.setattr(experiments, kind.replace("-", "_") + "_experiment",
+                            _no_trials)
+        assert main(["experiment", kind, "--k", "3", "--p", "1", "--trials", "1",
+                     "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": "the attachment oracle needs p in (0, 1), got p = 1.0"}
+
+    @pytest.mark.parametrize("kind", ["first-cycle", "acs-growth"])
+    @pytest.mark.parametrize("grid, bad", [("0,50,100", 0), ("1,50,100", 1),
+                                           ("50,-3,100", -3)])
+    def test_scan_grid_d_below_two_is_a_config_error(self, capsys, monkeypatch,
+                                                     kind, grid, bad):
+        monkeypatch.setattr(experiments, "conjecture_scan", _no_trials)
+        assert main(["conjecture-scan", kind, "--d", grid, "--theta", "0.5",
+                     "--trials", "1", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": f"every d of the grid must be >= 2, got d = {bad}"}
 
     @pytest.mark.parametrize("p", ["0", "1"])
     def test_p_at_the_ends_of_the_unit_interval_runs(self, capsys, p):
@@ -467,7 +508,14 @@ class TestSubcommands:
         assert proc.returncode == 0
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t,x_0,x_1,x_2,residual"
-        assert (tmp_path / "traj.meta.json").exists()
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        assert {"generated_at", "argv", "host", "python", "numpy"} <= set(meta)
+        # resources go to the sidecar only, never to the primary outputs
+        assert 0 < meta["wall_s"] < 60
+        assert meta["peak_rss_mb"] > 1
+        assert meta["cpu_count"] == os.cpu_count()
+        # the package pins one BLAS thread when numpy is not yet imported
+        assert meta["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
 
     def test_adaptive_run_trace(self, tmp_path):
         out = tmp_path / "trace"
@@ -636,3 +684,46 @@ class TestRoundTrips:
         path.write_text(trace_to_json_lines(trace))
         back = trace_from_json_lines(path.read_text())
         assert trace_to_json_lines(back) == path.read_text()
+
+
+class TestStreamedCsv:
+    """integrate streams its CSV: no whole-text copy, the same bytes."""
+
+    ARGV = ["integrate", "--d", "30", "--p", "0.1", "--seed", "5",
+            "--t-max", "2", "--h", "0.01"]
+
+    @staticmethod
+    def oracle_csv() -> bytes:
+        m = sample_er_digraph(ModelParams(d=30, p=0.1), stream(5))
+        times, states, residuals, _, _ = list_integrate(
+            m, dynamics.uniform_state(30), t_end=2.0, h=0.01)
+        return joined_trajectory_csv(times, states, residuals).encode()
+
+    def test_out_and_stdout_carry_the_oracle_bytes(self, tmp_path, capsysbinary,
+                                                   monkeypatch):
+        want = self.oracle_csv()
+
+        def joined(traj):
+            raise AssertionError("the CLI built the CSV as one string")
+
+        monkeypatch.setattr(dynamics, "trajectory_to_csv", joined)
+        assert main(self.ARGV + ["--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == want
+        assert capsysbinary.readouterr().out == b""
+        assert main(self.ARGV + ["--format", "csv"]) == 0
+        assert capsysbinary.readouterr().out == want
+
+    def test_traced_peak_is_below_the_csv_size(self, tmp_path):
+        # the list-and-join writer peaked near 3x the CSV's size
+        argv = ["integrate", "--d", "200", "--p", "0.01", "--seed", "1",
+                "--t-max", "5", "--out", str(tmp_path / "run")]
+        main(argv)  # first call: lazy imports and caches settle
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        size = (tmp_path / "run.csv").stat().st_size
+        assert peak < size, (peak, size)

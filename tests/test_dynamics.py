@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from jknet import (
 )
 from jknet import dynamics
 from jknet.adaptation import plant_directed_cycle, run_adaptive
-from jknet.dynamics import equilibrium_to_json_dict, trajectory_to_csv
+from jknet.dynamics import Trajectory, equilibrium_to_json_dict, trajectory_to_csv
 from jknet.rng import stream
 
 from conftest import interior_state, random_matrices
@@ -31,6 +33,8 @@ from oracles import (
     dense_dominant_direction,
     dense_flow_equilibrium,
     floyd_warshall_reachability,
+    joined_trajectory_csv,
+    list_integrate,
     naive_vector_field,
 )
 
@@ -667,3 +671,90 @@ class TestSerialisation:
         doc = equilibrium_to_json_dict(equilibrium(example1))
         assert set(doc) == {"x_star", "residual", "support", "kind", "non_unique"}
         assert doc["support"] == [0, 1]
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _integrate_cases(count=30, seed=2024):
+    """Seeded graphs with d from 3 to 300, each with a start state and a
+    step mode: fixed or adaptive, with or without ``stop_residual``."""
+    rng = stream(seed)
+    cases = []
+    for i in range(count):
+        d = int(round(3 * 100 ** (i / (count - 1))))  # 3 ... 300
+        p = min(1.0, float(rng.uniform(0.5, 3.0)) / d)
+        m = sample_er_digraph(ModelParams(d=d, p=p), rng)
+        if i % 5 == 0:
+            m = plant_directed_cycle(m, 2)  # some certainly cyclic
+        x0 = uniform_state(d) if i % 3 == 0 else interior_state(d, rng)
+        cases.append(pytest.param(m, x0, i % 2 == 1, (i // 2) % 2 == 1,
+                                  id=f"d{d}-{'adaptive' if i % 2 else 'fixed'}"
+                                     f"{'-stop' if (i // 2) % 2 else ''}"))
+    return cases
+
+
+class TestIntegrateMatchesListOracle:
+    """The buffered integrator and the streamed CSV against the parent
+    design: per-step lists, a fresh f(x) per residual, a joined CSV."""
+
+    @pytest.mark.parametrize("m, x0, adaptive, stop", _integrate_cases())
+    def test_bit_equal_trajectory_and_csv(self, m, x0, adaptive, stop):
+        kw = dict(t_end=2.0, h=0.05, adaptive=adaptive, tol=1e-8)
+        stop_residual = None
+        if stop:
+            # a threshold the full run crosses by its middle row
+            full = list_integrate(m, x0, **kw)[2]
+            stop_residual = float(full[full.size // 2]) * (1 + 1e-9)
+        times, states, residuals, drift, min_comp = list_integrate(
+            m, x0, stop_residual=stop_residual, **kw)
+        traj = integrate(m, x0, stop_residual=stop_residual, **kw)
+        if stop:
+            assert times.size <= full.size // 2 + 1
+        assert _bits(traj.times) == _bits(times)
+        assert _bits(traj.states) == _bits(states)
+        assert _bits(traj.residuals) == _bits(residuals)
+        assert traj.mass_drift_rate == drift
+        assert traj.min_component == min_comp
+        assert trajectory_to_csv(traj) == joined_trajectory_csv(
+            times, states, residuals)
+
+    def test_repr_format_switches(self):
+        # repr moves between fixed and exponent notation at 1e-4 and 1e16
+        # and prints the smallest subnormal and both zeros exactly
+        values = [0.0, -0.0, 5e-324, 9.9999e-05, 1e-4, 1e16, 9999999999999998.0,
+                  0.1 + 0.2, 1.0, 2.5e-310]
+        states = np.array([values, values[::-1]])
+        times, residuals = np.array([0.0, 1e-4]), np.array([9.9999e-05, 1e16])
+        text = trajectory_to_csv(Trajectory(times, states, residuals, 0.0, 0.0))
+        assert text == joined_trajectory_csv(times, states, residuals)
+        assert text.splitlines()[1] == (
+            "0.0,0.0,-0.0,5e-324,9.9999e-05,0.0001,1e+16,9999999999999998.0,"
+            "0.30000000000000004,1.0,2.5e-310,9.9999e-05")
+
+    def test_stream_and_string_carry_the_same_text(self, example2):
+        traj = integrate(example2, [0.7, 0.2, 0.1], t_end=0.5)
+        out = io.StringIO()
+        dynamics.write_trajectory_csv(traj, out)
+        assert out.getvalue() == trajectory_to_csv(traj)
+
+    def test_adaptive_buffers_grow_past_the_fixed_step_bound(self, example2):
+        # tight tolerance at a coarse h: far more rows than t_end / h + 2
+        kw = dict(t_end=1.0, h=0.5, adaptive=True, tol=1e-13)
+        times, states, residuals, _, _ = list_integrate(example2, [0.7, 0.2, 0.1], **kw)
+        traj = integrate(example2, [0.7, 0.2, 0.1], **kw)
+        assert times.size > 2 * (kw["t_end"] / kw["h"] + 2)
+        assert _bits(traj.states) == _bits(states)
+        assert _bits(traj.times) == _bits(times)
+        assert _bits(traj.residuals) == _bits(residuals)
+
+    def test_field_evaluations_per_fixed_step(self, example2, monkeypatch):
+        # the residual's f(x) is the next step's k1: 4 evaluations a step
+        calls = []
+        field = dynamics._field
+        monkeypatch.setattr(dynamics, "_field",
+                            lambda a, x: calls.append(1) or field(a, x))
+        traj = integrate(example2, uniform_state(3), t_end=1.0, h=0.1)
+        steps = traj.times.size - 1
+        assert len(calls) == 4 * steps + 1
