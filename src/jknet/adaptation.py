@@ -11,7 +11,7 @@ set appear.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -255,16 +255,9 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
 # Trace serialisation (JSON lines: one header, then one record per line)
 # ---------------------------------------------------------------------------
 
-def _record_to_dict(rec: StepRecord) -> dict:
-    return {
-        "s": rec.s,
-        "j_min_set": list(rec.j_min_set),
-        "chosen": rec.chosen,
-        "lambda": rec.lam,
-        "support_size": rec.support_size,
-        "directed_cycle": rec.directed_cycle,
-        "full_acs": rec.full_acs,
-    }
+# (attribute, JSON key) of each StepRecord field; lam is written as "lambda"
+_RECORD_KEYS = tuple((f.name, "lambda" if f.name == "lam" else f.name)
+                     for f in fields(StepRecord))
 
 
 def trace_to_json_lines(trace: AdaptiveTrace) -> str:
@@ -279,8 +272,8 @@ def trace_to_json_lines(trace: AdaptiveTrace) -> str:
         "invariant_violations": trace.invariant_violations,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(_record_to_dict(r), sort_keys=True)
-                 for r in trace.records)
+    lines.extend(json.dumps({key: getattr(r, name) for name, key in _RECORD_KEYS},
+                            sort_keys=True) for r in trace.records)
     return "\n".join(lines) + "\n"
 
 
@@ -297,13 +290,6 @@ def trace_from_json_lines(text: str) -> AdaptiveTrace:
     )
     for ln in lines[1:]:
         obj = json.loads(ln)
-        trace.records.append(StepRecord(
-            s=obj["s"],
-            j_min_set=tuple(obj["j_min_set"]),
-            chosen=obj["chosen"],
-            lam=obj["lambda"],
-            support_size=obj["support_size"],
-            directed_cycle=obj["directed_cycle"],
-            full_acs=obj["full_acs"],
-        ))
+        obj["lam"], obj["j_min_set"] = obj.pop("lambda"), tuple(obj["j_min_set"])
+        trace.records.append(StepRecord(**obj))
     return trace

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import socket
@@ -66,6 +67,13 @@ class CliError(Exception):
         self.status = status
 
 
+class Domain(NamedTuple):
+    """The values a flag accepts; any other is refused: "{dest} must {text}"."""
+
+    ok: Callable
+    text: str
+
+
 class Flag(NamedTuple):
     """A flag, and the entry points whose code reads it: only they take it,
     on the command line or in a config file."""
@@ -76,16 +84,26 @@ class Flag(NamedTuple):
     choices: tuple | None = None
     default: object = None
     help: str | None = None
+    domain: Domain | None = None
 
 
 _FIRST_CYCLE = ("experiment first-cycle", "conjecture-scan first-cycle")
 _ACS_GROWTH = ("experiment acs-growth", "conjecture-scan acs-growth")
 _EDGE_EXPERIMENTS = ("experiment first-cycle-uniform",
                      "experiment first-cycle-permutation")
+_ATTACH = ("experiment acs-attach", "experiment waiting-time")
 _RUN_ADAPTIVE = ("adaptive-run", "experiment first-cycle", "experiment acs-growth")
 # the entry points that draw graphs of d vertices at p = theta / d
 _SAMPLED = ("equilibrium", "integrate", "adaptive-run", "experiment cycle-dist",
             *_FIRST_CYCLE, *_ACS_GROWTH, "appendix-demo")
+
+
+def _at_least(n: int) -> Domain:
+    return Domain(lambda v: v >= n, f"be >= {n}")
+
+
+_POSITIVE = Domain(lambda v: 0 < v < math.inf, "be positive and finite")
+_UNIT = Domain(lambda v: 0 <= v <= 1, "lie in [0, 1]")
 
 FLAGS = (
     Flag("config", ENTRY_POINTS, help="JSON config file; flags override it"),
@@ -94,26 +112,35 @@ FLAGS = (
                          ("equilibrium", "adaptive-run", "appendix-demo")),
          choices=("json", "csv"), default="json"),
     Flag("matrix", ("equilibrium", "integrate"), help="interaction matrix file"),
-    Flag("d", _SAMPLED + _EDGE_EXPERIMENTS, type=str,
-         help="vertex count (comma list for scans)"),
+    Flag("d", _SAMPLED, type=str, help="vertex count (comma list for scans)",
+         domain=_at_least(2)),
+    # the edge models' first cycle needs three vertices
+    Flag("d", _EDGE_EXPERIMENTS, type=str, help="vertex count", domain=_at_least(3)),
     # a scan keeps theta fixed over its d grid
-    Flag("p", tuple(e for e in _SAMPLED if not e.startswith("conjecture-scan"))
-         + ("experiment acs-attach", "experiment waiting-time"),
-         type=float, help="edge probability"),
-    Flag("theta", _SAMPLED, type=float, help="mean degree p*d"),
-    Flag("seed", ENTRY_POINTS, type=int, help=f"RNG seed (or ${SEED_ENV})"),
+    Flag("p", tuple(e for e in _SAMPLED if not e.startswith("conjecture-scan")),
+         type=float, help="edge probability", domain=_UNIT),
+    # the attachment oracle 1/r(k, p) needs p < 1
+    Flag("p", _ATTACH, type=float, help="edge probability",
+         domain=Domain(lambda v: 0 <= v < 1, "lie in [0, 1)")),
+    Flag("theta", _SAMPLED, type=float, help="mean degree p*d", domain=_at_least(0)),
+    Flag("seed", ENTRY_POINTS, type=int, help=f"RNG seed (or ${SEED_ENV})",
+         domain=_at_least(0)),
     Flag("trials", tuple(e for e in ENTRY_POINTS if e not in
                          ("equilibrium", "integrate", "adaptive-run")),
-         type=int, default=100),
-    Flag("tol", ("equilibrium", "adaptive-run"), type=float, default=TOL),
+         type=int, default=100, domain=_at_least(1)),
+    Flag("tol", ("equilibrium", "adaptive-run"), type=float, default=TOL,
+         domain=_POSITIVE),
     Flag("h", ("integrate", "appendix-demo"), type=float, default=0.01,
-         help="integrator step size"),
-    Flag("t_max", ("integrate", "appendix-demo"), type=float, default=500.0),
-    Flag("max_steps", _RUN_ADAPTIVE, type=int),
-    Flag("k", ("experiment cycle-dist", "experiment acs-attach",
-               "experiment waiting-time"), type=int,
-         help="cycle length / set size"),
-    Flag("k0", _ACS_GROWTH, type=int, default=2, help="planted cycle length"),
+         help="integrator step size", domain=_POSITIVE),
+    Flag("t_max", ("integrate", "appendix-demo"), type=float, default=500.0,
+         domain=_POSITIVE),
+    Flag("max_steps", _RUN_ADAPTIVE, type=int, domain=_at_least(1)),
+    Flag("k", ("experiment cycle-dist",), type=int, help="cycle length",
+         domain=Domain(lambda v: 3 <= v <= experiments.MAX_CYCLE_LENGTH,
+                       f"lie in [3, {experiments.MAX_CYCLE_LENGTH}]")),
+    Flag("k", _ATTACH, type=int, help="set size", domain=_at_least(1)),
+    Flag("k0", _ACS_GROWTH, type=int, default=2, help="planted cycle length",
+         domain=_at_least(2)),
     Flag("cycle_kind", ("adaptive-run",) + _FIRST_CYCLE,
          choices=("directed", "undirected"), default="directed"),
     # the adaptive loop reads each equilibrium from a flow start, so only
@@ -123,7 +150,7 @@ FLAGS = (
     Flag("x0_mode", _RUN_ADAPTIVE, choices=X0_MODES, default="uniform"),
     Flag("jobs", _FIRST_CYCLE + _ACS_GROWTH + _EDGE_EXPERIMENTS
          + ("experiment acs-attach",), type=int, default=1,
-         help="worker processes for trials"),
+         help="worker processes for trials", domain=_at_least(1)),
 )
 
 
@@ -197,7 +224,7 @@ def _coerce_config(file_cfg: dict, flags: dict) -> dict:
 
 
 def parse_and_validate(argv) -> argparse.Namespace:
-    """Merge CLI flags over the optional config file and the defaults.
+    """Merge flags over the config file and the defaults; check every value.
 
     The namespace holds ``command``, ``kind`` for experiments and scans,
     and each flag the entry point reads; ``d_grid`` is set beside ``d``,
@@ -238,23 +265,25 @@ def parse_and_validate(argv) -> argparse.Namespace:
             cfg["p"] = theta / d
         elif p is not None and d is not None:
             cfg["theta"] = p * d
-    # every graph is drawn at p; a scan's at p = theta / d for each d of its grid
-    if ns.command == "conjecture-scan" and cfg["theta"] is not None:
-        draws = [cfg["theta"] / d for d in cfg["d_grid"] or () if d > 0]
-    else:
-        draws = [cfg.get("p")]
-    for p in draws:
-        if p is not None and not 0.0 <= p <= 1.0:
-            raise CliError(f"p must lie in [0, 1], got p = {p!r}")
-
-    for name in ("trials", "jobs", "max_steps"):
-        if cfg.get(name) is not None and cfg[name] < 1:
-            raise CliError(f"{name} must be >= 1")
     if ns.seed is None and os.environ.get(SEED_ENV):
         try:
             ns.seed = int(os.environ[SEED_ENV])
         except ValueError:
             raise CliError(f"${SEED_ENV} is not an integer")
+    # each value read lies in its flag's domain, every d of a scan's grid
+    # too, and so does the p = theta / d a scan draws each graph at
+    grid, theta, d = cfg.get("d_grid") or (), cfg.get("theta"), cfg.get("d")
+    reads = [(dest, flag.domain, v) for dest, flag in flags.items()
+             for v in (grid if dest == "d" and grid else (cfg[dest],))]
+    reads += [("p", _UNIT, theta / g) for g in grid if g and theta is not None]
+    # the planted k0-cycle must fit each graph; cycle counts need theta/d < 1
+    d_min = min(grid or (d or math.inf,))
+    reads.append(("k0", Domain(lambda v: v <= d_min, f"be <= d = {d_min}"), cfg.get("k0")))
+    if entry == "experiment cycle-dist" and theta is not None and d:
+        reads.append(("theta/d", Domain(lambda v: v < 1, "be < 1"), theta / d))
+    for dest, domain, value in reads:
+        if domain is not None and value is not None and not domain.ok(value):
+            raise CliError(f"{dest} must {domain.text}, got {dest} = {value!r}")
     if ns.seed is None and cfg.get("matrix") is None:
         raise CliError(f"a seed is required (--seed, config, or ${SEED_ENV})")
     return ns
@@ -378,15 +407,6 @@ def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
 _NO_EDGES = "{} = 0 never draws an edge, so every trial would be censored"
 
 
-def _check_attach_p(p: float) -> None:
-    # the attachment oracle 1/r(k, p) needs 0 < p < 1; at p = 0 no trial
-    # ends, so refuse both before any trial runs
-    if p == 0:
-        raise CliError(_NO_EDGES.format("p"), status=2)
-    if p == 1:
-        raise CliError(f"the attachment oracle needs p in (0, 1), got p = {p!r}")
-
-
 def _experiment_result(cfg: argparse.Namespace):
     kind = cfg.kind
     if kind == "cycle-dist":
@@ -412,9 +432,12 @@ def _experiment_result(cfg: argparse.Namespace):
         model = kind.rsplit("-", 1)[1]
         return experiments.first_cycle_edge_experiment(model, cfg.d, cfg.trials,
                                                        cfg.seed, jobs=cfg.jobs)
-    if kind == "acs-attach":
+    if kind in ("acs-attach", "waiting-time"):
         _require(cfg, "k", "p", "seed")
-        _check_attach_p(cfg.p)
+        if cfg.p == 0:
+            raise CliError(_NO_EDGES.format("p"), status=2)
+        if kind == "waiting-time":
+            return experiments.waiting_time_experiment(cfg.k, cfg.p, cfg.trials, cfg.seed)
         return experiments.acs_attach_experiment(cfg.k, cfg.p, cfg.trials,
                                                  cfg.seed, jobs=cfg.jobs)
     if kind == "acs-growth":
@@ -427,11 +450,6 @@ def _experiment_result(cfg: argparse.Namespace):
                                               cfg.seed, cfg.max_steps,
                                               k0=cfg.k0, x0_mode=cfg.x0_mode,
                                               jobs=cfg.jobs)
-    if kind == "waiting-time":
-        _require(cfg, "k", "p", "seed")
-        _check_attach_p(cfg.p)
-        return experiments.waiting_time_experiment(cfg.k, cfg.p, cfg.trials,
-                                                   cfg.seed)
 
 
 def _cmd_experiment(cfg: argparse.Namespace) -> int:
@@ -449,9 +467,6 @@ def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
     _require(cfg, "theta", "seed")
     if not cfg.d_grid:
         raise CliError("conjecture-scan needs --d with a comma-separated grid")
-    small = [d for d in cfg.d_grid if d < 2]
-    if small:
-        raise CliError(f"every d of the grid must be >= 2, got d = {small[0]}")
     if cfg.theta == 0:
         raise CliError(_NO_EDGES.format("theta"), status=2)
     # a cycle scan reads the cycle kind, a growth scan the planted cycle

@@ -228,8 +228,6 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
             t += h_step
             if err < tol / 32.0:
                 h_cur = min(h_step * 2, h)
-        if h_cur < 1e-10:
-            raise NonConvergenceError("step size underflow")
         if n == len(times):
             times, states, residuals = (_doubled(b) for b in (times, states, residuals))
         fx = field(x)

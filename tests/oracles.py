@@ -347,8 +347,6 @@ def list_integrate(C, x0, t_end: float, h: float = 0.01, adaptive: bool = False,
             t += h_step
             if err < tol / 32.0:
                 h_cur = min(h_step * 2, h)
-        if h_cur < 1e-10:
-            raise NonConvergenceError("step size underflow")
         times.append(t)
         states.append(x.copy())
         residuals.append(_residual(a, x))

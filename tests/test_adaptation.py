@@ -264,6 +264,9 @@ class TestTraceSerialisation:
         assert back.first_cycle_step == trace.first_cycle_step
         assert back.full_acs_step == trace.full_acs_step
         assert len(back.records) == len(trace.records)
+        # every field comes back with its value and type (j_min_set a tuple)
+        assert [vars(r) for r in back.records] == [vars(r) for r in trace.records]
+        assert all(type(r.j_min_set) is tuple for r in back.records)
 
     def test_header_carries_params_and_options(self):
         import json

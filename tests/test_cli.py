@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jknet import BLAS_THREAD_VARS, ModelParams, dynamics, experiments, sample_er_digraph
-from jknet.cli import ENTRY_POINTS, CliError, build_parser, main, parse_and_validate
+from jknet import (BLAS_THREAD_VARS, ModelParams, cli, dynamics, experiments,
+                   sample_er_digraph, signed_model)
+from jknet.cli import (ENTRY_POINTS, FLAGS, CliError, build_parser, main,
+                       parse_and_validate)
 from jknet.rng import stream
 
 from oracles import joined_trajectory_csv, list_integrate
@@ -106,10 +108,10 @@ class TestParseAndValidate:
 
     def test_config_values_take_the_flag_types(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"trials": "5", "jobs": "2", "p": 1}))
+        cfg_path.write_text(json.dumps({"trials": "5", "jobs": "2", "p": 0}))
         cfg = parse_and_validate(["experiment", "acs-attach", "--k", "3",
                                   "--seed", "1", "--config", str(cfg_path)])
-        assert (cfg.trials, cfg.jobs, cfg.p) == (5, 2, 1.0)
+        assert (cfg.trials, cfg.jobs, cfg.p) == (5, 2, 0.0)
         assert type(cfg.p) is float
 
     def test_config_run_matches_flag_run(self, tmp_path, capsys):
@@ -184,7 +186,8 @@ class TestParseAndValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "config", "message": "max_steps must be >= 1"}
+            "error": "config",
+            "message": f"max_steps must be >= 1, got max_steps = {int(argv[-1])}"}
 
     @pytest.mark.parametrize("kind, budget", [
         ("first-cycle", 2000),  # 20 d / p
@@ -231,24 +234,31 @@ class TestParseAndValidate:
         err = json.loads(captured.err)
         assert err["error"] == "config" and "never draws an edge" in err["message"]
 
-    @pytest.mark.parametrize("argv, p", [
+    @pytest.mark.parametrize("argv, message", [
         (["experiment", "acs-growth", "--d", "10", "--p", "-0.5"], -0.5),
         (["experiment", "first-cycle", "--d", "10", "--p", "1.5"], 1.5),
         (["experiment", "first-cycle", "--d", "10", "--theta", "40"], 4.0),
         (["adaptive-run", "--d", "10", "--theta", "-1", "--max-steps", "3"], -0.1),
-        (["experiment", "acs-attach", "--k", "3", "--p", "2"], 2.0),
+        # the attachment oracle's domain is [0, 1)
+        pytest.param(["experiment", "acs-attach", "--k", "3", "--p", "2"],
+                     "p must lie in [0, 1), got p = 2.0",
+                     id="experiment acs-attach-2.0"),
         # a scan's smallest d gives its largest p = theta / d
         (["conjecture-scan", "first-cycle", "--d", "50,25,100", "--theta", "40"],
          1.6),
-        (["conjecture-scan", "acs-growth", "--d", "25,50,100", "--theta", "-0.5"],
-         -0.02),
+        # a scan's theta is checked before the p it derives over the grid
+        pytest.param(["conjecture-scan", "acs-growth", "--d", "25,50,100",
+                      "--theta", "-0.5"], "theta must be >= 0, got theta = -0.5",
+                     id="conjecture-scan acs-growth--0.02"),
     ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else repr(v))
-    def test_p_outside_the_unit_interval_is_a_config_error(self, capsys, argv, p):
+    def test_p_outside_the_unit_interval_is_a_config_error(self, capsys, argv,
+                                                           message):
+        if isinstance(message, float):
+            message = f"p must lie in [0, 1], got p = {message!r}"
         assert main(argv + ["--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err) == {
-            "error": "config", "message": f"p must lie in [0, 1], got p = {p!r}"}
+        assert json.loads(captured.err) == {"error": "config", "message": message}
 
     @pytest.mark.parametrize("kind", ["acs-attach", "waiting-time"])
     def test_attachment_oracle_at_p_one_is_a_config_error(self, capsys,
@@ -261,7 +271,7 @@ class TestParseAndValidate:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "config",
-            "message": "the attachment oracle needs p in (0, 1), got p = 1.0"}
+            "message": "p must lie in [0, 1), got p = 1.0"}
 
     @pytest.mark.parametrize("kind", ["first-cycle", "acs-growth"])
     @pytest.mark.parametrize("grid, bad", [("0,50,100", 0), ("1,50,100", 1),
@@ -275,7 +285,7 @@ class TestParseAndValidate:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "config",
-            "message": f"every d of the grid must be >= 2, got d = {bad}"}
+            "message": f"d must be >= 2, got d = {bad}"}
 
     @pytest.mark.parametrize("p", ["0", "1"])
     def test_p_at_the_ends_of_the_unit_interval_runs(self, capsys, p):
@@ -474,6 +484,131 @@ class TestFlagTable:
         parsed = {entry: list(entry_flags(parser).values())
                   for entry, parser in entry_parsers()}
         assert documented == parsed
+
+
+POSITIVE = "must be positive and finite"
+# (argv, flag, a value outside its domain there, the refusal); --seed 1
+# is added unless the flag is the seed
+OUT_OF_DOMAIN = [
+    (["experiment", "acs-attach", "--p", "0.5", "--trials", "1"], "k", "0",
+     "k must be >= 1, got k = 0"),
+    (["experiment", "waiting-time", "--p", "0.5"], "k", "0",
+     "k must be >= 1, got k = 0"),
+    (["experiment", "cycle-dist", "--d", "10", "--theta", "1"], "k", "2",
+     "k must lie in [3, 5], got k = 2"),
+    (["experiment", "cycle-dist", "--d", "10", "--theta", "1"], "k", "6",
+     "k must lie in [3, 5], got k = 6"),
+    (["experiment", "cycle-dist", "--d", "10", "--k", "3"], "p", "1",
+     "theta/d must be < 1, got theta/d = 1.0"),
+    (["integrate", "--d", "3", "--p", "0.5"], "h", "0", f"h {POSITIVE}, got h = 0.0"),
+    (["integrate", "--d", "3", "--p", "0.5"], "h", "-1", f"h {POSITIVE}, got h = -1.0"),
+    (["integrate", "--d", "3", "--p", "0.5"], "h", "nan", f"h {POSITIVE}, got h = nan"),
+    (["integrate", "--d", "3", "--p", "0.5"], "t_max", "inf",
+     f"t_max {POSITIVE}, got t_max = inf"),
+    (["integrate", "--d", "3", "--p", "0.5"], "t_max", "-1",
+     f"t_max {POSITIVE}, got t_max = -1.0"),
+    (["integrate", "--d", "3", "--p", "0.5"], "t_max", "nan",
+     f"t_max {POSITIVE}, got t_max = nan"),
+    (["appendix-demo", "--d", "3", "--p", "0.5"], "h", "0", f"h {POSITIVE}, got h = 0.0"),
+    (["appendix-demo", "--d", "3", "--p", "0.5"], "t_max", "-1",
+     f"t_max {POSITIVE}, got t_max = -1.0"),
+    (["experiment", "acs-growth", "--d", "10", "--p", "0.1"], "k0", "1",
+     "k0 must be >= 2, got k0 = 1"),
+    (["experiment", "acs-growth", "--d", "10", "--p", "0.1"], "k0", "11",
+     "k0 must be <= d = 10, got k0 = 11"),
+    (["conjecture-scan", "acs-growth", "--d", "10,5,20", "--theta", "0.5"], "k0", "6",
+     "k0 must be <= d = 5, got k0 = 6"),
+    (["equilibrium", "--p", "0.5"], "d", "1", "d must be >= 2, got d = 1"),
+    (["experiment", "first-cycle-uniform"], "d", "2", "d must be >= 3, got d = 2"),
+    (["experiment", "first-cycle-uniform", "--d", "3"], "seed", "-1",
+     "seed must be >= 0, got seed = -1"),
+    (["equilibrium", "--d", "5", "--p", "0.5"], "tol", "0",
+     f"tol {POSITIVE}, got tol = 0.0"),
+    (["equilibrium", "--d", "5", "--p", "0.5"], "tol", "-1",
+     f"tol {POSITIVE}, got tol = -1.0"),
+    (["adaptive-run", "--d", "5", "--p", "0.5", "--max-steps", "3"], "tol", "nan",
+     f"tol {POSITIVE}, got tol = nan"),
+]
+
+
+@pytest.fixture
+def no_library(monkeypatch):
+    """Every driver, solve, integration and draw the CLI calls raises."""
+    for name in ("measure_cycle_counts", "first_cycle_time_jk",
+                 "first_cycle_edge_experiment", "acs_attach_experiment",
+                 "acs_growth_time_jk", "waiting_time_experiment",
+                 "oracle_total_growth", "conjecture_scan"):
+        monkeypatch.setattr(experiments, name, _no_trials)
+    monkeypatch.setattr(signed_model, "demonstrate_inconsistency", _no_trials)
+    for name in ("integrate", "equilibrium", "run_adaptive", "sample_er_digraph"):
+        monkeypatch.setattr(cli, name, _no_trials)
+
+
+class TestDomains:
+    # each value as a flag and as a config key; the seed also from $JKNET_SEED
+    @pytest.mark.parametrize("argv, dest, value, message, route", [
+        pytest.param(*case, route, id=f"{' '.join(case[0][:2])} {case[1]}={case[2]} "
+                     f"{route}")
+        for case in OUT_OF_DOMAIN
+        for route in ("flag", "config") + (("env",) if case[1] == "seed" else ())])
+    def test_value_outside_its_domain_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, no_library, argv, dest, value,
+            message, route):
+        if dest != "seed":
+            argv = argv + ["--seed", "1"]
+        if route == "flag":
+            argv = argv + ["--" + dest.replace("_", "-"), value]
+        elif route == "config":
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({dest: value}))
+            argv = argv + ["--config", str(cfg_path)]
+        else:
+            monkeypatch.setenv("JKNET_SEED", value)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "config", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "cycle-dist", "--d", "12", "--theta", "1", "--k", "3"],
+        ["experiment", "cycle-dist", "--d", "12", "--theta", "1", "--k", "5"],
+        ["experiment", "acs-growth", "--d", "4", "--p", "0.3", "--k0", "4"],
+        ["conjecture-scan", "acs-growth", "--d", "4,5,6", "--theta", "1",
+         "--k0", "4"],
+        ["equilibrium", "--d", "2", "--p", "1"],
+        ["experiment", "first-cycle-uniform", "--d", "3"],
+        ["experiment", "waiting-time", "--k", "1", "--p", "0.5"],
+        ["integrate", "--d", "3", "--p", "0.5", "--h", "1e-4", "--t-max", "0.01"],
+        ["appendix-demo", "--d", "3", "--p", "0.5", "--h", "1e-3", "--t-max", "0.01"],
+        ["equilibrium", "--d", "5", "--p", "0.5", "--tol", "1e-13"],
+        ["adaptive-run", "--d", "5", "--p", "0.5", "--max-steps", "2",
+         "--tol", "1e-13"],
+    ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+    def test_values_at_the_edge_of_their_domain_run(self, capsys, argv):
+        assert main(argv + ["--seed", "0", *(["--trials", "2"] if argv[0] in (
+            "experiment", "conjecture-scan", "appendix-demo") else [])]) == 0
+        assert capsys.readouterr().out
+
+    def test_every_numeric_flag_has_a_domain(self):
+        # d is typed str (it takes a comma list) and checked as ints
+        numeric = [f for f in FLAGS if f.type in (int, float) or f.dest == "d"]
+        assert numeric
+        assert [f.dest for f in numeric if f.domain is None] == []
+
+    def test_readme_domains_match_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Accepted values", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(--[a-z0-9-]+)` \| (.+?) \| (.*) \|$", section, re.M)
+        documented = sorted((opt, must, tuple(re.findall(r"`([a-z -]+)`", where)))
+                            for opt, must, where in rows)
+        expected = []
+        for dest in dict.fromkeys(f.dest for f in FLAGS if f.domain):
+            same = sorted((f for f in FLAGS if f.dest == dest),
+                          key=lambda f: -len(f.readers))
+            # the widest row is "every other": only the narrower name theirs
+            expected += [("--" + dest.replace("_", "-"), f.domain.text,
+                          f.readers if i else ()) for i, f in enumerate(same)]
+        assert documented == sorted(expected)
 
 
 class TestSubcommands:

@@ -112,6 +112,14 @@ class TestIntegrate:
                          adaptive=True, tol=1e-10)
         np.testing.assert_allclose(adap.states[-1], fixed.states[-1], atol=1e-6)
 
+    def test_adaptive_run_ends_on_its_rounding_remainder(self, example1):
+        # 5,000 steps of 0.01 leave a ~1.4e-12 remainder to t = 50; the step
+        # size doubled from that last step is no underflow
+        traj = integrate(example1, uniform_state(3), t_end=50.0, h=0.01,
+                         adaptive=True)
+        assert len(traj.times) == 5002
+        assert traj.times[-1] == 50.0
+
     def test_stop_residual_short_circuits(self, example2):
         traj = integrate(example2, uniform_state(3), t_end=500.0,
                          stop_residual=1e-9)
