@@ -214,11 +214,9 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
     trace = AdaptiveTrace(params=params, seed=seed, options=options)
 
     while True:
-        if cycle_kind == "directed":
-            cycle_here = state.directed_cycle
-        else:
-            cycle_here = has_undirected_cycle(state.matrix)
-        if trace.first_cycle_step is None and cycle_here:
+        if trace.first_cycle_step is None and (
+                state.directed_cycle if cycle_kind == "directed"
+                else has_undirected_cycle(state.matrix)):
             trace.first_cycle_step = state.s
         if trace.full_acs_step is None and state.full_acs:
             trace.full_acs_step = state.s

@@ -104,6 +104,8 @@ def _at_least(n: int) -> Domain:
 
 _POSITIVE = Domain(lambda v: 0 < v < math.inf, "be positive and finite")
 _UNIT = Domain(lambda v: 0 <= v <= 1, "lie in [0, 1]")
+# integrate preallocates, and appendix-demo runs, t_max / h RK4 steps
+_STEPS = Domain(lambda v: v <= 10 ** 7, "be <= 10000000")
 
 FLAGS = (
     Flag("config", ENTRY_POINTS, help="JSON config file; flags override it"),
@@ -252,9 +254,21 @@ def parse_and_validate(argv) -> argparse.Namespace:
     for dest, flag in flags.items():
         if cfg[dest] is None:  # a flag beats the file, the file the default
             cfg[dest] = file_cfg.get(dest, flag.default)
+    # a matrix file fixes the graph: a draw's p, theta or seed changes nothing
+    for dest in ("p", "theta", "seed") if cfg.get("matrix") is not None else ():
+        if cfg[dest] is not None:
+            raise CliError(f"{dest} must not be given with --matrix, "
+                           f"got {dest} = {cfg[dest]!r}")
 
     if "d" in flags:
-        cfg["d"], cfg["d_grid"] = _parse_d(cfg["d"])
+        raw = cfg["d"]
+        cfg["d"], cfg["d_grid"] = _parse_d(raw)
+        # the two scans take a grid of distinct d, every other entry point one d
+        if ns.command != "conjecture-scan":
+            if cfg["d_grid"] is not None:
+                raise CliError(f"d must be one value, got d = {raw!r}")
+        elif cfg["d_grid"] is None or len(set(cfg["d_grid"])) < len(cfg["d_grid"]):
+            raise CliError(f"d must be a grid of distinct values, got d = {raw!r}")
         # exactly one of p/theta may be given; the other is derived from d
         p, theta, d = cfg.get("p"), cfg.get("theta"), cfg["d"]
         if p is not None and theta is not None:
@@ -281,6 +295,8 @@ def parse_and_validate(argv) -> argparse.Namespace:
     reads.append(("k0", Domain(lambda v: v <= d_min, f"be <= d = {d_min}"), cfg.get("k0")))
     if entry == "experiment cycle-dist" and theta is not None and d:
         reads.append(("theta/d", Domain(lambda v: v < 1, "be < 1"), theta / d))
+    if "h" in flags and cfg["h"]:  # h = 0 meets its own domain first
+        reads.append(("t_max/h", _STEPS, cfg["t_max"] / cfg["h"]))
     for dest, domain, value in reads:
         if domain is not None and value is not None and not domain.ok(value):
             raise CliError(f"{dest} must {domain.text}, got {dest} = {value!r}")
@@ -363,7 +379,7 @@ def _load_or_sample_matrix(cfg: argparse.Namespace) -> InteractionMatrix:
             return load_interaction_matrix(cfg.matrix, d=cfg.d)
         except OSError as exc:
             raise CliError(f"cannot read matrix file: {exc}")
-    _require(cfg, "d", "p", "seed")
+    _require(cfg, "d", "p")
     return sample_er_digraph(ModelParams(d=cfg.d, p=cfg.p), stream(cfg.seed))
 
 
@@ -396,7 +412,7 @@ def _cmd_integrate(cfg: argparse.Namespace) -> int:
 
 def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
     """Run the adaptive loop."""
-    _require(cfg, "d", "p", "seed", "max_steps")
+    _require(cfg, "d", "p", "max_steps")
     trace = run_adaptive(ModelParams(d=cfg.d, p=cfg.p), seed=cfg.seed,
                          max_steps=cfg.max_steps, cycle_kind=cfg.cycle_kind,
                          x0_mode=cfg.x0_mode, tol=cfg.tol)
@@ -410,11 +426,11 @@ _NO_EDGES = "{} = 0 never draws an edge, so every trial would be censored"
 def _experiment_result(cfg: argparse.Namespace):
     kind = cfg.kind
     if kind == "cycle-dist":
-        _require(cfg, "d", "theta", "k", "seed")
+        _require(cfg, "d", "theta", "k")
         return experiments.measure_cycle_counts(cfg.d, cfg.theta, cfg.k,
                                                 cfg.trials, cfg.seed)
     if kind == "first-cycle":
-        _require(cfg, "d", "p", "seed")
+        _require(cfg, "d", "p")
         if cfg.max_steps is None:
             # the default scales with 1/p, but at p = 0 no edge is ever
             # drawn and no trial can end within any budget
@@ -428,12 +444,12 @@ def _experiment_result(cfg: argparse.Namespace):
                                                cycle_kind=cfg.cycle_kind,
                                                x0_mode=cfg.x0_mode, jobs=cfg.jobs)
     if kind in ("first-cycle-uniform", "first-cycle-permutation"):
-        _require(cfg, "d", "seed")
+        _require(cfg, "d")
         model = kind.rsplit("-", 1)[1]
         return experiments.first_cycle_edge_experiment(model, cfg.d, cfg.trials,
                                                        cfg.seed, jobs=cfg.jobs)
     if kind in ("acs-attach", "waiting-time"):
-        _require(cfg, "k", "p", "seed")
+        _require(cfg, "k", "p")
         if cfg.p == 0:
             raise CliError(_NO_EDGES.format("p"), status=2)
         if kind == "waiting-time":
@@ -441,7 +457,7 @@ def _experiment_result(cfg: argparse.Namespace):
         return experiments.acs_attach_experiment(cfg.k, cfg.p, cfg.trials,
                                                  cfg.seed, jobs=cfg.jobs)
     if kind == "acs-growth":
-        _require(cfg, "d", "p", "seed")
+        _require(cfg, "d", "p")
         if cfg.p == 0:
             raise CliError(_NO_EDGES.format("p"), status=2)
         exact, _ = experiments.oracle_total_growth(cfg.d, cfg.p)
@@ -464,9 +480,7 @@ def _cmd_experiment(cfg: argparse.Namespace) -> int:
 
 def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
     """Waiting-time scan over a d-grid."""
-    _require(cfg, "theta", "seed")
-    if not cfg.d_grid:
-        raise CliError("conjecture-scan needs --d with a comma-separated grid")
+    _require(cfg, "theta")
     if cfg.theta == 0:
         raise CliError(_NO_EDGES.format("theta"), status=2)
     # a cycle scan reads the cycle kind, a growth scan the planted cycle
@@ -490,7 +504,7 @@ def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
 
 def _cmd_appendix_demo(cfg: argparse.Namespace) -> int:
     """Demonstrate signed-model mass loss."""
-    _require(cfg, "d", "p", "seed")
+    _require(cfg, "d", "p")
     report = signed_model.demonstrate_inconsistency(cfg.d, cfg.p, cfg.trials,
                                                     cfg.seed, t_max=cfg.t_max,
                                                     h=cfg.h)

@@ -451,7 +451,6 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
                 block /= top
                 np.matmul(block, block_start, out=block_out)
 
-    y = x0 / x0.sum()
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going until none is stranded in
     # the ambiguous band around the support threshold

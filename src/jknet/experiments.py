@@ -514,6 +514,8 @@ def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
     points = []
     means = []
     ds = sorted(int(d) for d in d_grid)
+    if len(set(ds)) < len(ds):
+        raise ValueError("d_grid must not repeat a value")
     if np.ndim(trials) == 0:
         trial_counts = [int(trials)] * len(ds)
     else:
@@ -537,6 +539,6 @@ def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
                                 std_error=res.std_error, oracle=oracle,
                                 z=res.z_score, censored_count=res.censored_count))
         means.append(res.mean)
-    # a fit needs positive means; fast regimes can reach the event at step 0
-    fit = scaling_fit(ds, means) if all(m > 0 for m in means) else None
+    # a fit needs 3 points and positive means (an event can come at step 0)
+    fit = scaling_fit(ds, means) if len(ds) > 2 and all(m > 0 for m in means) else None
     return ScanResult(kind=kind, points=tuple(points), fit=fit)

@@ -11,6 +11,7 @@ RNG streams, so they are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class InteractionMatrix:
     def as_float(self) -> np.ndarray:
         return self.entries.astype(np.float64)
 
-    @property
+    @cached_property
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges as read-only ``(dst, src)`` index arrays, by dst then src.
 
@@ -80,13 +81,10 @@ class InteractionMatrix:
         list never goes stale. The per-state passes of the adaptive loop
         read it instead of the d x d matrix.
         """
-        arcs = self.__dict__.get("_arcs")
-        if arcs is None:
-            # flatnonzero of a bool view is several times faster than on int8
-            arcs = np.divmod(np.flatnonzero(self.entries.view(np.bool_)), self.d)
-            for half in arcs:
-                half.setflags(write=False)
-            object.__setattr__(self, "_arcs", arcs)
+        # flatnonzero of a bool view is several times faster than on int8
+        arcs = np.divmod(np.flatnonzero(self.entries.view(np.bool_)), self.d)
+        for half in arcs:
+            half.setflags(write=False)
         return arcs
 
     def edge_count(self) -> int:

@@ -43,36 +43,26 @@ DRIFT_MIN = 0.01
 
 @dataclass(frozen=True, eq=False)
 class SignedMatrix:
-    """Real d x d coefficients with an explicit presence mask.
+    """Real d x d coefficients; an absent interaction is an exact zero.
 
-    Present off-diagonal entries lie in [-1, 1], present diagonal entries
-    in [-1, 0]; absent entries are exactly zero.
+    Off-diagonal entries lie in [-1, 1], diagonal entries in [-1, 0].
     """
 
     entries: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        m = np.asarray(self.mask, dtype=bool)
-        if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries and mask must be equal square matrices")
-        if np.abs(a[~m]).max(initial=0.0) != 0.0:
-            raise ValueError("absent entries must be exactly zero")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("entries must be a square matrix")
         off = ~np.eye(a.shape[0], dtype=bool)
-        if np.abs(a[m & off]).max(initial=0.0) > 1.0:
-            raise ValueError("present off-diagonal entries must lie in [-1, 1]")
+        if np.abs(a[off]).max(initial=0.0) > 1.0:
+            raise ValueError("off-diagonal entries must lie in [-1, 1]")
         diag = np.diagonal(a)
-        dmask = np.diagonal(m)
-        if dmask.any() and (diag[dmask].max(initial=-1.0) > 0.0
-                            or diag[dmask].min(initial=0.0) < -1.0):
-            raise ValueError("present diagonal entries must lie in [-1, 0]")
+        if diag.max(initial=0.0) > 0.0 or diag.min(initial=0.0) < -1.0:
+            raise ValueError("diagonal entries must lie in [-1, 0]")
         a = a.copy()
         a.setflags(write=False)
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "mask", m)
 
     @property
     def d(self) -> int:
@@ -84,7 +74,6 @@ class ConstrainedRun:
     """Trajectory of the clamped system with contact bookkeeping."""
 
     times: np.ndarray
-    states: np.ndarray
     mass: np.ndarray
     contact_time: float | None
     contact_state: np.ndarray | None
@@ -120,7 +109,7 @@ def sample_signed(d: int, p: float, rng: np.random.Generator) -> SignedMatrix:
     mask = rng.random((d, d)) < p
     vals = rng.uniform(-1.0, 1.0, (d, d))
     np.fill_diagonal(vals, rng.uniform(-1.0, 0.0, d))
-    return SignedMatrix(entries=np.where(mask, vals, 0.0), mask=mask)
+    return SignedMatrix(entries=np.where(mask, vals, 0.0))
 
 
 def constrained_field(M: SignedMatrix, x) -> np.ndarray:
@@ -147,11 +136,12 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
     the run ends: the trajectory has left the constraint set for good and
     the quadratic field would blow up numerically soon after.
     """
+    if not h > 0:  # every step is then positive, and the loop ends
+        raise ValueError("h must be positive")
     field = partial(constrained_field, M)
     x = np.asarray(x0, dtype=float).copy()
     t = 0.0
     times = [0.0]
-    states = [x.copy()]
     mass = [float(x.sum())]
     contact_time = None
     contact_state = None
@@ -175,8 +165,8 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
             step = 0.5 * (lo + hi)
             x_new = np.clip(_rk4_step(field, x, step), 0.0, None)
             idx = int(np.argmin(x_new))
-            f = M.entries @ x_new - x_new * (M.entries @ x_new).sum()
-            if f[idx] < 0:
+            cx = M.entries @ x_new
+            if cx[idx] - x_new[idx] * cx.sum() < 0:
                 contact_time = t + step
                 contact_state = x_new.copy()
                 contact_index = idx
@@ -184,16 +174,13 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
         x = np.clip(x_new, 0.0, None) if contact_time is not None else x_new
         t += step
         times.append(t)
-        states.append(x.copy())
         mass.append(float(x.sum()))
-        if step <= 0 or abs(mass[-1] - 1.0) >= STOP_DRIFT:
+        if abs(mass[-1] - 1.0) >= STOP_DRIFT:
             break
 
-    return ConstrainedRun(times=np.array(times), states=np.array(states),
-                          mass=np.array(mass), contact_time=contact_time,
-                          contact_state=contact_state,
-                          contact_index=contact_index,
-                          mass_derivative=mass_derivative)
+    return ConstrainedRun(times=np.array(times), mass=np.array(mass),
+                          contact_time=contact_time, contact_state=contact_state,
+                          contact_index=contact_index, mass_derivative=mass_derivative)
 
 
 def demonstrate_inconsistency(d: int, p: float, trials: int, seed: int,

@@ -17,7 +17,7 @@ from jknet import (
 )
 from jknet.adaptation import X0_MODES
 from jknet.dynamics import KIND_ACS, KIND_DEGENERATE, KIND_TERMINAL
-from jknet.graph import resample_vertex, sample_er_digraph
+from jknet.graph import has_undirected_cycle, resample_vertex, sample_er_digraph
 from jknet.rng import stream
 
 
@@ -169,6 +169,24 @@ class TestRunAdaptive:
         trace = run_adaptive(ModelParams(d=12, p=0.25), seed=7, max_steps=100,
                              stop="first_cycle", cycle_kind="undirected")
         assert trace.first_cycle_step is not None
+
+    def test_undirected_cycle_test_stops_at_the_first_cycle(self, monkeypatch):
+        # the test's result is read only until the first cycle is found,
+        # so a run that goes on past it makes no further calls
+        from jknet import adaptation
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return has_undirected_cycle(matrix)
+
+        monkeypatch.setattr(adaptation, "has_undirected_cycle", counted)
+        trace = run_adaptive(ModelParams(d=12, p=0.25), seed=7, max_steps=40,
+                             cycle_kind="undirected")
+        assert trace.steps == 40
+        assert trace.first_cycle_step is not None
+        assert trace.first_cycle_step < 40
+        assert len(calls) == trace.first_cycle_step + 1
 
     def test_lambda_matches_kind(self):
         trace = run_adaptive(ModelParams(d=10, p=0.15), seed=8, max_steps=20)

@@ -528,6 +528,26 @@ OUT_OF_DOMAIN = [
      f"tol {POSITIVE}, got tol = -1.0"),
     (["adaptive-run", "--d", "5", "--p", "0.5", "--max-steps", "3"], "tol", "nan",
      f"tol {POSITIVE}, got tol = nan"),
+    # at most 10^7 RK4 steps of size h up to t_max
+    (["integrate", "--d", "3", "--p", "0.5"], "h", "1e-9",
+     "t_max/h must be <= 10000000, got t_max/h = 499999999999.99994"),
+    (["integrate", "--d", "3", "--p", "0.5"], "h", "1e-300",
+     "t_max/h must be <= 10000000, got t_max/h = 5e+302"),
+    (["integrate", "--d", "3", "--p", "0.5"], "t_max", "1e6",
+     "t_max/h must be <= 10000000, got t_max/h = 100000000.0"),
+    (["appendix-demo", "--d", "4", "--p", "0.5", "--trials", "1"], "h", "1e-7",
+     "t_max/h must be <= 10000000, got t_max/h = 5000000000.0"),
+    # the two scans take a grid of distinct d, every other entry point one d
+    (["equilibrium", "--p", "0.1"], "d", "10,20", "d must be one value, got d = '10,20'"),
+    (["integrate", "--p", "0.1"], "d", "10,20", "d must be one value, got d = '10,20'"),
+    (["experiment", "first-cycle-uniform"], "d", "10,20",
+     "d must be one value, got d = '10,20'"),
+    (["conjecture-scan", "acs-growth", "--theta", "0.5"], "d", "25",
+     "d must be a grid of distinct values, got d = '25'"),
+    (["conjecture-scan", "acs-growth", "--theta", "0.5"], "d", "25,25,50",
+     "d must be a grid of distinct values, got d = '25,25,50'"),
+    (["conjecture-scan", "first-cycle", "--theta", "0.5"], "d", "50,25,50",
+     "d must be a grid of distinct values, got d = '50,25,50'"),
 ]
 
 
@@ -589,6 +609,16 @@ class TestDomains:
             "experiment", "conjecture-scan", "appendix-demo") else [])]) == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_max, ok", [("5e6", True), ("5000000.5", False)])
+    def test_step_bound_is_inclusive(self, t_max, ok):
+        argv = ["integrate", "--d", "3", "--p", "0.5", "--seed", "1",
+                "--h", "0.5", "--t-max", t_max]
+        if ok:
+            assert parse_and_validate(argv).t_max == 5e6
+        else:
+            with pytest.raises(CliError, match="t_max/h must be <= 10000000"):
+                parse_and_validate(argv)
+
     def test_every_numeric_flag_has_a_domain(self):
         # d is typed str (it takes a comma list) and checked as ints
         numeric = [f for f in FLAGS if f.type in (int, float) or f.dest == "d"]
@@ -609,6 +639,43 @@ class TestDomains:
             expected += [("--" + dest.replace("_", "-"), f.domain.text,
                           f.readers if i else ()) for i, f in enumerate(same)]
         assert documented == sorted(expected)
+
+
+# (entry point, flag, value, the refusal) given beside --matrix
+BESIDE_MATRIX = [
+    (entry, dest, value, f"{dest} must not be given with --matrix, got {dest} = {got}")
+    for entry in ("equilibrium", "integrate")
+    for dest, value, got in (("p", "0.9", "0.9"), ("theta", "7", "7.0"),
+                             ("seed", "5", "5"))]
+
+
+class TestMatrixFixesTheGraph:
+    @pytest.mark.parametrize("entry, dest, value, message, route", [
+        pytest.param(*case, route, id=f"{case[0]} {case[1]}={case[2]} {route}")
+        for case in BESIDE_MATRIX for route in ("flag", "config")])
+    def test_draw_flags_beside_a_matrix_are_config_errors(
+            self, tmp_path, capsys, monkeypatch, no_library, ex1_file, entry,
+            dest, value, message, route):
+        monkeypatch.setattr(cli, "load_interaction_matrix", _no_trials)
+        argv = [entry, "--matrix", ex1_file, "--d", "3"]
+        if route == "flag":
+            argv += ["--" + dest, value]
+        else:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({dest: value}))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "config", "message": message}
+
+    def test_seed_from_the_environment_stays_accepted(self, capsys, monkeypatch,
+                                                      ex1_file):
+        assert main(["equilibrium", "--matrix", ex1_file]) == 0
+        without = capsys.readouterr().out
+        monkeypatch.setenv("JKNET_SEED", "5")
+        assert main(["equilibrium", "--matrix", ex1_file]) == 0
+        assert capsys.readouterr().out == without
 
 
 class TestSubcommands:
@@ -695,6 +762,17 @@ class TestSubcommands:
         assert csv_lines[0] == "d,p,theta,mean,std_error,oracle,z"
         fit = json.loads((tmp_path / "scan.fit.json").read_text())
         assert fit["d_grid"] == [8, 12, 16]
+
+    def test_two_point_scan_writes_a_null_fit(self, tmp_path, capsys):
+        out = tmp_path / "scan"
+        assert main(["conjecture-scan", "acs-growth", "--d", "8,12",
+                     "--theta", "1.2", "--trials", "3", "--seed", "5",
+                     "--out", str(out)]) == 0
+        fit = json.loads((tmp_path / "scan.fit.json").read_text())
+        assert fit["d_grid"] == [8, 12]
+        assert all(m > 0 for m in fit["means"])
+        assert (fit["slope"], fit["intercept"], fit["r_squared"]) == (None, None, None)
+        assert capsys.readouterr().err == ""
 
     def test_censored_only_run_exits_2(self, tmp_path):
         out = tmp_path / "cens"

@@ -305,3 +305,19 @@ class TestConjectureScan:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             conjecture_scan("bogus", 0.5, (8, 12, 16), 2, seed=0)
+
+    def test_two_point_grid_has_no_fit(self):
+        scan = conjecture_scan("acs_growth", 1.2, (8, 12), 3, seed=52)
+        assert [pt.d for pt in scan.points] == [8, 12]
+        assert all(pt.mean > 0 for pt in scan.points)
+        assert scan.fit is None
+
+    def test_repeated_d_raises_before_any_trial(self, monkeypatch):
+        from jknet import experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_adaptive", no_run)
+        with pytest.raises(ValueError, match="repeat"):
+            conjecture_scan("acs_growth", 0.5, (25, 25, 50), 2, seed=1)

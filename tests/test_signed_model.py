@@ -15,35 +15,25 @@ from jknet.signed_model import (
 
 def hand_built_witness_matrix():
     """d=2 with a strongly negative pull on component 0 at x = (0, 1)."""
-    entries = np.array([[0.0, -0.8], [0.3, 0.0]])
-    mask = np.array([[False, True], [True, False]])
-    return SignedMatrix(entries=entries, mask=mask)
+    return SignedMatrix(entries=np.array([[0.0, -0.8], [0.3, 0.0]]))
 
 
 class TestSignedMatrix:
     def test_validation_of_ranges(self):
         with pytest.raises(ValueError):
-            SignedMatrix(entries=np.array([[0.0, 1.5], [0.0, 0.0]]),
-                         mask=np.array([[False, True], [False, False]]))
+            SignedMatrix(entries=np.array([[0.0, 1.5], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            SignedMatrix(entries=np.array([[0.5, 0.0], [0.0, 0.0]]),
-                         mask=np.array([[True, False], [False, False]]))
-
-    def test_absent_entries_must_be_zero(self):
-        with pytest.raises(ValueError):
-            SignedMatrix(entries=np.array([[0.0, 0.3], [0.0, 0.0]]),
-                         mask=np.zeros((2, 2), dtype=bool))
+            SignedMatrix(entries=np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 class TestSampleSigned:
     def test_p_zero_empty(self):
         m = sample_signed(5, 0.0, stream(60))
-        assert not m.mask.any()
         assert not m.entries.any()
 
     def test_p_one_all_present_in_range(self):
         m = sample_signed(3, 1.0, stream(61))
-        assert m.mask.all()
+        assert (m.entries != 0).all()
         off = ~np.eye(3, dtype=bool)
         assert np.abs(m.entries[off]).max() <= 1.0
         diag = np.diagonal(m.entries)
@@ -54,7 +44,7 @@ class TestSampleSigned:
         vals = []
         for t in range(200):
             m = sample_signed(50, 0.2, stream(62, t))
-            off = m.mask & ~np.eye(50, dtype=bool)
+            off = (m.entries != 0) & ~np.eye(50, dtype=bool)
             vals.extend(m.entries[off].tolist())
         n = len(vals)
         sigma = 1.0 / np.sqrt(3 * n)
@@ -92,7 +82,7 @@ class TestConstrainedField:
         assert constrained_field(m, x).sum() == pytest.approx(expected, abs=1e-15)
 
     def test_zero_matrix_zero_field(self):
-        m = SignedMatrix(entries=np.zeros((3, 3)), mask=np.zeros((3, 3), bool))
+        m = SignedMatrix(entries=np.zeros((3, 3)))
         assert not constrained_field(m, np.array([0.2, 0.3, 0.5])).any()
 
 
@@ -102,12 +92,16 @@ class TestIntegrateConstrained:
         rng = stream(65)
         entries = rng.uniform(0.05, 0.2, (4, 4))
         np.fill_diagonal(entries, 0.0)
-        mask = np.ones((4, 4), bool)
-        np.fill_diagonal(mask, False)
-        m = SignedMatrix(entries=entries, mask=mask)
+        m = SignedMatrix(entries=entries)
         run = integrate_constrained(m, np.full(4, 0.25), t_max=5.0)
         assert run.contact_time is None
         assert np.abs(run.mass - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, float("nan")])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(ValueError, match="h must be positive"):
+            integrate_constrained(hand_built_witness_matrix(),
+                                  np.array([0.3, 0.7]), h=h)
 
     def test_contact_detected_with_outward_field(self):
         m = hand_built_witness_matrix()
