@@ -104,16 +104,19 @@ def _at_least(n: int) -> Domain:
 
 _POSITIVE = Domain(lambda v: 0 < v < math.inf, "be positive and finite")
 _UNIT = Domain(lambda v: 0 <= v <= 1, "lie in [0, 1]")
+# a flag's value is text, but a config file's path may be any JSON value
+_PATH = Domain(lambda v: isinstance(v, str), "be a string")
 # integrate preallocates, and appendix-demo runs, t_max / h RK4 steps
 _STEPS = Domain(lambda v: v <= 10 ** 7, "be <= 10000000")
 
 FLAGS = (
     Flag("config", ENTRY_POINTS, help="JSON config file; flags override it"),
-    Flag("out", ENTRY_POINTS, help="output path stem"),
+    Flag("out", ENTRY_POINTS, help="output path stem", domain=_PATH),
     Flag("format", tuple(e for e in ENTRY_POINTS if e not in  # those with a CSV
                          ("equilibrium", "adaptive-run", "appendix-demo")),
          choices=("json", "csv"), default="json"),
-    Flag("matrix", ("equilibrium", "integrate"), help="interaction matrix file"),
+    Flag("matrix", ("equilibrium", "integrate"), help="interaction matrix file",
+         domain=_PATH),
     Flag("d", _SAMPLED, type=str, help="vertex count (comma list for scans)",
          domain=_at_least(2)),
     # the edge models' first cycle needs three vertices
@@ -374,7 +377,7 @@ def _require(cfg: argparse.Namespace, *names) -> None:
 
 
 def _load_or_sample_matrix(cfg: argparse.Namespace) -> InteractionMatrix:
-    if cfg.matrix:
+    if cfg.matrix is not None:
         try:
             return load_interaction_matrix(cfg.matrix, d=cfg.d)
         except OSError as exc:

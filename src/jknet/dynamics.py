@@ -61,8 +61,9 @@ class Trajectory:
     """Sampled solution: times, simplex states, residuals ||f(x)||_1.
 
     ``mass_drift_rate`` is the largest pre-renormalisation |sum(x) - 1|
-    per unit time seen along the way, ``min_component`` the most negative
-    pre-clamp component.
+    per unit time seen along the way, ``min_component`` the least
+    pre-clamp component. From ``integrate_projective`` both are the cone
+    state's: its mass change per unit time and its least component.
     """
 
     times: np.ndarray
@@ -121,6 +122,8 @@ def simplex_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError("state must be a vector")
+    if not np.isfinite(x).all():
+        raise ValueError("state has a non-finite component")
     if x.min() < -1e-12:
         raise ValueError(f"negative component {x.min():.3e} below -1e-12")
     if abs(x.sum() - 1.0) > MASS_ATOL:
@@ -171,28 +174,21 @@ def _rk4_step(field, x: np.ndarray, h: float, k1=None) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
-              adaptive: bool = False, tol: float = 1e-9,
-              stop_residual: float | None = None) -> Trajectory:
-    """Integrate the simplex flow with classical RK4.
-
-    Each accepted step is renormalised back onto the simplex; the drift
-    removed that way is tracked and reported per unit time. With
-    ``adaptive=True`` the step size is controlled by step doubling
-    against ``tol``. ``stop_residual`` ends the run early once
-    ||f(x)||_1 falls below it.
-    """
-    a = C.as_float()
-    field = partial(_field, a)
-    x = simplex_vector(x0)
+def _rk4_run(field, x: np.ndarray, t_end: float, h: float, adaptive: bool = False,
+             tol: float = 1e-9, stop_residual: float | None = None) -> Trajectory:
+    """``integrate``'s RK4 run of x' = field(x) from the simplex state x,
+    with ||field(x)||_1 as the residual column."""
     fx = field(x)  # the residual's f(x) is the next step's k1
     max_drift_rate = 0.0
     min_component = float(x.min())
 
     def accept(x_new: np.ndarray, dt: float) -> np.ndarray:
         nonlocal max_drift_rate, min_component
-        drift = abs(x_new.sum() - 1.0)
-        max_drift_rate = max(max_drift_rate, drift / dt)
+        mass = x_new.sum()
+        if not (math.isfinite(mass) and mass > 1e-300):
+            raise NonConvergenceError(f"state mass {mass:.3e} collapsed or "
+                                      f"overflowed in a step of {dt!r}; reduce h")
+        max_drift_rate = max(max_drift_rate, abs(mass - 1.0) / dt)
         mc = float(x_new.min())
         min_component = min(min_component, mc)
         if mc < -1e-9:
@@ -229,7 +225,8 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
             if err < tol / 32.0:
                 h_cur = min(h_step * 2, h)
         if n == len(times):
-            times, states, residuals = (_doubled(b) for b in (times, states, residuals))
+            times, states, residuals = (np.concatenate([b, np.empty_like(b)])
+                                        for b in (times, states, residuals))
         fx = field(x)
         times[n], states[n], residuals[n] = t, x, np.abs(fx).sum()
         n += 1
@@ -241,11 +238,19 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
                       min_component=min_component)
 
 
-def _doubled(buf: np.ndarray) -> np.ndarray:
-    """``buf`` copied into the front of an uninitialised buffer twice as long."""
-    out = np.empty((2 * len(buf),) + buf.shape[1:])
-    out[:len(buf)] = buf
-    return out
+def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
+              adaptive: bool = False, tol: float = 1e-9,
+              stop_residual: float | None = None) -> Trajectory:
+    """Integrate the simplex flow with classical RK4.
+
+    Each accepted step is renormalised back onto the simplex; the drift
+    removed that way is tracked and reported per unit time. With
+    ``adaptive=True`` the step size is controlled by step doubling
+    against ``tol``. ``stop_residual`` ends the run early once
+    ||f(x)||_1 falls below it.
+    """
+    return _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
+                    adaptive, tol, stop_residual)
 
 
 def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
@@ -254,37 +259,20 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
 
     Renormalisation is legitimate because every point of a ray projects
     to the same simplex state, so the recorded states are already the
-    projections y/|y|_1.
+    projections y/|y|_1. It runs on ``integrate``'s time grid for the same
+    ``(t_end, h)``, and its residuals are the simplex flow's ||f(x)||_1.
     """
     a = C.as_float()
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float)
     if y.shape != (C.d,):
         raise ValueError("dimension mismatch")
-    if y.min() < 0 or y.sum() <= 0:
-        raise ValueError("y0 must be non-negative and nonzero")
+    if not np.isfinite(y).all() or y.min() < 0 or y.sum() <= 0:
+        raise ValueError("y0 must be finite, non-negative and nonzero")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    field = partial(np.matmul, a - phi * np.eye(C.d))
-    y = y / y.sum()
-    times = [0.0]
-    states = [y.copy()]
-    residuals = [_residual(a, y)]
-    n_steps = int(np.ceil(t_end / h - 1e-12))
-    for step in range(1, n_steps + 1):
-        y = _rk4_step(field, y, min(h, t_end - (step - 1) * h))
-        mass = y.sum()
-        if not (np.isfinite(mass) and mass > 1e-300):
-            raise NonConvergenceError(
-                f"cone trajectory mass {mass:.3e} collapsed or overflowed "
-                f"at step {step}; reduce h or |phi|")
-        y = np.clip(y, 0.0, None)
-        y /= y.sum()
-        times.append(min(step * h, t_end))
-        states.append(y.copy())
-        residuals.append(_residual(a, y))
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      residuals=np.array(residuals),
-                      mass_drift_rate=0.0, min_component=float(min(s.min() for s in states)))
+    traj = _rk4_run(partial(np.matmul, a - phi * np.eye(C.d)), y / y.sum(), t_end, h)
+    traj.residuals[:] = [_residual(a, x) for x in traj.states]
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -478,7 +478,7 @@ def parse_interaction_matrix(text: str, d: int | None = None) -> InteractionMatr
     Edge list: one ``src dst`` pair per line (0-based); blank lines and
     ``#`` comments are ignored; d defaults to max index + 1. Dense: first
     line is d, then d rows of d space-separated 0/1 entries where row i
-    lists the incoming indicators of vertex i.
+    lists the incoming indicators of vertex i; a given d must match it.
     """
     rows = []
     for line in text.splitlines():
@@ -489,6 +489,8 @@ def parse_interaction_matrix(text: str, d: int | None = None) -> InteractionMatr
         raise ValueError("no data lines found")
     if len(rows[0]) == 1:
         dd = int(rows[0][0])
+        if d is not None and d != dd:
+            raise ValueError(f"dense format: header gives d = {dd}, not d = {d}")
         if len(rows) != dd + 1:
             raise ValueError(f"dense format: expected {dd} rows, got {len(rows) - 1}")
         if any(len(r) != dd for r in rows[1:]):

@@ -366,3 +366,37 @@ def joined_trajectory_csv(times, states, residuals) -> str:
                               + [repr(float(v)) for v in row]
                               + [repr(float(res))]))
     return "\n".join(lines) + "\n"
+
+
+def list_integrate_projective(C, y0, phi: float = -1.0, t_end: float = 50.0,
+                              h: float = 0.01):
+    """The RK4 cone system y' = (C - phi I) y on its own step-count grid.
+
+    ``n = ceil(t_end / h - 1e-12)`` steps of h, the last cut to end at
+    t_end, each renormalised and recorded into lists with the simplex
+    flow's residual. Returns (times, states, residuals).
+    """
+    a = C.as_float()
+    m = a - phi * np.eye(C.d)
+
+    def rk4(y, dt):
+        k1 = m @ y
+        k2 = m @ (y + 0.5 * dt * k1)
+        k3 = m @ (y + 0.5 * dt * k2)
+        k4 = m @ (y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y = np.asarray(y0, dtype=float)
+    y = y / y.sum()
+    times, states, residuals = [0.0], [y.copy()], [_residual(a, y)]
+    for step in range(1, int(np.ceil(t_end / h - 1e-12)) + 1):
+        y = rk4(y, min(h, t_end - (step - 1) * h))
+        mass = y.sum()
+        if not (np.isfinite(mass) and mass > 1e-300):
+            raise NonConvergenceError(f"cone mass {mass:.3e} collapsed or overflowed")
+        y = np.clip(y, 0.0, None)
+        y /= y.sum()
+        times.append(min(step * h, t_end))
+        states.append(y.copy())
+        residuals.append(_residual(a, y))
+    return np.array(times), np.array(states), np.array(residuals)

@@ -641,6 +641,46 @@ class TestDomains:
         assert documented == sorted(expected)
 
 
+def _required_cases():
+    """(entry point, the flags given, the required one left out)."""
+    needs = [
+        (("equilibrium", "integrate", "experiment first-cycle",
+          "experiment acs-growth", "appendix-demo"), ("d", "p")),
+        (("adaptive-run",), ("d", "p", "max_steps")),
+        (("experiment cycle-dist",), ("d", "theta", "k")),
+        (("experiment first-cycle-uniform", "experiment first-cycle-permutation"),
+         ("d",)),
+        (("experiment acs-attach", "experiment waiting-time"), ("k", "p")),
+        (("conjecture-scan first-cycle", "conjecture-scan acs-growth"), ("theta",)),
+    ]
+    cases = []
+    for entries, required in needs:
+        for entry in entries:
+            for missing in required:
+                given = ["--d", "4,5,6"] if entry.startswith("conjecture-scan") else []
+                for dest in required:
+                    if dest != missing:
+                        given += ["--" + dest.replace("_", "-"), FLAG_VALUES[dest]]
+                cases.append((entry, given, missing))
+    return cases
+
+
+REQUIRED = _required_cases()
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("entry, given, missing", REQUIRED,
+                             ids=[f"{e} -{m}" for e, _, m in REQUIRED])
+    def test_a_missing_required_flag_is_a_config_error(self, capsys, no_library,
+                                                       entry, given, missing):
+        assert main(entry.split(" ") + given + ["--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": f"--{missing.replace('_', '-')} is required for this command"}
+
+
 # (entry point, flag, value, the refusal) given beside --matrix
 BESIDE_MATRIX = [
     (entry, dest, value, f"{dest} must not be given with --matrix, got {dest} = {got}")
@@ -668,6 +708,45 @@ class TestMatrixFixesTheGraph:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "config", "message": message}
+
+    @pytest.mark.parametrize("entry, cfg, message", [
+        ("integrate", {"matrix": 0, "d": 4}, "matrix must be a string, got matrix = 0"),
+        ("equilibrium", {"matrix": True}, "matrix must be a string, got matrix = True"),
+        ("equilibrium", {"out": 7}, "out must be a string, got out = 7"),
+    ], ids=["matrix-0", "matrix-true", "out-7"])
+    def test_config_paths_must_be_strings(self, tmp_path, capsys, monkeypatch,
+                                          no_library, entry, cfg, message):
+        monkeypatch.setattr(cli, "load_interaction_matrix", _no_trials)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [entry, "--config", str(cfg_path)]
+        if "matrix" not in cfg:
+            argv += ["--d", "5", "--p", "0.5", "--seed", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "config", "message": message}
+
+    def test_empty_matrix_path_is_read_as_a_path(self, capsys, no_library):
+        assert main(["equilibrium", "--matrix", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": "cannot read matrix file: [Errno 2] No such file or "
+                       "directory: ''"}
+
+    @pytest.mark.parametrize("d", ["2", "7"])
+    def test_d_beside_a_dense_matrix_must_match_its_header(self, tmp_path, capsys,
+                                                           no_library, d):
+        ring3 = tmp_path / "ring3.txt"
+        ring3.write_text("3\n0 1 0\n0 0 1\n1 0 0\n")
+        assert main(["equilibrium", "--matrix", str(ring3), "--d", d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"dense format: header gives d = 3, not d = {d}"}
 
     def test_seed_from_the_environment_stays_accepted(self, capsys, monkeypatch,
                                                       ex1_file):

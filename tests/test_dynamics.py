@@ -35,6 +35,7 @@ from oracles import (
     floyd_warshall_reachability,
     joined_trajectory_csv,
     list_integrate,
+    list_integrate_projective,
     naive_vector_field,
 )
 
@@ -56,6 +57,10 @@ class TestSimplexVector:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             simplex_vector([0.6, 0.6])
+
+    def test_rejects_non_finite_component(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            simplex_vector([np.nan, 0.5, 0.5])
 
     def test_rejects_large_negative(self):
         with pytest.raises(ValueError):
@@ -119,6 +124,10 @@ class TestIntegrate:
                          adaptive=True)
         assert len(traj.times) == 5002
         assert traj.times[-1] == 50.0
+
+    def test_rejects_non_finite_start(self, example2):
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(example2, [np.nan, 0.5, 0.5], t_end=1.0)
 
     def test_stop_residual_short_circuits(self, example2):
         traj = integrate(example2, uniform_state(3), t_end=500.0,
@@ -195,6 +204,38 @@ class TestIntegrateProjective:
         with pytest.raises(ValueError):
             integrate_projective(example2, [-0.1, 0.6, 0.5])
 
+    def test_rejects_non_finite_start(self, example2):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_projective(example2, [np.nan, 0.5, 0.5])
+
+    @pytest.mark.parametrize("t_end, h", [(50.0, 0.01), (10.0, 0.01), (0.3, 0.1),
+                                          (2.0, 0.3), (1.0, 2.0)])
+    def test_shares_the_simplex_flows_time_grid(self, example2, t_end, h):
+        x0 = [0.7, 0.2, 0.1]
+        times = integrate_projective(example2, x0, phi=0.5, t_end=t_end, h=h).times
+        assert _bits(times) == _bits(integrate(example2, x0, t_end=t_end, h=h).times)
+        if (t_end, h) == (50.0, 0.01):
+            assert times.size == 5002
+        if (t_end, h) == (10.0, 0.01):
+            assert times[-1] == 9.999999999999831
+
+    def test_drift_is_the_cones_mass_change_per_unit_time(self):
+        # on the 2-cycle at phi = -1 the cone mass grows by R(2h) per step
+        # from the uniform state, R the RK4 polynomial of exp
+        m = InteractionMatrix.from_edges(2, TWO_CYCLE)
+        traj = integrate_projective(m, [0.5, 0.5], phi=-1.0, t_end=1.0, h=0.01)
+        z = 0.02
+        growth = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        assert traj.mass_drift_rate == pytest.approx((growth - 1) / 0.01, rel=1e-12)
+
+    def test_undershoot_raises(self):
+        # the 0 -> 1 edge's step at h = 10, phi = 0.3 leaves y_1 < 0, while
+        # the 2-cycle's growth keeps the mass positive
+        m = InteractionMatrix.from_edges(4, [(0, 1), (2, 3), (3, 2)])
+        with pytest.raises(FloatingPointError, match="undershoot"):
+            integrate_projective(m, [0.5, 0.0, 0.25, 0.25], phi=0.3, t_end=10.0,
+                                 h=10.0)
+
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_phi(self, example2, phi):
         with pytest.raises(ValueError, match="phi"):
@@ -215,7 +256,46 @@ class TestIntegrateProjective:
                                      t_end=1.0, h=0.5)
 
 
+def _projective_cases(count=12, seed=2025):
+    """Seeded graphs with d from 3 to 8, a start (some with zeros), and
+    each phi of -1, 0, 0.5 with each t_end of 5, 10, 20, 50."""
+    rng = stream(seed)
+    cases = []
+    for i, m in enumerate(random_matrices(count, seed=seed)):
+        y0 = interior_state(m.d, rng)
+        if i % 4 == 1:
+            y0[: m.d // 2] = 0.0
+        phi, t_end = (-1.0, 0.0, 0.5)[i % 3], (5.0, 10.0, 20.0, 50.0)[i % 4]
+        cases.append(pytest.param(m, y0, phi, t_end,
+                                  id=f"d{m.d}-phi{phi}-t{t_end:g}"))
+    return cases
+
+
+class TestIntegrateProjectiveMatchesListOracle:
+    """The cone run on integrate's driver against its own list loop, which
+    counts ceil(t_end / h) steps and cuts the last one to end at t_end."""
+
+    @pytest.mark.parametrize("m, y0, phi, t_end", _projective_cases())
+    def test_bit_equal_rows_and_close_final_state(self, m, y0, phi, t_end):
+        times, states, residuals = list_integrate_projective(m, y0, phi=phi,
+                                                             t_end=t_end)
+        traj = integrate_projective(m, y0, phi=phi, t_end=t_end)
+        # the grids differ only in their last step: a rounding remainder
+        # here, a step cut to end at t_end there
+        shared = min(times.size, traj.times.size) - 1
+        assert shared >= 499
+        assert _bits(traj.states[:shared]) == _bits(states[:shared])
+        assert _bits(traj.residuals[:shared]) == _bits(residuals[:shared])
+        np.testing.assert_allclose(traj.states[-1], states[-1], rtol=0, atol=1e-12)
+
+
 class TestEquilibrium:
+    @pytest.mark.parametrize("m", [InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]),
+                                   InteractionMatrix.zero(3)], ids=["edges", "zero"])
+    def test_rejects_non_finite_start(self, m):
+        with pytest.raises(ValueError, match="non-finite"):
+            equilibrium(m, x0=[np.nan, 0.5, 0.5])
+
     def test_example1(self, example1):
         eq = equilibrium(example1)
         np.testing.assert_allclose(eq.x_star, [0.5, 0.5, 0.0], atol=1e-9)

@@ -535,6 +535,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=message):
             parse_interaction_matrix(text)
 
+    def test_dense_header_must_match_a_given_d(self):
+        ring3 = "3\n0 1 0\n0 0 1\n1 0 0\n"
+        assert parse_interaction_matrix(ring3, d=3).d == 3
+        for d in (2, 7):
+            with pytest.raises(ValueError, match=f"header gives d = 3, not d = {d}"):
+                parse_interaction_matrix(ring3, d=d)
+
     def test_edge_list_loader_transposes(self):
         m = parse_interaction_matrix("0 1\n")
         assert m.entries[1, 0] == 1
