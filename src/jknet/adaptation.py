@@ -133,7 +133,7 @@ def _carry_state(prev: np.ndarray, j: int) -> np.ndarray:
 
 
 def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
-            tol: float = TOL, x0_mode: str = "uniform"):
+            x0_mode: str = "uniform"):
     """One adaptive update; returns (next state, record of this state).
 
     ``x0_mode`` picks the initial condition the new equilibrium is read
@@ -148,7 +148,7 @@ def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
     chosen = int(jset[rng.integers(jset.size)])
     new_matrix = resample_vertex(state.matrix, chosen, p, rng)
     x0 = _carry_state(x, chosen) if x0_mode == "carry" else None
-    new_eq = equilibrium(new_matrix, x0=x0, tol=tol)
+    new_eq = equilibrium(new_matrix, x0=x0)
     record = _record_state(state, chosen, jset)
     return AdaptiveState(state.s + 1, new_matrix, new_eq), record
 
@@ -178,8 +178,8 @@ def plant_directed_cycle(C: InteractionMatrix, length: int = 2) -> InteractionMa
 
 def run_adaptive(params: ModelParams, seed: int, max_steps: int,
                  stop: str = "none", cycle_kind: str = "directed",
-                 x0_mode: str = "uniform", plant_cycle: int | None = None,
-                 tol: float = TOL) -> AdaptiveTrace:
+                 x0_mode: str = "uniform",
+                 plant_cycle: int | None = None) -> AdaptiveTrace:
     """Run the adaptive loop from a freshly sampled graph.
 
     Stops at ``max_steps`` updates or as soon as the stop condition holds:
@@ -206,10 +206,10 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
     matrix = sample_er_digraph(params, rng)
     if plant_cycle is not None:
         matrix = plant_directed_cycle(matrix, plant_cycle)
-    state = AdaptiveState(0, matrix, equilibrium(matrix, tol=tol))
+    state = AdaptiveState(0, matrix, equilibrium(matrix))
 
     options = {"max_steps": max_steps, "stop": stop, "cycle_kind": cycle_kind,
-               "x0_mode": x0_mode, "plant_cycle": plant_cycle, "tol": tol,
+               "x0_mode": x0_mode, "plant_cycle": plant_cycle, "tol": TOL,
                "zero_tol": ZERO_TOL, "rel_tol": REL_TOL}
     trace = AdaptiveTrace(params=params, seed=seed, options=options)
 
@@ -231,7 +231,7 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
             trace.records.append(_record_state(state, None, jset))
             break
 
-        new_state, record = jk_step(state, params.p, rng, tol=tol, x0_mode=x0_mode)
+        new_state, record = jk_step(state, params.p, rng, x0_mode=x0_mode)
         trace.records.append(record)
 
         if state.x_star.zero_set.size > 0:

@@ -38,7 +38,7 @@ from .dynamics import (
     uniform_state,
     write_trajectory_csv,
 )
-from .graph import (TOL, InteractionMatrix, ModelParams, load_interaction_matrix,
+from .graph import (InteractionMatrix, ModelParams, load_interaction_matrix,
                     sample_er_digraph)
 from .rng import stream
 
@@ -133,8 +133,6 @@ FLAGS = (
     Flag("trials", tuple(e for e in ENTRY_POINTS if e not in
                          ("equilibrium", "integrate", "adaptive-run")),
          type=int, default=100, domain=_at_least(1)),
-    Flag("tol", ("equilibrium", "adaptive-run"), type=float, default=TOL,
-         domain=_POSITIVE),
     Flag("h", ("integrate", "appendix-demo"), type=float, default=0.01,
          help="integrator step size", domain=_POSITIVE),
     Flag("t_max", ("integrate", "appendix-demo"), type=float, default=500.0,
@@ -298,6 +296,8 @@ def parse_and_validate(argv) -> argparse.Namespace:
     reads.append(("k0", Domain(lambda v: v <= d_min, f"be <= d = {d_min}"), cfg.get("k0")))
     if entry == "experiment cycle-dist" and theta is not None and d:
         reads.append(("theta/d", Domain(lambda v: v < 1, "be < 1"), theta / d))
+    # "" would name no file: the outputs would go to stdout, and no sidecar
+    reads.append(("out", Domain(bool, "not be empty"), cfg.get("out")))
     if "h" in flags and cfg["h"]:  # h = 0 meets its own domain first
         reads.append(("t_max/h", _STEPS, cfg["t_max"] / cfg["h"]))
     for dest, domain, value in reads:
@@ -361,7 +361,7 @@ def _emit(cfg: argparse.Namespace, outputs: dict) -> None:
     With --out every entry goes to ``<out><suffix>``. Otherwise stdout
     gets the ``.csv`` output under --format csv, otherwise the first entry.
     """
-    if cfg.out:
+    if cfg.out is not None:
         for suffix, output in outputs.items():
             _write(cfg.out + suffix, output)
     elif getattr(cfg, "format", "json") == "csv":
@@ -393,7 +393,7 @@ def _load_or_sample_matrix(cfg: argparse.Namespace) -> InteractionMatrix:
 def _cmd_equilibrium(cfg: argparse.Namespace) -> int:
     """Solve one graph's equilibrium."""
     matrix = _load_or_sample_matrix(cfg)
-    eq = equilibrium(matrix, analytic=(cfg.x0_mode == "analytic"), tol=cfg.tol)
+    eq = equilibrium(matrix, analytic=(cfg.x0_mode == "analytic"))
     _emit(cfg, {".json": _json_text(equilibrium_to_json_dict(eq))})
     return 0
 
@@ -418,12 +418,19 @@ def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
     _require(cfg, "d", "p", "max_steps")
     trace = run_adaptive(ModelParams(d=cfg.d, p=cfg.p), seed=cfg.seed,
                          max_steps=cfg.max_steps, cycle_kind=cfg.cycle_kind,
-                         x0_mode=cfg.x0_mode, tol=cfg.tol)
+                         x0_mode=cfg.x0_mode)
     _emit(cfg, {".jsonl": trace_to_json_lines(trace)})
     return 0
 
 
-_NO_EDGES = "{} = 0 never draws an edge, so every trial would be censored"
+def _refuse_no_edges(name: str, value: float, d: int = 1, hint: str = "") -> None:
+    """Exit 2, as an all-censored run would, on a p = value / d below 2**-53:
+    ``rng.random()`` steps by 2**-53, so it draws no edge at such a p."""
+    if value / d < 2.0 ** -53:
+        bound = "2**-53" if d == 1 else f"{d} * 2**-53"
+        got = "0" if value == 0 else f"{value!r} < {bound}"
+        raise CliError(f"{name} = {got} never draws an edge, so every trial "
+                       f"would be censored{hint}", status=2)
 
 
 def _experiment_result(cfg: argparse.Namespace):
@@ -435,11 +442,9 @@ def _experiment_result(cfg: argparse.Namespace):
     if kind == "first-cycle":
         _require(cfg, "d", "p")
         if cfg.max_steps is None:
-            # the default scales with 1/p, but at p = 0 no edge is ever
-            # drawn and no trial can end within any budget
-            if cfg.p == 0:
-                raise CliError(_NO_EDGES.format("p") + "; give --max-steps to "
-                               "run it anyway", status=2)
+            # the default scales with 1/p, but where no edge is drawn at p
+            # no trial can end within any budget
+            _refuse_no_edges("p", cfg.p, hint="; give --max-steps to run it anyway")
             # written back, so that the config block records the budget that ran
             cfg.max_steps = int(20 * cfg.d / cfg.p)
         return experiments.first_cycle_time_jk(cfg.d, cfg.p, cfg.trials,
@@ -453,16 +458,14 @@ def _experiment_result(cfg: argparse.Namespace):
                                                        cfg.seed, jobs=cfg.jobs)
     if kind in ("acs-attach", "waiting-time"):
         _require(cfg, "k", "p")
-        if cfg.p == 0:
-            raise CliError(_NO_EDGES.format("p"), status=2)
+        _refuse_no_edges("p", cfg.p)
         if kind == "waiting-time":
             return experiments.waiting_time_experiment(cfg.k, cfg.p, cfg.trials, cfg.seed)
         return experiments.acs_attach_experiment(cfg.k, cfg.p, cfg.trials,
                                                  cfg.seed, jobs=cfg.jobs)
     if kind == "acs-growth":
         _require(cfg, "d", "p")
-        if cfg.p == 0:
-            raise CliError(_NO_EDGES.format("p"), status=2)
+        _refuse_no_edges("p", cfg.p)
         exact, _ = experiments.oracle_total_growth(cfg.d, cfg.p)
         cfg.max_steps = cfg.max_steps or int(10 * max(exact, 50.0))
         return experiments.acs_growth_time_jk(cfg.d, cfg.p, cfg.trials,
@@ -484,8 +487,7 @@ def _cmd_experiment(cfg: argparse.Namespace) -> int:
 def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
     """Waiting-time scan over a d-grid."""
     _require(cfg, "theta")
-    if cfg.theta == 0:
-        raise CliError(_NO_EDGES.format("theta"), status=2)
+    _refuse_no_edges("theta", cfg.theta, max(cfg.d_grid))
     # a cycle scan reads the cycle kind, a growth scan the planted cycle
     knob = ({"cycle_kind": cfg.cycle_kind} if cfg.kind == "first-cycle"
             else {"k0": cfg.k0})
@@ -536,7 +538,7 @@ _DISPATCH = {
 def dispatch(cfg: argparse.Namespace, argv=()) -> int:
     start = time.perf_counter()
     status = _DISPATCH[cfg.command](cfg)
-    if cfg.out:
+    if cfg.out is not None:
         _write_meta(cfg.out, argv, time.perf_counter() - start)
     return status
 

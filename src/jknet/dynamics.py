@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .graph import (
+    RESIDUAL_FLOOR,
     TOL,
     InteractionMatrix,
     NonConvergenceError,
@@ -52,7 +53,6 @@ KIND_DEGENERATE = "degenerate_no_edges"
 
 ZERO_TOL = 1e-9  # a concentration at or below it is outside the support
 MAX_DOUBLINGS = 70  # squarings of I + C before the flow-limit solve gives up
-RESIDUAL_FLOOR = 1e-9  # an equilibrium's residual passes below it whatever tol is
 MASS_ATOL = 1e-9  # how far a state's mass may stray from 1 to be renormalised
 
 
@@ -378,15 +378,14 @@ def _block_stacks(C: InteractionMatrix, groups: list) -> tuple[list, np.ndarray]
     return blocks, pos
 
 
-def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
-                        tol: float) -> np.ndarray:
+def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
     leading invariant subspace as the exponential, so normalised powers
     applied to x0 converge to the flow's limit even when the leading
     eigenvalue is defective (where the decay is only ~t^-1 in real time
-    but halves per squaring here). After the residual tolerance is met,
+    but halves per squaring here). After the residual ``TOL`` is met,
     extra squarings run until no component is stranded near the support
     threshold, so the zero set is classified cleanly.
 
@@ -448,17 +447,16 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
         square()
         y = slots[pos]
         y = y / y.sum()
-        if _arc_residual(C, y) <= tol:
+        if _arc_residual(C, y) <= TOL:
             in_band = bool(((y > band_lo) & (y < band_hi)).any())
             if not in_band or polish_left == 0:
                 return y
             polish_left -= 1
     raise NonConvergenceError(
-        f"projective iteration residual {_arc_residual(C, y):.3e} > tol={tol}")
+        f"projective iteration residual {_arc_residual(C, y):.3e} > {TOL}")
 
 
-def _flow_limit(C: InteractionMatrix, start: np.ndarray,
-                tol: float) -> np.ndarray:
+def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) start, solved where the flow can go.
 
     The flow never leaves the vertices reachable from supp(start), so a
@@ -475,7 +473,7 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray,
         sub = InteractionMatrix(C.entries[np.ix_(live, live)])
     x = np.zeros(C.d)
     if has_directed_cycle(sub):
-        x[live] = _dominant_direction(sub, start[live], tol)
+        x[live] = _dominant_direction(sub, start[live])
     else:
         x[live] = _nilpotent_limit(sub, start[live])
     return x
@@ -494,8 +492,8 @@ def _classify(lam: float, x: np.ndarray, has_edges: bool):
     return support, zero_set, kind
 
 
-def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
-                tol: float = TOL) -> EquilibriumResult:
+def equilibrium(C: InteractionMatrix, x0=None,
+                analytic: bool = False) -> EquilibriumResult:
     """Equilibrium of the simplex flow for the given graph.
 
     Default mode returns the limit of the flow started at ``x0``
@@ -510,7 +508,7 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
     non_unique = False
 
     if analytic:
-        basis = equilibrium_set_basis(C, tol=tol)
+        basis = equilibrium_set_basis(C)
         x = np.mean(basis.vectors, axis=0)
         if basis.kind == KIND_ACS:
             # the other bases are unit vectors, whose mean is exactly 1/n
@@ -522,14 +520,15 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
         non_unique = x0 is None
     else:
         start = uniform_state(C.d) if x0 is None else simplex_vector(x0)
-        x = _flow_limit(C, start, tol)
+        x = _flow_limit(C, start)
 
     # the analytic residual stays dense: recorded outputs hold its bits,
     # which a sum in another order would move
     cx = C.as_float() @ x if analytic else _arc_product(C, x)
     residual = float(np.abs(cx - cx.sum() * x).sum())
-    if residual > max(tol, RESIDUAL_FLOOR):
-        raise NonConvergenceError(f"equilibrium residual {residual:.3e} > {tol}")
+    if residual > RESIDUAL_FLOOR:
+        raise NonConvergenceError(
+            f"equilibrium residual {residual:.3e} > {RESIDUAL_FLOOR}")
     lam = float(cx.sum())
     support, zero_set, kind = _classify(lam, x, has_edges)
     return EquilibriumResult(x_star=x, residual=residual, support=support,
@@ -537,7 +536,7 @@ def equilibrium(C: InteractionMatrix, x0=None, analytic: bool = False,
                              lam=lam)
 
 
-def equilibrium_set_basis(C: InteractionMatrix, tol: float = TOL) -> EquilibriumSetBasis:
+def equilibrium_set_basis(C: InteractionMatrix) -> EquilibriumSetBasis:
     """Generators of the attracting equilibrium set X_*.
 
     Cyclic graph: the non-negative unit-1-norm basis of the leading
@@ -545,14 +544,14 @@ def equilibrium_set_basis(C: InteractionMatrix, tol: float = TOL) -> Equilibrium
     vertices with maximal input count p(j). Zero matrix: all unit
     vectors (the whole simplex is stationary). Every convex combination
     of the returned vectors is itself an equilibrium; spot combinations
-    are verified against ``tol`` before returning.
+    are verified against ``RESIDUAL_FLOOR`` before returning.
     """
     if C.edge_count() == 0:  # no check to run: C x = 0 for every x
         return EquilibriumSetBasis(kind=KIND_DEGENERATE,
                                    vectors=tuple(np.eye(C.d)), non_unique=True)
     a = C.as_float()
     if has_directed_cycle(C):
-        sd = spectral_radius_pf(C, tol=tol)
+        sd = spectral_radius_pf(C)
         vectors = sd.pf_basis
         kind = KIND_ACS
     else:
@@ -568,7 +567,7 @@ def equilibrium_set_basis(C: InteractionMatrix, tol: float = TOL) -> Equilibrium
     checks /= checks.sum(axis=1, keepdims=True)
     cx = checks @ a.T
     if (np.abs(cx - cx.sum(axis=1, keepdims=True) * checks).sum(axis=1)
-            > max(tol, RESIDUAL_FLOOR)).any():
+            > RESIDUAL_FLOOR).any():
         raise NonConvergenceError(
             "combination of basis vectors fails the equilibrium check")
     return EquilibriumSetBasis(kind=kind, vectors=vectors,

@@ -34,7 +34,9 @@ __all__ = [
     "dump_edge_list",
 ]
 
-TOL = 1e-10  # the residual tolerance every solver's ``tol`` defaults to
+TOL = 1e-10  # the residual every solver stops at
+RESIDUAL_FLOOR = 1e-9  # the largest residual an equilibrium check passes
+PF_ATOL = 1e-8  # radii this close tie; a basis vector's residual must stay below it
 PF_MAX_ITER = 100_000  # power iterations before a Perron vector solve gives up
 
 
@@ -145,8 +147,8 @@ class SpectralData:
     """Spectral radius and a non-negative basis of its eigenspace.
 
     ``lam`` is the spectral radius rho(C). Each basis vector v is
-    non-negative, has unit 1-norm and satisfies C v = lam v to within the
-    requested tolerance. For an acyclic graph lam = 0 and the basis is
+    non-negative, has unit 1-norm and satisfies C v = lam v to within
+    ``PF_ATOL``. For an acyclic graph lam = 0 and the basis is
     empty. ``multiplicity`` equals the number of basis vectors (the
     geometric multiplicity of lam).
     """
@@ -371,12 +373,13 @@ def path_counts(C: InteractionMatrix) -> np.ndarray:
 # Spectral analysis
 # ---------------------------------------------------------------------------
 
-def _pf_vector_irreducible(block: np.ndarray, tol: float):
+def _pf_vector_irreducible(block: np.ndarray):
     """Perron vector and radius of an irreducible non-negative block.
 
     Power iteration on block + I; the unit diagonal shift makes the
     iteration matrix primitive, so a bare power method cannot cycle even
-    for periodic blocks.
+    for periodic blocks. The stop is relative, ``TOL * max(1, lam)``, but
+    never above the absolute ``RESIDUAL_FLOOR`` the equilibrium checks use.
     """
     n = block.shape[0]
     shifted = block + np.eye(n)
@@ -386,10 +389,10 @@ def _pf_vector_irreducible(block: np.ndarray, tol: float):
         v = w / w.sum()
         bv = block @ v
         lam = bv.sum()
-        if np.abs(bv - lam * v).sum() <= tol * max(1.0, lam):
+        if np.abs(bv - lam * v).sum() <= min(TOL * max(1.0, lam), RESIDUAL_FLOOR):
             return lam, v
     raise NonConvergenceError(
-        f"Perron iteration did not reach tol={tol} in {PF_MAX_ITER} iterations")
+        f"Perron iteration did not converge in {PF_MAX_ITER} iterations")
 
 
 def _reachable_from(C: InteractionMatrix, sources) -> np.ndarray:
@@ -410,7 +413,7 @@ def _reachable_from(C: InteractionMatrix, sources) -> np.ndarray:
     return seen
 
 
-def spectral_radius_pf(C: InteractionMatrix, tol: float = TOL) -> SpectralData:
+def spectral_radius_pf(C: InteractionMatrix) -> SpectralData:
     """Spectral radius of C and a non-negative basis of its eigenspace.
 
     The matrix is reducible in general, so the eigenspace is assembled
@@ -428,17 +431,11 @@ def spectral_radius_pf(C: InteractionMatrix, tol: float = TOL) -> SpectralData:
         return SpectralData(lam=0.0, pf_basis=(), multiplicity=0)
 
     a = C.as_float()
-    radii = []
-    vectors = []
-    for comp in nontrivial:
-        block = a[np.ix_(comp, comp)]
-        lam_b, v_b = _pf_vector_irreducible(block, tol)
-        radii.append(lam_b)
-        vectors.append(v_b)
+    radii, vectors = zip(*(_pf_vector_irreducible(a[np.ix_(comp, comp)])
+                           for comp in nontrivial))
 
     rho = max(radii)
-    rho_atol = max(1e-8, 10 * tol)
-    basic = [i for i, lam_b in enumerate(radii) if lam_b >= rho - rho_atol]
+    basic = [i for i, lam_b in enumerate(radii) if lam_b >= rho - PF_ATOL]
 
     # final basic classes: reach no vertex of another basic class
     basis = []
@@ -459,7 +456,7 @@ def spectral_radius_pf(C: InteractionMatrix, tol: float = TOL) -> SpectralData:
             v[downstream] = np.clip(sol, 0.0, None)
         v /= v.sum()
         resid = np.abs(a @ v - rho * v).sum()
-        if resid > max(100 * tol, 1e-8):
+        if resid > PF_ATOL:
             raise NonConvergenceError(
                 f"eigenvector residual {resid:.3e} exceeds tolerance")
         basis.append(v)

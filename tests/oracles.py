@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from jknet.dynamics import _field, _residual, simplex_vector
-from jknet.graph import NonConvergenceError
+from jknet.graph import PF_MAX_ITER, TOL, NonConvergenceError
 
 
 def floyd_warshall_reachability(entries: np.ndarray) -> np.ndarray:
@@ -198,6 +198,23 @@ def dense_block_stacks(a: np.ndarray, groups) -> list:
     one[:d, :d] = a
     one.flat[:d * (d + 2):d + 2] = 1.0
     return [one[idx[:, :, None], idx[:, None, :]] for idx in groups]
+
+
+def relative_pf_vector(block: np.ndarray):
+    """Perron vector and radius by power iteration on block + I, stopped
+    at the purely relative residual TOL * max(1, lam): the stop the
+    library used before it capped the residual at an absolute 1e-9."""
+    n = block.shape[0]
+    shifted = block + np.eye(n)
+    v = np.full(n, 1.0 / n)
+    for _ in range(PF_MAX_ITER):
+        w = shifted @ v
+        v = w / w.sum()
+        bv = block @ v
+        lam = bv.sum()
+        if np.abs(bv - lam * v).sum() <= TOL * max(1.0, lam):
+            return lam, v
+    raise NonConvergenceError("Perron iteration did not converge")
 
 
 def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,

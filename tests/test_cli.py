@@ -220,6 +220,13 @@ class TestParseAndValidate:
         ["conjecture-scan", "first-cycle", "--d", "10,12,14", "--theta", "0"],
         ["experiment", "acs-attach", "--k", "3", "--p", "0"],
         ["experiment", "waiting-time", "--k", "3", "--p", "0"],
+        # rng.random() steps by 2**-53: below it no edge is drawn at p
+        ["experiment", "first-cycle", "--d", "10", "--p", "1e-300"],
+        ["experiment", "acs-attach", "--k", "3", "--p", "1e-300"],
+        ["conjecture-scan", "first-cycle", "--d", "10,20,30", "--theta", "1e-300"],
+        ["experiment", "acs-growth", "--d", "10", "--p", "1e-300"],
+        ["conjecture-scan", "acs-growth", "--d", "10,20,30", "--theta", "1e-300"],
+        ["experiment", "waiting-time", "--k", "3", "--p", "1e-300"],
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
     def test_no_edges_is_a_config_error_that_exits_2(self, capsys, monkeypatch,
                                                       argv):
@@ -233,6 +240,29 @@ class TestParseAndValidate:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "config" and "never draws an edge" in err["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["experiment", "acs-growth", "--d", "10", "--p", "1e-300"],
+         "p = 1e-300 < 2**-53"),
+        # a scan's smallest p is theta over its largest d
+        (["conjecture-scan", "first-cycle", "--d", "10,20,30", "--theta", "3e-15"],
+         "theta = 3e-15 < 30 * 2**-53"),
+    ], ids=["p", "theta"])
+    def test_p_below_the_sampler_step_names_the_bound(self, capsys, no_library,
+                                                      argv, message):
+        assert main(argv + ["--trials", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": f"{message} never draws an edge, so every trial would "
+                       "be censored"}
+
+    def test_p_at_the_sampler_step_still_runs(self, capsys):
+        p = 2.0 ** -53
+        assert main(["experiment", "waiting-time", "--k", "3", "--p", repr(p),
+                     "--trials", "1", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["p"] == p
 
     @pytest.mark.parametrize("argv, message", [
         (["experiment", "acs-growth", "--d", "10", "--p", "-0.5"], -0.5),
@@ -317,6 +347,10 @@ class TestParseAndValidate:
           "--seed", "1"], {"phi": 9}),
         (["experiment", "first-cycle", "--d", "10", "--p", "0.1",
           "--seed", "1"], {"kind": "acs-growth"}),
+        # every solve stops at graph.TOL
+        (["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1"], {"tol": 1e-10}),
+        (["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+          "--max-steps", "5"], {"tol": 1e-10}),
     ])
     def test_keys_of_no_flag_are_config_errors(self, tmp_path, capsys, argv,
                                                file_cfg):
@@ -335,6 +369,49 @@ class TestParseAndValidate:
                      "--config", str(cfg_path)]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "config", "message": "config file must hold a JSON object"}
+
+    def test_empty_d_grid_is_a_config_error(self, capsys, no_library):
+        assert main(["conjecture-scan", "first-cycle", "--d", ",", "--theta", "0.5",
+                     "--seed", "1", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "config",
+                                            "message": "empty d grid"}
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys,
+                                                      no_library):
+        missing = tmp_path / "missing.json"
+        assert main(["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1",
+                     "--config", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": "cannot read config file: [Errno 2] No such file or "
+                       f"directory: {str(missing)!r}"}
+
+    def test_config_file_that_is_not_json_is_a_config_error(self, tmp_path, capsys,
+                                                            no_library):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{")
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads("{")
+        assert main(["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1",
+                     "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config",
+            "message": f"config file is not valid JSON: {exc.value}"}
+
+    def test_seed_env_that_is_no_integer_is_a_config_error(self, capsys,
+                                                           monkeypatch, no_library):
+        monkeypatch.setenv("JKNET_SEED", "1.5")
+        assert main(["equilibrium", "--d", "5", "--p", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config", "message": "$JKNET_SEED is not an integer"}
 
     def test_d_grid_parsing(self):
         cfg = parse_and_validate(["conjecture-scan", "acs-growth",
@@ -368,7 +445,7 @@ def entry_flags(parser) -> dict:
 ALL_FLAGS = {dest: opt for _, parser in entry_parsers()
              for dest, opt in entry_flags(parser).items()}
 FLAG_VALUES = {"format": "json", "matrix": "m.edges", "d": "6", "p": "0.3",
-               "theta": "1.8", "seed": "1", "trials": "2", "tol": "1e-10", "h": "0.05",
+               "theta": "1.8", "seed": "1", "trials": "2", "h": "0.05",
                "t_max": "0.5", "max_steps": "3", "k": "3", "k0": "2",
                "cycle_kind": "directed", "x0_mode": "uniform", "jobs": "1"}
 
@@ -460,6 +537,10 @@ class TestFlagTable:
          "--jobs", "2"],
         ["experiment", "first-cycle-uniform", "--d", "10", "--seed", "1",
          "--p", "0.7"],
+        # every solve stops at graph.TOL
+        ["equilibrium", "--d", "5", "--p", "0.2", "--seed", "1", "--tol", "1e-11"],
+        ["adaptive-run", "--d", "10", "--p", "0.1", "--seed", "1",
+         "--max-steps", "5", "--tol", "1e-11"],
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
     def test_flags_that_did_nothing_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -522,12 +603,11 @@ OUT_OF_DOMAIN = [
     (["experiment", "first-cycle-uniform"], "d", "2", "d must be >= 3, got d = 2"),
     (["experiment", "first-cycle-uniform", "--d", "3"], "seed", "-1",
      "seed must be >= 0, got seed = -1"),
-    (["equilibrium", "--d", "5", "--p", "0.5"], "tol", "0",
-     f"tol {POSITIVE}, got tol = 0.0"),
-    (["equilibrium", "--d", "5", "--p", "0.5"], "tol", "-1",
-     f"tol {POSITIVE}, got tol = -1.0"),
-    (["adaptive-run", "--d", "5", "--p", "0.5", "--max-steps", "3"], "tol", "nan",
-     f"tol {POSITIVE}, got tol = nan"),
+    # "" names no file: the outputs would go to stdout, with no sidecar
+    (["equilibrium", "--d", "5", "--p", "0.5"], "out", "",
+     "out must not be empty, got out = ''"),
+    (["experiment", "waiting-time", "--k", "3", "--p", "0.5"], "out", "",
+     "out must not be empty, got out = ''"),
     # at most 10^7 RK4 steps of size h up to t_max
     (["integrate", "--d", "3", "--p", "0.5"], "h", "1e-9",
      "t_max/h must be <= 10000000, got t_max/h = 499999999999.99994"),
@@ -600,9 +680,6 @@ class TestDomains:
         ["experiment", "waiting-time", "--k", "1", "--p", "0.5"],
         ["integrate", "--d", "3", "--p", "0.5", "--h", "1e-4", "--t-max", "0.01"],
         ["appendix-demo", "--d", "3", "--p", "0.5", "--h", "1e-3", "--t-max", "0.01"],
-        ["equilibrium", "--d", "5", "--p", "0.5", "--tol", "1e-13"],
-        ["adaptive-run", "--d", "5", "--p", "0.5", "--max-steps", "2",
-         "--tol", "1e-13"],
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
     def test_values_at_the_edge_of_their_domain_run(self, capsys, argv):
         assert main(argv + ["--seed", "0", *(["--trials", "2"] if argv[0] in (

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from jknet import (
     uniform_state,
     vector_field,
 )
-from jknet import dynamics
+from jknet import dynamics, graph
 from jknet.adaptation import plant_directed_cycle, run_adaptive
 from jknet.dynamics import Trajectory, equilibrium_to_json_dict, trajectory_to_csv
 from jknet.rng import stream
@@ -37,6 +38,7 @@ from oracles import (
     list_integrate,
     list_integrate_projective,
     naive_vector_field,
+    relative_pf_vector,
 )
 
 TWO_CYCLE = [(0, 1), (1, 0)]
@@ -416,7 +418,7 @@ class TestEquilibrium:
     def test_non_convergence_raises(self, example4, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_DOUBLINGS", 2)
         with pytest.raises(NonConvergenceError):
-            equilibrium(example4, tol=1e-14)
+            equilibrium(example4)
 
     def test_start_that_reaches_no_cycle(self):
         # the 2-cycle grows fastest, but the start never reaches it: the
@@ -506,8 +508,9 @@ class TestBlockSolver:
                 for s in range(3)]
         monkeypatch.setattr(
             dynamics, "_dominant_direction",
-            lambda C, x0, tol: dense_dominant_direction(
-                C.as_float(), x0, tol, dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS))
+            lambda C, x0: dense_dominant_direction(
+                C.as_float(), x0, dynamics.TOL, dynamics.ZERO_TOL,
+                dynamics.MAX_DOUBLINGS))
         for s, trace in enumerate(fast):
             dense = run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
             assert ([r.chosen for r in trace.records]
@@ -629,10 +632,6 @@ class TestBlockSolver:
         assert len(dynamics._block_layout(m)) == 1
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason=(
-    "known defect: _pf_vector_irreducible stops at tol*max(1, lambda), but "
-    "equilibrium(analytic=True) checks the absolute max(tol, 1e-9), so a "
-    "graph with lambda ~ 10 fails at residual 1.0e-9"))
 def test_analytic_equilibrium_with_large_lambda():
     rng = stream(10271)
     d = int(rng.integers(3, 40))
@@ -642,6 +641,42 @@ def test_analytic_equilibrium_with_large_lambda():
     assert equilibrium(m).residual < 1e-12
     eq = equilibrium(m, analytic=True)
     assert eq.residual <= 1e-9
+
+
+def _large_lambda_corpus():
+    """400 seeded ER graphs, 17 of them with lambda from 11.4 to 22.5,
+    and two dense ones with lambda in the hundreds."""
+    rng = stream(4242)
+    for _ in range(400):
+        d = int(rng.integers(3, 60))
+        p = float(rng.uniform(0.02, 0.4))
+        yield sample_er_digraph(ModelParams(d=d, p=p), rng)
+    rng = stream(5)
+    for d in (800, 1500):
+        yield sample_er_digraph(ModelParams(d=d, p=0.5), rng)
+
+
+def test_analytic_equilibrium_matches_the_relative_stop(monkeypatch):
+    # the Perron stop min(TOL * max(1, lam), RESIDUAL_FLOOR) against the
+    # relative TOL * max(1, lam) it replaced: the same bytes wherever the
+    # old stop passed the equilibrium check, and a solve wherever it failed
+    mended = []
+    for m in _large_lambda_corpus():
+        eq = equilibrium(m, analytic=True)
+        new = json.dumps(equilibrium_to_json_dict(eq))
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "_pf_vector_irreducible", relative_pf_vector)
+            try:
+                old = json.dumps(equilibrium_to_json_dict(
+                    equilibrium(m, analytic=True)))
+            except NonConvergenceError:
+                assert eq.residual <= 1e-9
+                mended.append((m.d, eq.lam))
+                continue
+        assert new == old
+    assert len(mended) == 19
+    assert [d for d, _ in mended[-2:]] == [800, 1500]
+    assert min(lam for _, lam in mended) > 10
 
 
 class TestEquilibriumSetBasis:

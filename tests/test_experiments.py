@@ -321,3 +321,17 @@ class TestConjectureScan:
         monkeypatch.setattr(experiments, "run_adaptive", no_run)
         with pytest.raises(ValueError, match="repeat"):
             conjecture_scan("acs_growth", 0.5, (25, 25, 50), 2, seed=1)
+
+    @pytest.mark.parametrize("kind", ["first_cycle", "acs_growth"])
+    def test_trial_counts_must_match_the_grid(self, monkeypatch, kind):
+        from jknet import experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        for name in ("run_adaptive", "first_cycle_time_jk", "acs_growth_time_jk",
+                     "oracle_total_growth"):
+            monkeypatch.setattr(experiments, name, no_run)
+        with pytest.raises(ValueError) as exc:
+            conjecture_scan(kind, 0.5, (25, 50, 100), (4, 2), seed=1)
+        assert str(exc.value) == "need one trial count per grid point"

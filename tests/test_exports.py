@@ -7,6 +7,7 @@ fail first.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,17 @@ def test_every_name_the_workloads_read_resolves():
         for part in parts:
             assert hasattr(obj, part), (home, parts)
             obj = getattr(obj, part)
+
+
+def test_no_solver_takes_a_tolerance():
+    # every solve stops at graph.TOL; integrate's step-doubling tol is the
+    # one error bound a caller sets
+    takes = []
+    for module in ("adaptation", "dynamics", "graph"):
+        mod = importlib.import_module(f"jknet.{module}")
+        takes += [f"{module}.{name}" for name in mod.__all__
+                  if inspect.isfunction(getattr(mod, name))
+                  and "tol" in inspect.signature(getattr(mod, name)).parameters]
+    assert takes == ["dynamics.integrate"]
+    flags = importlib.import_module("jknet.cli").FLAGS
+    assert "tol" not in {flag.dest for flag in flags}
