@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 STOP_MODES = ("none", "first_cycle", "full_acs")
+CYCLE_KINDS = ("directed", "undirected")
 X0_MODES = ("uniform", "carry")
 REL_TOL = 1e-9  # within REL_TOL * max(1, min) of the minimum ties for it
 
@@ -195,8 +196,8 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
     """
     if stop not in STOP_MODES:
         raise ValueError(f"stop must be one of {STOP_MODES}")
-    if cycle_kind not in ("directed", "undirected"):
-        raise ValueError("cycle_kind must be 'directed' or 'undirected'")
+    if cycle_kind not in CYCLE_KINDS:
+        raise ValueError(f"cycle_kind must be one of {CYCLE_KINDS}")
     if x0_mode not in X0_MODES:
         raise ValueError(f"x0_mode must be one of {X0_MODES}")
     if max_steps < 1:

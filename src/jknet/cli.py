@@ -11,8 +11,9 @@ stochastic entry point, so runs are reproducible by default.
 Primary outputs are byte-deterministic for a given config and seed;
 wall-clock and host metadata go to a separate ``<out>.meta.json`` sidecar.
 Exit codes: 0 success, 1 error (machine-readable JSON on stderr), 2 for
-an experiment whose trials were all censored or for a flag that argparse
-rejects (a usage message on stderr).
+an experiment whose trials were all censored, for a run refused because
+its trials could not end in time (JSON on stderr), or for a flag that
+argparse rejects (a usage message on stderr).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import BLAS_THREAD_VARS, experiments, signed_model
-from .adaptation import X0_MODES, run_adaptive, trace_to_json_lines
+from .adaptation import CYCLE_KINDS, X0_MODES, run_adaptive, trace_to_json_lines
 from .dynamics import (
     equilibrium,
     equilibrium_to_json_dict,
@@ -76,7 +77,8 @@ class Domain(NamedTuple):
 
 class Flag(NamedTuple):
     """A flag, and the entry points whose code reads it: only they take it,
-    on the command line or in a config file."""
+    on the command line or in a config file. Those in ``required`` cannot
+    run without its value, unless a --matrix file gives the graph."""
 
     dest: str
     readers: tuple
@@ -85,6 +87,7 @@ class Flag(NamedTuple):
     default: object = None
     help: str | None = None
     domain: Domain | None = None
+    required: tuple = ()
 
 
 _FIRST_CYCLE = ("experiment first-cycle", "conjecture-scan first-cycle")
@@ -96,6 +99,8 @@ _RUN_ADAPTIVE = ("adaptive-run", "experiment first-cycle", "experiment acs-growt
 # the entry points that draw graphs of d vertices at p = theta / d
 _SAMPLED = ("equilibrium", "integrate", "adaptive-run", "experiment cycle-dist",
             *_FIRST_CYCLE, *_ACS_GROWTH, "appendix-demo")
+# those that read one d: a scan's grid is demanded by the rule on its form
+_ONE_D = tuple(e for e in _SAMPLED if not e.startswith("conjecture-scan"))
 
 
 def _at_least(n: int) -> Domain:
@@ -118,16 +123,19 @@ FLAGS = (
     Flag("matrix", ("equilibrium", "integrate"), help="interaction matrix file",
          domain=_PATH),
     Flag("d", _SAMPLED, type=str, help="vertex count (comma list for scans)",
-         domain=_at_least(2)),
+         domain=_at_least(2), required=_ONE_D),
     # the edge models' first cycle needs three vertices
-    Flag("d", _EDGE_EXPERIMENTS, type=str, help="vertex count", domain=_at_least(3)),
-    # a scan keeps theta fixed over its d grid
-    Flag("p", tuple(e for e in _SAMPLED if not e.startswith("conjecture-scan")),
-         type=float, help="edge probability", domain=_UNIT),
+    Flag("d", _EDGE_EXPERIMENTS, type=str, help="vertex count", domain=_at_least(3),
+         required=_EDGE_EXPERIMENTS),
+    # a scan keeps theta fixed over its d grid; cycle counts need theta
+    Flag("p", _ONE_D, type=float, help="edge probability", domain=_UNIT,
+         required=tuple(e for e in _ONE_D if e != "experiment cycle-dist")),
     # the attachment oracle 1/r(k, p) needs p < 1
     Flag("p", _ATTACH, type=float, help="edge probability",
-         domain=Domain(lambda v: 0 <= v < 1, "lie in [0, 1)")),
-    Flag("theta", _SAMPLED, type=float, help="mean degree p*d", domain=_at_least(0)),
+         domain=Domain(lambda v: 0 <= v < 1, "lie in [0, 1)"), required=_ATTACH),
+    Flag("theta", _SAMPLED, type=float, help="mean degree p*d", domain=_at_least(0),
+         required=("experiment cycle-dist", "conjecture-scan first-cycle",
+                   "conjecture-scan acs-growth")),
     Flag("seed", ENTRY_POINTS, type=int, help=f"RNG seed (or ${SEED_ENV})",
          domain=_at_least(0)),
     Flag("trials", tuple(e for e in ENTRY_POINTS if e not in
@@ -137,15 +145,18 @@ FLAGS = (
          help="integrator step size", domain=_POSITIVE),
     Flag("t_max", ("integrate", "appendix-demo"), type=float, default=500.0,
          domain=_POSITIVE),
-    Flag("max_steps", _RUN_ADAPTIVE, type=int, domain=_at_least(1)),
+    Flag("max_steps", _RUN_ADAPTIVE, type=int, domain=_at_least(1),
+         required=("adaptive-run",)),
     Flag("k", ("experiment cycle-dist",), type=int, help="cycle length",
          domain=Domain(lambda v: 3 <= v <= experiments.MAX_CYCLE_LENGTH,
-                       f"lie in [3, {experiments.MAX_CYCLE_LENGTH}]")),
-    Flag("k", _ATTACH, type=int, help="set size", domain=_at_least(1)),
+                       f"lie in [3, {experiments.MAX_CYCLE_LENGTH}]"),
+         required=("experiment cycle-dist",)),
+    Flag("k", _ATTACH, type=int, help="set size", domain=_at_least(1),
+         required=_ATTACH),
     Flag("k0", _ACS_GROWTH, type=int, default=2, help="planted cycle length",
          domain=_at_least(2)),
     Flag("cycle_kind", ("adaptive-run",) + _FIRST_CYCLE,
-         choices=("directed", "undirected"), default="directed"),
+         choices=CYCLE_KINDS, default="directed"),
     # the adaptive loop reads each equilibrium from a flow start, so only
     # the start modes of run_adaptive apply there
     Flag("x0_mode", ("equilibrium",), choices=("uniform", "analytic"),
@@ -305,6 +316,9 @@ def parse_and_validate(argv) -> argparse.Namespace:
             raise CliError(f"{dest} must {domain.text}, got {dest} = {value!r}")
     if ns.seed is None and cfg.get("matrix") is None:
         raise CliError(f"a seed is required (--seed, config, or ${SEED_ENV})")
+    for dest, flag in flags.items() if cfg.get("matrix") is None else ():
+        if entry in flag.required and cfg[dest] is None:
+            raise CliError(f"--{dest.replace('_', '-')} is required for this command")
     return ns
 
 
@@ -370,19 +384,12 @@ def _emit(cfg: argparse.Namespace, outputs: dict) -> None:
         _put(sys.stdout, next(iter(outputs.values())))
 
 
-def _require(cfg: argparse.Namespace, *names) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise CliError(f"--{name.replace('_', '-')} is required for this command")
-
-
 def _load_or_sample_matrix(cfg: argparse.Namespace) -> InteractionMatrix:
     if cfg.matrix is not None:
         try:
             return load_interaction_matrix(cfg.matrix, d=cfg.d)
         except OSError as exc:
             raise CliError(f"cannot read matrix file: {exc}")
-    _require(cfg, "d", "p")
     return sample_er_digraph(ModelParams(d=cfg.d, p=cfg.p), stream(cfg.seed))
 
 
@@ -415,7 +422,6 @@ def _cmd_integrate(cfg: argparse.Namespace) -> int:
 
 def _cmd_adaptive_run(cfg: argparse.Namespace) -> int:
     """Run the adaptive loop."""
-    _require(cfg, "d", "p", "max_steps")
     trace = run_adaptive(ModelParams(d=cfg.d, p=cfg.p), seed=cfg.seed,
                          max_steps=cfg.max_steps, cycle_kind=cfg.cycle_kind,
                          x0_mode=cfg.x0_mode)
@@ -433,41 +439,49 @@ def _refuse_no_edges(name: str, value: float, d: int = 1, hint: str = "") -> Non
                        f"would be censored{hint}", status=2)
 
 
+_RUN_ANYWAY = "; give --max-steps to run it anyway"
+
+
+def _bounded_budget(budget: int, hint: str = "") -> int:
+    """A default step budget; exit 2 above ``experiments.MAX_DEFAULT_BUDGET``,
+    where a run could take years."""
+    if budget > experiments.MAX_DEFAULT_BUDGET:
+        raise CliError(f"the default budget of {budget} steps exceeds the bound "
+                       f"of {experiments.MAX_DEFAULT_BUDGET} steps{hint}", status=2)
+    return budget
+
+
 def _experiment_result(cfg: argparse.Namespace):
     kind = cfg.kind
     if kind == "cycle-dist":
-        _require(cfg, "d", "theta", "k")
         return experiments.measure_cycle_counts(cfg.d, cfg.theta, cfg.k,
                                                 cfg.trials, cfg.seed)
     if kind == "first-cycle":
-        _require(cfg, "d", "p")
         if cfg.max_steps is None:
             # the default scales with 1/p, but where no edge is drawn at p
             # no trial can end within any budget
-            _refuse_no_edges("p", cfg.p, hint="; give --max-steps to run it anyway")
+            _refuse_no_edges("p", cfg.p, hint=_RUN_ANYWAY)
             # written back, so that the config block records the budget that ran
-            cfg.max_steps = int(20 * cfg.d / cfg.p)
+            cfg.max_steps = _bounded_budget(int(20 * cfg.d / cfg.p), _RUN_ANYWAY)
         return experiments.first_cycle_time_jk(cfg.d, cfg.p, cfg.trials,
                                                cfg.max_steps, cfg.seed,
                                                cycle_kind=cfg.cycle_kind,
                                                x0_mode=cfg.x0_mode, jobs=cfg.jobs)
     if kind in ("first-cycle-uniform", "first-cycle-permutation"):
-        _require(cfg, "d")
         model = kind.rsplit("-", 1)[1]
         return experiments.first_cycle_edge_experiment(model, cfg.d, cfg.trials,
                                                        cfg.seed, jobs=cfg.jobs)
     if kind in ("acs-attach", "waiting-time"):
-        _require(cfg, "k", "p")
         _refuse_no_edges("p", cfg.p)
         if kind == "waiting-time":
             return experiments.waiting_time_experiment(cfg.k, cfg.p, cfg.trials, cfg.seed)
         return experiments.acs_attach_experiment(cfg.k, cfg.p, cfg.trials,
                                                  cfg.seed, jobs=cfg.jobs)
     if kind == "acs-growth":
-        _require(cfg, "d", "p")
         _refuse_no_edges("p", cfg.p)
-        exact, _ = experiments.oracle_total_growth(cfg.d, cfg.p)
-        cfg.max_steps = cfg.max_steps or int(10 * max(exact, 50.0))
+        if cfg.max_steps is None:
+            exact, _ = experiments.oracle_total_growth(cfg.d, cfg.p)
+            cfg.max_steps = _bounded_budget(int(10 * max(exact, 50.0)), _RUN_ANYWAY)
         return experiments.acs_growth_time_jk(cfg.d, cfg.p, cfg.trials,
                                               cfg.seed, cfg.max_steps,
                                               k0=cfg.k0, x0_mode=cfg.x0_mode,
@@ -486,14 +500,15 @@ def _cmd_experiment(cfg: argparse.Namespace) -> int:
 
 def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
     """Waiting-time scan over a d-grid."""
-    _require(cfg, "theta")
     _refuse_no_edges("theta", cfg.theta, max(cfg.d_grid))
+    kind = cfg.kind.replace("-", "_")
+    _bounded_budget(max(experiments.scan_budget(kind, cfg.theta, d)
+                        for d in cfg.d_grid))
     # a cycle scan reads the cycle kind, a growth scan the planted cycle
-    knob = ({"cycle_kind": cfg.cycle_kind} if cfg.kind == "first-cycle"
+    knob = ({"cycle_kind": cfg.cycle_kind} if kind == "first_cycle"
             else {"k0": cfg.k0})
-    scan = experiments.conjecture_scan(cfg.kind.replace("-", "_"), cfg.theta,
-                                       cfg.d_grid, cfg.trials, cfg.seed,
-                                       jobs=cfg.jobs, **knob)
+    scan = experiments.conjecture_scan(kind, cfg.theta, cfg.d_grid, cfg.trials,
+                                       cfg.seed, jobs=cfg.jobs, **knob)
     fit = {
         "kind": scan.kind,
         "slope": None if scan.fit is None else scan.fit.slope,
@@ -509,7 +524,6 @@ def _cmd_conjecture_scan(cfg: argparse.Namespace) -> int:
 
 def _cmd_appendix_demo(cfg: argparse.Namespace) -> int:
     """Demonstrate signed-model mass loss."""
-    _require(cfg, "d", "p")
     report = signed_model.demonstrate_inconsistency(cfg.d, cfg.p, cfg.trials,
                                                     cfg.seed, t_max=cfg.t_max,
                                                     h=cfg.h)

@@ -178,6 +178,10 @@ def _rk4_run(field, x: np.ndarray, t_end: float, h: float, adaptive: bool = Fals
              tol: float = 1e-9, stop_residual: float | None = None) -> Trajectory:
     """``integrate``'s RK4 run of x' = field(x) from the simplex state x,
     with ||field(x)||_1 as the residual column."""
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h!r}")
     fx = field(x)  # the residual's f(x) is the next step's k1
     max_drift_rate = 0.0
     min_component = float(x.min())
@@ -198,8 +202,6 @@ def _rk4_run(field, x: np.ndarray, t_end: float, h: float, adaptive: bool = Fals
 
     t = 0.0
     h_cur = min(h, t_end) if t_end > 0 else h
-    if h_cur <= 0:
-        raise ValueError("step size underflow")
     # fixed steps fill ceil(t_end / h) + 2 rows (the last step may be a
     # rounding remainder); the buffers double if a run needs more, as an
     # adaptive one can
@@ -500,7 +502,8 @@ def equilibrium(C: InteractionMatrix, x0=None,
     (uniform when omitted), computed through the linear cone system.
     ``analytic=True`` instead answers from the structure alone: the
     equal-weight combination of ``equilibrium_set_basis``, flagged
-    ``non_unique`` when that set has more than one generator.
+    ``non_unique`` when that set has more than one generator. It reads
+    no start, so an ``x0`` beside it is refused.
     For the zero matrix every state is stationary and x0 itself is
     returned with kind ``degenerate_no_edges``.
     """
@@ -508,6 +511,9 @@ def equilibrium(C: InteractionMatrix, x0=None,
     non_unique = False
 
     if analytic:
+        if x0 is not None:
+            raise ValueError("analytic=True answers from the graph alone: "
+                             "give no x0, or drop analytic for the flow limit")
         basis = equilibrium_set_basis(C)
         x = np.mean(basis.vectors, axis=0)
         if basis.kind == KIND_ACS:
@@ -515,12 +521,12 @@ def equilibrium(C: InteractionMatrix, x0=None,
             # on n vertices; rescaling it would round for n = 6, 7, 14, ...
             x /= x.sum()
         non_unique = basis.non_unique
-    elif not has_edges:
-        x = uniform_state(C.d) if x0 is None else simplex_vector(x0)
-        non_unique = x0 is None
     else:
-        start = uniform_state(C.d) if x0 is None else simplex_vector(x0)
-        x = _flow_limit(C, start)
+        x = uniform_state(C.d) if x0 is None else simplex_vector(x0)
+        if has_edges:
+            x = _flow_limit(C, x)
+        else:
+            non_unique = x0 is None
 
     # the analytic residual stays dense: recorded outputs hold its bits,
     # which a sum in another order would move

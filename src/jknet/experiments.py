@@ -4,9 +4,10 @@ Covers the cycle-count distribution of sparse random graphs, the three
 first-cycle processes (uniform multigraph, permutation, and the adaptive
 update itself), attachment and growth waiting times for autocatalytic
 sets, and log-log scaling fits over vertex-count grids. Every driver
-derives one RNG stream per trial from (seed, trial index), so results are
-reproducible and independent of execution order; censored trials are
-counted separately and never silently averaged in.
+but the vectorised ``waiting_time_experiment`` runs its trials through
+``_run_trials``, one RNG stream per trial from (seed, trial index), so
+results are reproducible and independent of execution order; censored
+trials are counted separately and never silently averaged in.
 """
 from __future__ import annotations
 
@@ -48,6 +49,9 @@ __all__ = [
 MAX_CYCLE_LENGTH = 5
 SCAN_BUDGET_FACTOR = 8.0
 ATTACH_MAX_STEPS = 10_000_000  # redraws before an acs-attach trial is censored
+# the largest step budget a default may set: beyond it a trial could run
+# for years, so the default is refused (an explicit budget is not bounded)
+MAX_DEFAULT_BUDGET = 10 ** 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +120,20 @@ class ExperimentResult:
         for i, (v, c) in enumerate(zip(self.per_trial, self.censored)):
             lines.append(f"{i},{float(v)!r},{int(c)}")
         return "\n".join(lines) + "\n"
+
+
+def _run_trials(task, trials: int, jobs: int = 1,
+                oracle_value=None) -> ExperimentResult:
+    """Aggregate the ``(value, censored)`` pairs ``task(t)`` returns for
+    t < trials, in ``jobs`` processes; trial t reads only its own stream."""
+    if jobs <= 1:
+        pairs = [task(t) for t in range(trials)]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunk = max(1, trials // (4 * jobs))
+            pairs = list(pool.map(task, range(trials), chunksize=chunk))
+    return ExperimentResult.from_measurements([v for v, _ in pairs], [c for _, c in pairs],
+                                              oracle_value=oracle_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,18 +269,19 @@ def count_cycles_of_length(adj: list, k: int) -> int:
     return count
 
 
+def _cycle_count_trial(d: int, p: float, k: int, seed: int, t: int):
+    adj = sample_er_undirected(d, p, stream(seed, t))
+    return float(count_cycles_of_length(adj, k)), False
+
+
 def measure_cycle_counts(d: int, theta: float, k: int, trials: int,
                          seed: int) -> ExperimentResult:
     """Count length-k cycles in sampled ER(d, theta/d) graphs."""
     p = theta / d
     if not 0 <= p < 1:
         raise ValueError("theta/d must lie in [0, 1)")
-    values = np.empty(trials)
-    for t in range(trials):
-        adj = sample_er_undirected(d, p, stream(seed, t))
-        values[t] = count_cycles_of_length(adj, k)
-    return ExperimentResult.from_measurements(
-        values, oracle_value=oracle_cycle_mean(theta, k))
+    return _run_trials(partial(_cycle_count_trial, d, p, k, seed), trials,
+                       oracle_value=oracle_cycle_mean(theta, k))
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +320,19 @@ def first_cycle_uniform_model(d: int, rng: np.random.Generator) -> int:
     Each step draws an ordered pair (i, j) uniformly from {0..d-1}^2 and
     adds the edge; a self-loop (i = j) and a repeated pair both count as
     multigraph cycles and stop the process immediately, as does any edge
-    joining two already-connected vertices. The count includes the
+    joining two already-connected vertices. A repeated pair is one of
+    those: it was joined when first drawn. The count includes the
     closing edge.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
     uf = UnionFind(d)
-    seen = set()
     edges = 0
     while True:
         i = int(rng.integers(d))
         j = int(rng.integers(d))
         edges += 1
-        if i == j:
-            return edges
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            return edges
-        seen.add(key)
-        if not uf.union(i, j):
+        if i == j or not uf.union(i, j):
             return edges
 
 
@@ -359,8 +372,8 @@ _EDGE_MODELS = {
 }
 
 
-def _edge_model_trial(model: str, d: int, seed: int, t: int) -> float:
-    return float(_EDGE_MODELS[model](d, stream(seed, t)))
+def _edge_model_trial(model: str, d: int, seed: int, t: int):
+    return float(_EDGE_MODELS[model](d, stream(seed, t))), False
 
 
 def first_cycle_edge_experiment(model: str, d: int, trials: int, seed: int,
@@ -368,21 +381,12 @@ def first_cycle_edge_experiment(model: str, d: int, trials: int, seed: int,
     """Repeat an edge-process first-cycle model; measurement = edge count."""
     if model not in _EDGE_MODELS:
         raise ValueError(f"model must be one of {sorted(_EDGE_MODELS)}")
-    task = partial(_edge_model_trial, model, d, seed)
-    values = _map_trials(task, trials, jobs)
-    return ExperimentResult.from_measurements(values)
+    return _run_trials(partial(_edge_model_trial, model, d, seed), trials, jobs)
 
 
 # ---------------------------------------------------------------------------
 # Adaptive-update waiting times
 # ---------------------------------------------------------------------------
-
-def _map_trials(task, trials: int, jobs: int) -> list:
-    if jobs <= 1:
-        return [task(t) for t in range(trials)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, range(trials), chunksize=max(1, trials // (4 * jobs))))
-
 
 def _checked(trace):
     if trace.invariant_violations:
@@ -398,14 +402,6 @@ def _adaptive_trial(d, p, max_steps, stop, run_kw, seed, t):
                                   max_steps=max_steps, stop=stop, **run_kw))
     s = getattr(trace, f"{stop}_step")
     return (float(max_steps), True) if s is None else (float(s), False)
-
-
-def _from_trial_pairs(pairs, oracle_value=None) -> ExperimentResult:
-    """Aggregate the (value, censored) pairs that censored trials return."""
-    values = [v for v, _ in pairs]
-    censored = [c for _, c in pairs]
-    return ExperimentResult.from_measurements(values, censored,
-                                              oracle_value=oracle_value)
 
 
 def _trial_seed(seed: int, t: int) -> int:
@@ -424,7 +420,7 @@ def first_cycle_time_jk(d: int, p: float, trials: int, max_steps: int,
     """
     task = partial(_adaptive_trial, d, p, max_steps, "first_cycle",
                    {"cycle_kind": cycle_kind, "x0_mode": x0_mode}, seed)
-    return _from_trial_pairs(_map_trials(task, trials, jobs))
+    return _run_trials(task, trials, jobs)
 
 
 def acs_growth_time_jk(d: int, p: float, trials: int, seed: int,
@@ -440,7 +436,7 @@ def acs_growth_time_jk(d: int, p: float, trials: int, seed: int,
     task = partial(_adaptive_trial, d, p, max_steps, "full_acs",
                    {"x0_mode": x0_mode, "plant_cycle": k0}, seed)
     exact, _ = oracle_total_growth(d, p)
-    return _from_trial_pairs(_map_trials(task, trials, jobs), oracle_value=exact)
+    return _run_trials(task, trials, jobs, oracle_value=exact)
 
 
 def _acs_attach_trial(k, p, seed, t):
@@ -460,9 +456,8 @@ def acs_attach_experiment(k: int, p: float, trials: int, seed: int,
     the k potential in-edges Bernoulli(p), succeeding with probability
     r(k, p); the waiting time is geometric with mean 1/r.
     """
-    task = partial(_acs_attach_trial, k, p, seed)
-    return _from_trial_pairs(_map_trials(task, trials, jobs),
-                             oracle_value=oracle_mean_waiting(k, p))
+    return _run_trials(partial(_acs_attach_trial, k, p, seed), trials, jobs,
+                       oracle_value=oracle_mean_waiting(k, p))
 
 
 def waiting_time_experiment(k: int, p: float, trials: int, seed: int) -> ExperimentResult:
@@ -497,6 +492,16 @@ def scaling_fit(xs, ys) -> ScalingFit:
                       intercept=float(intercept), r_squared=r2)
 
 
+def scan_budget(kind: str, theta: float, d: int) -> int:
+    """Steps a scan trial at (theta, d) runs before it is censored:
+    ``SCAN_BUDGET_FACTOR`` times the heuristic, d^2/(3 theta) for cycles
+    and the summed attachment times for growth, and at least 50."""
+    if kind == "first_cycle":
+        return int(SCAN_BUDGET_FACTOR * max(d * d / (3.0 * theta), 50.0))
+    exact, _ = oracle_total_growth(d, theta / d)
+    return int(SCAN_BUDGET_FACTOR * max(exact, 50.0))
+
+
 def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
                     k0: int = 2, cycle_kind: str = "directed",
                     jobs: int = 1) -> ScanResult:
@@ -504,8 +509,8 @@ def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
 
     kind "first_cycle" measures steps to the first cycle from scratch;
     kind "acs_growth" measures steps until the planted seed set spans the
-    graph. The budget per trial is ``SCAN_BUDGET_FACTOR`` times the
-    heuristic: d^2/(3 theta) for cycles, summed attachment times for growth.
+    graph. The budget per trial is ``scan_budget``'s; a grid where it
+    exceeds ``MAX_DEFAULT_BUDGET`` is refused before any trial runs.
     ``trials`` may be a single count or one count per grid point (small
     graphs are cheap, so oversampling them stabilises the fit).
     """
@@ -522,16 +527,17 @@ def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
         trial_counts = [int(t) for t in trials]
         if len(trial_counts) != len(ds):
             raise ValueError("need one trial count per grid point")
-    for i, (d, n) in enumerate(zip(ds, trial_counts)):
+    budgets = [scan_budget(kind, theta, d) for d in ds]
+    if max(budgets, default=0) > MAX_DEFAULT_BUDGET:
+        raise ValueError(f"a scan budget of {max(budgets)} steps exceeds the "
+                         f"bound of {MAX_DEFAULT_BUDGET} steps")
+    for i, (d, n, budget) in enumerate(zip(ds, trial_counts, budgets)):
         p = theta / d
         if kind == "first_cycle":
-            budget = int(SCAN_BUDGET_FACTOR * max(d * d / (3.0 * theta), 50.0))
             res = first_cycle_time_jk(d, p, n, budget, _trial_seed(seed, i),
                                       cycle_kind=cycle_kind, jobs=jobs)
             oracle = None
         else:
-            exact, _ = oracle_total_growth(d, p)
-            budget = int(SCAN_BUDGET_FACTOR * max(exact, 50.0))
             res = acs_growth_time_jk(d, p, n, _trial_seed(seed, i), budget,
                                      k0=k0, jobs=jobs)
             oracle = res.oracle_value

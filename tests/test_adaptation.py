@@ -325,3 +325,31 @@ def test_adaptive_steps_make_no_dense_float_copy(monkeypatch, x0_mode):
                          plant_cycle=2, x0_mode=x0_mode)
     assert trace.steps == 20
     assert trace.invariant_violations == 0
+
+
+def test_unknown_cycle_kind_is_refused():
+    from jknet.adaptation import CYCLE_KINDS
+
+    with pytest.raises(ValueError) as exc:
+        run_adaptive(ModelParams(d=5, p=0.2), seed=1, max_steps=1, cycle_kind="weak")
+    assert str(exc.value) == f"cycle_kind must be one of {CYCLE_KINDS}"
+
+
+def test_an_update_that_changes_the_support_is_counted(monkeypatch):
+    # the planted 2-cycle {0, 1} carries the equilibrium, and the other
+    # vertices sit at zero; a resample that also cuts its edge 1 -> 0
+    # changes the support's subgraph, which the invariant forbids
+    from jknet import adaptation
+
+    real = adaptation.resample_vertex
+
+    def cutting(C, j, p, rng):
+        a = np.array(real(C, j, p, rng).entries)
+        a[0, 1] = 1 - a[0, 1]
+        return InteractionMatrix(a)
+
+    params, kw = ModelParams(d=8, p=0.0), dict(seed=1, max_steps=4, plant_cycle=2)
+    clean = run_adaptive(params, **kw)
+    assert clean.records[0].support_size == 2 and clean.invariant_violations == 0
+    monkeypatch.setattr(adaptation, "resample_vertex", cutting)
+    assert run_adaptive(params, **kw).invariant_violations >= 1

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -1096,3 +1097,84 @@ class TestStreamedCsv:
         assert status == 0
         size = (tmp_path / "run.csv").stat().st_size
         assert peak < size, (peak, size)
+
+
+class TestRequiredFlagTable:
+    def test_a_flag_is_required_only_where_it_is_read(self):
+        assert all(set(f.required) <= set(f.readers) for f in FLAGS)
+        assert [f.dest for f in FLAGS if f.required] == [
+            "d", "d", "p", "p", "theta", "max_steps", "k", "k"]
+
+    def test_cycle_kind_choices_are_adaptation_cycle_kinds(self):
+        from jknet.adaptation import CYCLE_KINDS
+
+        assert [f.choices for f in FLAGS if f.dest == "cycle_kind"] == [CYCLE_KINDS]
+
+    def test_readme_table_marks_the_required_flags(self):
+        # bold marks the flags FLAGS requires; --matrix exempts d and p
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([a-z -]+)` \| (.*) \|$", section, re.M)
+        marked = {entry: re.findall(r"\*\*`(--[a-z0-9-]+)`\*\*", cells)
+                  for entry, cells in rows}
+        assert marked == {
+            entry: ["--" + f.dest.replace("_", "-") for f in FLAGS
+                    if entry in f.required]
+            for entry in ENTRY_POINTS}
+
+    def test_readme_examples_parse(self, monkeypatch):
+        monkeypatch.delenv("JKNET_SEED", raising=False)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"^jknet (.*)$", readme, re.M)
+        assert len(examples) == 11
+        for line in examples:
+            parse_and_validate(shlex.split(line, comments=True))
+
+
+class TestBudgetBound:
+    # each default budget is far above 10**12 steps: these ran for years
+    @pytest.mark.parametrize("argv, budget, hint", [
+        (["experiment", "first-cycle", "--d", "10", "--p", "1e-15"],
+         200000000000000000, True),
+        (["experiment", "acs-growth", "--d", "10", "--p", "1e-15"],
+         29313111860336536, True),
+        (["conjecture-scan", "first-cycle", "--d", "10,20,30", "--theta", "1e-12"],
+         2400000000000000, False),
+        (["conjecture-scan", "acs-growth", "--d", "10,20,30", "--theta", "1e-12"],
+         959563869555359, False),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+    def test_a_default_budget_over_the_bound_exits_2_before_any_trial(
+            self, capsys, monkeypatch, argv, budget, hint):
+        monkeypatch.setattr(experiments, "run_adaptive", _no_trials)
+        assert main(argv + ["--trials", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = (f"the default budget of {budget} steps exceeds the bound of "
+                   f"1000000000000 steps")
+        if hint:
+            message += "; give --max-steps to run it anyway"
+        assert json.loads(captured.err) == {"error": "config", "message": message}
+
+    @pytest.mark.parametrize("kind", ["first-cycle", "acs-growth"])
+    def test_an_explicit_budget_is_not_bounded(self, capsys, kind):
+        assert main(["experiment", kind, "--d", "10", "--p", "1e-15", "--trials",
+                     "2", "--seed", "1", "--max-steps", "3"]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["config"]["max_steps"] == 3
+
+    def test_a_realistic_default_budget_runs(self, capsys, monkeypatch):
+        seen = []
+
+        def record(d, p, trials, max_steps, *args, **kwargs):
+            seen.append(max_steps)
+            return experiments.ExperimentResult.from_measurements([1.0])
+
+        monkeypatch.setattr(experiments, "first_cycle_time_jk", record)
+        assert main(["experiment", "first-cycle", "--d", "10000", "--theta", "0.5",
+                     "--trials", "1", "--seed", "1"]) == 0
+        assert seen == [4_000_000_000]
+        assert json.loads(capsys.readouterr().out)["config"]["max_steps"] == seen[0]
+
+    def test_the_no_edge_refusal_comes_first(self, capsys):
+        assert main(["experiment", "first-cycle", "--d", "10", "--p", "0",
+                     "--trials", "1", "--seed", "1"]) == 2
+        assert "never draws an edge" in json.loads(capsys.readouterr().err)["message"]

@@ -881,3 +881,85 @@ class TestIntegrateMatchesListOracle:
         traj = integrate(example2, uniform_state(3), t_end=1.0, h=0.1)
         steps = traj.times.size - 1
         assert len(calls) == 4 * steps + 1
+
+
+# (call, the exception, its message) for each argument refusal of the module
+def _uneven_trajectory():
+    x = np.full((3, 2), 0.5)
+    return Trajectory(times=np.array([0.0, 0.1, 0.3]), states=x,
+                      residuals=np.zeros(3), mass_drift_rate=0.0, min_component=0.5)
+
+
+_PAIR = InteractionMatrix.from_edges(2, TWO_CYCLE)
+DYNAMICS_REFUSALS = [
+    (lambda: simplex_vector([[0.5, 0.5]]), "state must be a vector"),
+    (lambda: integrate_projective(_PAIR, [0.2, 0.3, 0.5]), "dimension mismatch"),
+    (lambda: andi_residual(_PAIR, _uneven_trajectory(), 1),
+     "trajectory is not uniformly sampled"),
+    (lambda: equilibrium(_PAIR, [1.0, 0.0], analytic=True),
+     "analytic=True answers from the graph alone: give no x0, or drop analytic "
+     "for the flow limit"),
+]
+
+
+@pytest.mark.parametrize("call, message", DYNAMICS_REFUSALS,
+                         ids=[m[:40] for _, m in DYNAMICS_REFUSALS])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+class TestTimeArguments:
+    RUNS = {
+        "integrate": lambda C, **kw: integrate(C, uniform_state(C.d), **kw),
+        "integrate_projective": lambda C, **kw: integrate_projective(
+            C, uniform_state(C.d), **kw),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(RUNS))
+    @pytest.mark.parametrize("t_end, h, message", [
+        (float("nan"), 0.01, "t_end must be finite and non-negative, got nan"),
+        (-1.0, 0.01, "t_end must be finite and non-negative, got -1.0"),
+        (float("inf"), 0.01, "t_end must be finite and non-negative, got inf"),
+        (1.0, float("nan"), "h must be positive, got nan"),
+        (1.0, 0.0, "h must be positive, got 0.0"),
+        (1.0, -0.5, "h must be positive, got -0.5"),
+        (0.0, 0.0, "h must be positive, got 0.0"),
+    ])
+    def test_bad_times_are_refused(self, example1, entry, t_end, h, message):
+        with pytest.raises(ValueError) as exc:
+            self.RUNS[entry](example1, t_end=t_end, h=h)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", sorted(RUNS))
+    def test_zero_t_end_returns_the_start(self, example1, entry):
+        traj = self.RUNS[entry](example1, t_end=0.0, h=0.01)
+        assert traj.times.tolist() == [0.0]
+        np.testing.assert_array_equal(traj.states, [uniform_state(3)])
+
+
+class TestAnalyticStart:
+    def test_the_flow_limit_depends_on_the_start_the_analytic_one_cannot(
+            self, example3):
+        # two disjoint 2-cycles: from e_0 the flow stays on {0, 1}, while
+        # the analytic pick spreads over both cycles
+        e0 = [1.0, 0.0, 0.0, 0.0]
+        np.testing.assert_allclose(equilibrium(example3, e0).x_star,
+                                   [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        assert equilibrium(example3, analytic=True).x_star.tolist() == [0.25] * 4
+        with pytest.raises(ValueError, match="give no x0"):
+            equilibrium(example3, e0, analytic=True)
+
+    def test_a_zero_matrix_returns_the_normalised_start(self):
+        eq = equilibrium(InteractionMatrix.zero(3), [2 / 3, 1 / 6, 1 / 6 + 1e-10])
+        assert eq.x_star.sum() == pytest.approx(1.0, abs=1e-15)
+        assert not eq.non_unique and eq.kind == "degenerate_no_edges"
+
+
+def test_an_equilibrium_over_the_residual_floor_raises(example1, monkeypatch):
+    # the uniform start is not stationary on example 1, so a solver that
+    # returned it must be caught by the final residual check
+    monkeypatch.setattr(dynamics, "_flow_limit", lambda C, start: start)
+    with pytest.raises(NonConvergenceError, match="equilibrium residual .* > 1e-09"):
+        equilibrium(example1)

@@ -335,3 +335,130 @@ class TestConjectureScan:
         with pytest.raises(ValueError) as exc:
             conjecture_scan(kind, 0.5, (25, 50, 100), (4, 2), seed=1)
         assert str(exc.value) == "need one trial count per grid point"
+
+
+# (call, the exception, its message) for each argument refusal of the module
+REFUSALS = [
+    (lambda: oracle_cycle_mean(1.0, 2), ValueError, "cycle length must be >= 3"),
+    (lambda: oracle_cycle_mean(-1.0, 3), ValueError, "theta must be non-negative"),
+    (lambda: oracle_attach_prob(0, 0.5), ValueError, "k must be >= 1"),
+    (lambda: oracle_attach_prob(3, 0.0), ValueError, "p must lie in (0, 1)"),
+    (lambda: oracle_attach_prob(3, 1.0), ValueError, "p must lie in (0, 1)"),
+    # 1 - 1e-17 rounds to 1, so no set of any size attaches
+    (lambda: oracle_mean_waiting(3, 1e-17), ZeroDivisionError,
+     "attachment probability is zero"),
+    (lambda: oracle_total_growth(10, 0.0), ValueError, "p must lie in (0, 1]"),
+    (lambda: oracle_total_growth(0, 0.5), ValueError, "d must be >= 1"),
+    (lambda: measure_cycle_counts(10, 10.0, 3, 1, seed=1), ValueError,
+     "theta/d must lie in [0, 1)"),
+    (lambda: measure_cycle_counts(10, -1.0, 3, 1, seed=1), ValueError,
+     "theta/d must lie in [0, 1)"),
+    (lambda: first_cycle_uniform_model(2, stream(1)), ValueError, "d must be >= 3"),
+    (lambda: first_cycle_permutation_model(2, stream(1)), ValueError,
+     "d must be >= 3"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS,
+                         ids=[m for _, _, m in REFUSALS])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_trial_with_invariant_violations_raises(monkeypatch):
+    # a broken run must stop the experiment, not be averaged into it
+    from jknet import experiments
+
+    real = experiments.run_adaptive
+
+    def violating(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        trace.invariant_violations = 2
+        return trace
+
+    monkeypatch.setattr(experiments, "run_adaptive", violating)
+    with pytest.raises(RuntimeError, match="invariant 2 time"):
+        first_cycle_time_jk(10, 0.05, 2, 20, seed=1)
+
+
+def _half_censored(t):
+    return (10.0, True) if t % 2 else (float(t), False)
+
+
+class TestTrialRunner:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pairs_aggregate_over_the_uncensored_trials(self, jobs):
+        from jknet import experiments
+
+        res = experiments._run_trials(_half_censored, 6, jobs, oracle_value=2.0)
+        assert res.per_trial.tolist() == [0.0, 10.0, 2.0, 10.0, 4.0, 10.0]
+        assert res.censored.tolist() == [False, True] * 3
+        assert (res.mean, res.n_used, res.oracle_value) == (2.0, 3, 2.0)
+
+    def test_no_trials(self):
+        from jknet import experiments
+
+        res = experiments._run_trials(_half_censored, 0)
+        assert res.trials == 0 and res.n_used == 0 and math.isnan(res.mean)
+
+    def test_uniform_model_matches_the_repeat_pair_rule(self):
+        # a repeated pair was joined when first drawn, so the union-find
+        # stop alone ends the process where the explicit pair set did
+        def with_pair_set(d, rng):
+            uf, seen, edges = UnionFind(d), set(), 0
+            while True:
+                i, j = int(rng.integers(d)), int(rng.integers(d))
+                edges += 1
+                key = (min(i, j), max(i, j))
+                if i == j or key in seen or not uf.union(i, j):
+                    return edges
+                seen.add(key)
+
+        for t in range(300):
+            d = 3 + t % 40
+            assert (first_cycle_uniform_model(d, stream(11, t))
+                    == with_pair_set(d, stream(11, t)))
+
+
+class TestBudgetBound:
+    def test_realistic_scan_budgets_stay_far_below_the_bound(self):
+        from jknet import experiments
+
+        assert experiments.scan_budget("acs_growth", 0.5, 1000) < 10 ** 7
+        assert experiments.scan_budget("first_cycle", 0.5, 1000) < 10 ** 7
+        assert experiments.MAX_DEFAULT_BUDGET == 10 ** 12
+
+    @pytest.mark.parametrize("kind", ["first_cycle", "acs_growth"])
+    def test_a_scan_over_the_bound_is_refused_before_any_trial(self, monkeypatch,
+                                                                kind):
+        from jknet import experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_adaptive", no_run)
+        budget = experiments.scan_budget(kind, 1e-12, 30)
+        assert budget > experiments.MAX_DEFAULT_BUDGET
+        with pytest.raises(ValueError) as exc:
+            conjecture_scan(kind, 1e-12, (10, 20, 30), 1, seed=1)
+        assert str(exc.value) == (f"a scan budget of {budget} steps exceeds the "
+                                  f"bound of {experiments.MAX_DEFAULT_BUDGET} steps")
+
+    def test_scan_budget_is_the_one_the_trials_run_with(self, monkeypatch):
+        from jknet import experiments
+
+        seen = []
+        real = experiments.run_adaptive
+
+        def recording(params, *args, max_steps, **kwargs):
+            seen.append((params.d, max_steps))
+            return real(params, *args, max_steps=max_steps, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_adaptive", recording)
+        for kind in ("first_cycle", "acs_growth"):
+            seen.clear()
+            conjecture_scan(kind, 0.5, (6, 8, 10), 1, seed=1)
+            assert seen == [(d, experiments.scan_budget(kind, 0.5, d))
+                            for d in (6, 8, 10)]

@@ -583,3 +583,35 @@ class TestReachabilityOracleSelfCheck:
         m = InteractionMatrix.from_edges(3, [(0, 1), (1, 2)])
         reach = floyd_warshall_reachability(m.entries)
         assert reach[0, 2] and reach[0, 1] and not reach[2, 0]
+
+
+# (call, the exception, its message) for each argument refusal of the module
+GRAPH_REFUSALS = [
+    (lambda: InteractionMatrix(np.zeros((2, 3), dtype=np.int8)), ValueError,
+     "entries must be a square matrix"),
+    (lambda: InteractionMatrix.from_edges(3, [(0, 1), (1, 1)]), ValueError,
+     "self-loop 1->1 not allowed"),
+    (lambda: InteractionMatrix.from_edges(3, [(0, 3)]), ValueError,
+     "edge 0->3 out of range for d=3"),
+    (lambda: is_acs(InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]), [0, 3]),
+     ValueError, "subset out of range"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GRAPH_REFUSALS,
+                         ids=[m for _, _, m in GRAPH_REFUSALS])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_perron_iteration_that_runs_out_raises(monkeypatch):
+    # a path 0 <-> 1 <-> 2 has Perron vector (1, sqrt 2, 1): the uniform
+    # start is not it, so one power step cannot meet the stop
+    m = InteractionMatrix.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+    assert spectral_radius_pf(m).lam == pytest.approx(2 ** 0.5)
+    monkeypatch.setattr(graph, "PF_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError,
+                       match="Perron iteration did not converge in 1 iterations"):
+        spectral_radius_pf(m)

@@ -139,3 +139,23 @@ class TestDemonstrateInconsistency:
         assert set(doc["witness"]) == {"C", "t_contact", "x_at_contact",
                                        "mass_derivative", "drift_series"}
         assert len(doc["witness"]["C"]) == 10
+
+
+# (call, its message) for each argument refusal of the module
+SIGNED_REFUSALS = [
+    (lambda: SignedMatrix(entries=np.zeros((2, 3))), "entries must be a square matrix"),
+    (lambda: sample_signed(3, 1.5, stream(1)), "p must lie in [0, 1]"),
+    (lambda: sample_signed(3, -0.1, stream(1)), "p must lie in [0, 1]"),
+    (lambda: constrained_field(hand_built_witness_matrix(), [0.2, 0.3, 0.5]),
+     "dimension mismatch"),
+    (lambda: demonstrate_inconsistency(3, 0.5, trials=0, seed=1),
+     "trials must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", SIGNED_REFUSALS,
+                         ids=[m for _, m in SIGNED_REFUSALS])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
