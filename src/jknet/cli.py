@@ -18,6 +18,7 @@ argparse rejects (a usage message on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,7 +26,6 @@ import platform
 import socket
 import sys
 import time
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,9 +35,8 @@ from .adaptation import CYCLE_KINDS, X0_MODES, run_adaptive, trace_to_json_lines
 from .dynamics import (
     equilibrium,
     equilibrium_to_json_dict,
-    integrate,
+    integrate_to_csv,
     uniform_state,
-    write_trajectory_csv,
 )
 from .graph import (InteractionMatrix, ModelParams, load_interaction_matrix,
                     sample_er_digraph)
@@ -111,7 +110,8 @@ _POSITIVE = Domain(lambda v: 0 < v < math.inf, "be positive and finite")
 _UNIT = Domain(lambda v: 0 <= v <= 1, "lie in [0, 1]")
 # a flag's value is text, but a config file's path may be any JSON value
 _PATH = Domain(lambda v: isinstance(v, str), "be a string")
-# integrate preallocates, and appendix-demo runs, t_max / h RK4 steps
+# integrate and appendix-demo run t_max / h RK4 steps: a bound on the time
+# a run takes (integrate's memory does not grow with the step count)
 _STEPS = Domain(lambda v: v <= 10 ** 7, "be <= 10000000")
 
 FLAGS = (
@@ -330,17 +330,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _put(stream, output) -> None:
-    """Write ``output`` to a text stream: text, or a writer that takes the stream."""
-    if callable(output):
-        output(stream)
-    else:
-        stream.write(output)
-
-
-def _write(path: str, output) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        _put(fh, output)
+        fh.write(text)
 
 
 def _write_meta(out: str, argv, wall_s: float) -> None:
@@ -368,20 +360,41 @@ def _write_meta(out: str, argv, wall_s: float) -> None:
 
 
 def _emit(cfg: argparse.Namespace, outputs: dict) -> None:
-    """Write the primary outputs, ``{suffix: output}`` with the main one first.
+    """Write the primary outputs, ``{suffix: text}`` with the main one first.
 
-    An output is its text, or a writer: a callable that writes the text to
-    the stream it is given, so that a large output is never held whole.
     With --out every entry goes to ``<out><suffix>``. Otherwise stdout
-    gets the ``.csv`` output under --format csv, otherwise the first entry.
+    gets the ``.csv`` text under --format csv, otherwise the first entry.
     """
     if cfg.out is not None:
-        for suffix, output in outputs.items():
-            _write(cfg.out + suffix, output)
+        for suffix, text in outputs.items():
+            _write(cfg.out + suffix, text)
     elif getattr(cfg, "format", "json") == "csv":
-        _put(sys.stdout, outputs[".csv"])
+        sys.stdout.write(outputs[".csv"])
     else:
-        _put(sys.stdout, next(iter(outputs.values())))
+        sys.stdout.write(next(iter(outputs.values())))
+
+
+@contextlib.contextmanager
+def _csv_stream(cfg: argparse.Namespace):
+    """The text stream ``integrate`` writes its CSV rows to as it runs.
+
+    It is ``<out>.csv`` under --out, written as ``<out>.csv.part`` and
+    renamed once the block ends, so that a failed run leaves no CSV; it
+    is stdout under --format csv, which may hold rows of a run that then
+    fails; and it is None when no CSV is asked for.
+    """
+    if cfg.out is None:
+        yield sys.stdout if cfg.format == "csv" else None
+        return
+    path = cfg.out + ".csv"
+    fh = open(path + ".part", "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(fh.name)
+        raise
+    os.replace(fh.name, path)
 
 
 def _load_or_sample_matrix(cfg: argparse.Namespace) -> InteractionMatrix:
@@ -408,15 +421,17 @@ def _cmd_equilibrium(cfg: argparse.Namespace) -> int:
 def _cmd_integrate(cfg: argparse.Namespace) -> int:
     """Integrate the simplex flow."""
     matrix = _load_or_sample_matrix(cfg)
-    traj = integrate(matrix, uniform_state(matrix.d), t_end=cfg.t_max, h=cfg.h)
+    with _csv_stream(cfg) as csv:
+        traj = integrate_to_csv(matrix, uniform_state(matrix.d), t_end=cfg.t_max,
+                                h=cfg.h, out=csv)
     summary = {
         "t_end": float(traj.times[-1]),
         "final_state": [float(v) for v in traj.states[-1]],
         "final_residual": float(traj.residuals[-1]),
         "mass_drift_rate": traj.mass_drift_rate,
     }
-    _emit(cfg, {".json": _json_text(summary),
-                ".csv": partial(write_trajectory_csv, traj)})
+    if cfg.out is not None or cfg.format == "json":  # else stdout got the rows
+        _emit(cfg, {".json": _json_text(summary)})
     return 0
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "vector_field",
     "integrate",
     "integrate_projective",
+    "integrate_to_csv",
     "equilibrium",
     "equilibrium_set_basis",
     "andi_residual",
@@ -174,10 +175,16 @@ def _rk4_step(field, x: np.ndarray, h: float, k1=None) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_run(field, x: np.ndarray, t_end: float, h: float, adaptive: bool = False,
-             tol: float = 1e-9, stop_residual: float | None = None) -> Trajectory:
-    """``integrate``'s RK4 run of x' = field(x) from the simplex state x,
-    with ||field(x)||_1 as the residual column."""
+def _rk4_run(field, x: np.ndarray, t_end: float, h: float, recorder,
+             adaptive: bool = False, tol: float = 1e-9,
+             stop_residual: float | None = None) -> Trajectory:
+    """``integrate``'s RK4 run of x' = field(x) from the simplex state x.
+
+    Each row (t, x, ||field(x)||_1) goes to the record made, once the
+    span is checked, by ``recorder(rows, d)`` from a fixed-step run's row
+    count and the state's length (``_Rows`` or ``_CsvRows``); its
+    ``trajectory`` method gives the result.
+    """
     if not 0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
     if not h > 0:
@@ -197,19 +204,15 @@ def _rk4_run(field, x: np.ndarray, t_end: float, h: float, adaptive: bool = Fals
         min_component = min(min_component, mc)
         if mc < -1e-9:
             raise FloatingPointError(f"component undershoot {mc:.3e}")
-        x_new = np.clip(x_new, 0.0, None)
+        x_new = np.maximum(x_new, 0.0)
         return x_new / x_new.sum()
 
     t = 0.0
     h_cur = min(h, t_end) if t_end > 0 else h
-    # fixed steps fill ceil(t_end / h) + 2 rows (the last step may be a
-    # rounding remainder); the buffers double if a run needs more, as an
-    # adaptive one can
-    rows = math.ceil(t_end / h_cur) + 2 if t_end > 0 else 1
-    times, residuals = np.empty(rows), np.empty(rows)
-    states = np.empty((rows, x.size))
-    times[0], states[0], residuals[0] = t, x, np.abs(fx).sum()
-    n = 1
+    # fixed steps give ceil(t_end / h) + 2 rows: the last step may be a
+    # rounding remainder
+    record = recorder(math.ceil(t_end / h_cur) + 2 if t_end > 0 else 1, x.size)
+    record(t, x, np.abs(fx).sum())
     while t < t_end - 1e-12:
         h_step = min(h_cur, t_end - t)
         if not adaptive:
@@ -226,18 +229,61 @@ def _rk4_run(field, x: np.ndarray, t_end: float, h: float, adaptive: bool = Fals
             t += h_step
             if err < tol / 32.0:
                 h_cur = min(h_step * 2, h)
-        if n == len(times):
-            times, states, residuals = (np.concatenate([b, np.empty_like(b)])
-                                        for b in (times, states, residuals))
         fx = field(x)
-        times[n], states[n], residuals[n] = t, x, np.abs(fx).sum()
-        n += 1
-        if stop_residual is not None and residuals[n - 1] < stop_residual:
+        residual = np.abs(fx).sum()
+        record(t, x, residual)
+        if stop_residual is not None and residual < stop_residual:
             break
+    return record.trajectory(max_drift_rate, min_component)
 
-    return Trajectory(times=times[:n], states=states[:n], residuals=residuals[:n],
-                      mass_drift_rate=max_drift_rate,
-                      min_component=min_component)
+
+class _Rows:
+    """Recorder that keeps every row, in arrays of ``rows`` rows that
+    double when a run needs more, as an adaptive one can."""
+
+    def __init__(self, rows: int, d: int):
+        self.times, self.residuals = np.empty(rows), np.empty(rows)
+        self.states = np.empty((rows, d))
+        self.n = 0
+
+    def __call__(self, t: float, x: np.ndarray, residual: float) -> None:
+        n = self.n
+        if n == len(self.times):
+            self.times, self.states, self.residuals = (
+                np.concatenate([b, np.empty_like(b)])
+                for b in (self.times, self.states, self.residuals))
+        self.times[n], self.states[n], self.residuals[n] = t, x, residual
+        self.n = n + 1
+
+    def trajectory(self, mass_drift_rate: float, min_component: float) -> Trajectory:
+        n = self.n
+        return Trajectory(times=self.times[:n], states=self.states[:n],
+                          residuals=self.residuals[:n],
+                          mass_drift_rate=mass_drift_rate,
+                          min_component=min_component)
+
+
+class _CsvRows:
+    """Recorder that writes each row to the text stream ``out`` as the
+    line ``write_trajectory_csv`` writes for it, if given a stream, and
+    keeps only the last row."""
+
+    def __init__(self, out, rows: int, d: int):
+        self.out = out
+        if out is not None:
+            out.write(_csv_header(d))
+
+    def __call__(self, t: float, x: np.ndarray, residual: float) -> None:
+        self.last = t, x, residual  # x is a fresh array each step
+        if self.out is not None:
+            self.out.write(_csv_line(t, x, residual))
+
+    def trajectory(self, mass_drift_rate: float, min_component: float) -> Trajectory:
+        t, x, residual = self.last
+        return Trajectory(times=np.array([t]), states=x[None, :],
+                          residuals=np.array([residual]),
+                          mass_drift_rate=mass_drift_rate,
+                          min_component=min_component)
 
 
 def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
@@ -252,7 +298,20 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     ||f(x)||_1 falls below it.
     """
     return _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
-                    adaptive, tol, stop_residual)
+                    _Rows, adaptive, tol, stop_residual)
+
+
+def integrate_to_csv(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
+                     out=None) -> Trajectory:
+    """``integrate``'s fixed-step run, written to the text stream ``out``
+    as it goes: the text ``write_trajectory_csv`` would write for the
+    whole trajectory, one row as each step is accepted (no CSV if ``out``
+    is None). Only the current row is kept, so memory does not grow with
+    ``t_end / h``; the returned ``Trajectory`` holds the last row alone.
+    A run that fails part way has already written the rows before it.
+    """
+    return _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
+                    partial(_CsvRows, out))
 
 
 def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
@@ -272,7 +331,8 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
         raise ValueError("y0 must be finite, non-negative and nonzero")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    traj = _rk4_run(partial(np.matmul, a - phi * np.eye(C.d)), y / y.sum(), t_end, h)
+    traj = _rk4_run(partial(np.matmul, a - phi * np.eye(C.d)), y / y.sum(), t_end, h,
+                    _Rows)
     traj.residuals[:] = [_residual(a, x) for x in traj.states]
     return traj
 
@@ -615,6 +675,14 @@ def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int) -> float
 # Serialisation
 # ---------------------------------------------------------------------------
 
+def _csv_header(d: int) -> str:
+    return "t," + ",".join(f"x_{j}" for j in range(d)) + ",residual\n"
+
+
+def _csv_line(t: float, x: np.ndarray, residual: float) -> str:
+    return ",".join(map(repr, [float(t), *x.tolist(), float(residual)])) + "\n"
+
+
 def write_trajectory_csv(traj: Trajectory, out) -> None:
     """Write the CSV to the text stream ``out``, one row at a time.
 
@@ -622,11 +690,10 @@ def write_trajectory_csv(traj: Trajectory, out) -> None:
     ``repr`` of its float, so the text reads back to the same bits.
     """
     states = np.asarray(traj.states, dtype=float)
-    out.write("t," + ",".join(f"x_{j}" for j in range(states.shape[1]))
-              + ",residual\n")
-    for t, row, res in zip(np.asarray(traj.times, dtype=float).tolist(), states,
-                           np.asarray(traj.residuals, dtype=float).tolist()):
-        out.write(",".join(map(repr, [t, *row.tolist(), res])) + "\n")
+    out.write(_csv_header(states.shape[1]))
+    for t, x, residual in zip(np.asarray(traj.times, dtype=float), states,
+                              np.asarray(traj.residuals, dtype=float)):
+        out.write(_csv_line(t, x, residual))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -641,7 +641,7 @@ def no_library(monkeypatch):
                  "oracle_total_growth", "conjecture_scan"):
         monkeypatch.setattr(experiments, name, _no_trials)
     monkeypatch.setattr(signed_model, "demonstrate_inconsistency", _no_trials)
-    for name in ("integrate", "equilibrium", "run_adaptive", "sample_er_digraph"):
+    for name in ("integrate_to_csv", "equilibrium", "run_adaptive", "sample_er_digraph"):
         monkeypatch.setattr(cli, name, _no_trials)
 
 
@@ -1057,36 +1057,16 @@ class TestRoundTrips:
 
 
 class TestStreamedCsv:
-    """integrate streams its CSV: no whole-text copy, the same bytes."""
-
-    ARGV = ["integrate", "--d", "30", "--p", "0.1", "--seed", "5",
-            "--t-max", "2", "--h", "0.01"]
+    """integrate streams its CSV as the RK4 loop accepts each row: no
+    whole-text copy, no whole-trajectory buffer, the same bytes."""
 
     @staticmethod
-    def oracle_csv() -> bytes:
-        m = sample_er_digraph(ModelParams(d=30, p=0.1), stream(5))
-        times, states, residuals, _, _ = list_integrate(
-            m, dynamics.uniform_state(30), t_end=2.0, h=0.01)
-        return joined_trajectory_csv(times, states, residuals).encode()
+    def argv(t_max: str, d: int = 30, p: str = "0.1", seed: int = 5) -> list:
+        return ["integrate", "--d", str(d), "--p", p, "--seed", str(seed),
+                "--t-max", t_max, "--h", "0.01"]
 
-    def test_out_and_stdout_carry_the_oracle_bytes(self, tmp_path, capsysbinary,
-                                                   monkeypatch):
-        want = self.oracle_csv()
-
-        def joined(traj):
-            raise AssertionError("the CLI built the CSV as one string")
-
-        monkeypatch.setattr(dynamics, "trajectory_to_csv", joined)
-        assert main(self.ARGV + ["--out", str(tmp_path / "run")]) == 0
-        assert (tmp_path / "run.csv").read_bytes() == want
-        assert capsysbinary.readouterr().out == b""
-        assert main(self.ARGV + ["--format", "csv"]) == 0
-        assert capsysbinary.readouterr().out == want
-
-    def test_traced_peak_is_below_the_csv_size(self, tmp_path):
-        # the list-and-join writer peaked near 3x the CSV's size
-        argv = ["integrate", "--d", "200", "--p", "0.01", "--seed", "1",
-                "--t-max", "5", "--out", str(tmp_path / "run")]
+    @staticmethod
+    def traced_peak(argv) -> int:
         main(argv)  # first call: lazy imports and caches settle
         tracemalloc.start()
         try:
@@ -1095,8 +1075,64 @@ class TestStreamedCsv:
         finally:
             tracemalloc.stop()
         assert status == 0
+        return peak
+
+    # t_max = 50 is the 5,002-row grid: 5,000 steps of h fall short of 50
+    # by more than the loop's 1e-12 guard, so a remainder step follows
+    @pytest.mark.parametrize("t_max, rows", [("2", 201), ("50", 5002)])
+    def test_out_and_stdout_carry_the_oracle_bytes(self, tmp_path, capsysbinary,
+                                                   monkeypatch, t_max, rows):
+        m = sample_er_digraph(ModelParams(d=30, p=0.1), stream(5))
+        times, states, residuals, drift, _ = list_integrate(
+            m, dynamics.uniform_state(30), t_end=float(t_max), h=0.01)
+        want = joined_trajectory_csv(times, states, residuals).encode()
+        assert times.size == rows
+
+        def joined(traj):
+            raise AssertionError("the CLI built the CSV as one string")
+
+        monkeypatch.setattr(dynamics, "trajectory_to_csv", joined)
+        argv = self.argv(t_max)
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == want
+        assert json.loads((tmp_path / "run.json").read_text()) == {
+            "t_end": times[-1], "final_state": states[-1].tolist(),
+            "final_residual": residuals[-1], "mass_drift_rate": drift}
+        assert capsysbinary.readouterr().out == b""
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsysbinary.readouterr().out == want
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == (tmp_path / "run.json").read_bytes()
+
+    def test_traced_peak_is_below_the_csv_size(self, tmp_path):
+        # the list-and-join writer peaked near 3x the CSV's size
+        peak = self.traced_peak(self.argv("5", d=200, p="0.01", seed=1)
+                                + ["--out", str(tmp_path / "run")])
         size = (tmp_path / "run.csv").stat().st_size
         assert peak < size, (peak, size)
+
+    def test_traced_peak_does_not_grow_with_the_horizon(self, tmp_path):
+        # a (rows, d) buffer of the whole trajectory would grow it 10x
+        peaks = [self.traced_peak(self.argv(t_max, d=200, p="0.01", seed=1)
+                                  + ["--out", str(tmp_path / "run")])
+                 for t_max in ("5", "50")]
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_a_failed_run_leaves_no_file(self, tmp_path, capsys):
+        # h = 3 undershoots a component after the first rows were written
+        argv = ["integrate", "--d", "50", "--p", "0.5", "--seed", "1",
+                "--h", "3", "--t-max", "30"]
+        (tmp_path / "old.csv").write_text("an earlier run\n")
+        for stem in ("run", "old"):
+            assert main(argv + ["--out", str(tmp_path / stem)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "FloatingPointError", err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "an earlier run\n"
+        # stdout cannot be taken back: the rows before the failure stay
+        assert main(argv + ["--format", "csv"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].startswith("t,x_0,") and len(rows) > 1
 
 
 class TestRequiredFlagTable:
