@@ -10,7 +10,6 @@ squaring of I + C (cyclic case) or by the last nonvanishing power C^m x0
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -44,7 +43,6 @@ __all__ = [
     "equilibrium_set_basis",
     "andi_residual",
     "trajectory_to_csv",
-    "write_trajectory_csv",
     "equilibrium_to_json_dict",
 ]
 
@@ -175,20 +173,27 @@ def _rk4_step(field, x: np.ndarray, h: float, k1=None) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_run(field, x: np.ndarray, t_end: float, h: float, recorder,
-             adaptive: bool = False, tol: float = 1e-9,
-             stop_residual: float | None = None) -> Trajectory:
-    """``integrate``'s RK4 run of x' = field(x) from the simplex state x.
-
-    Each row (t, x, ||field(x)||_1) goes to the record made, once the
-    span is checked, by ``recorder(rows, d)`` from a fixed-step run's row
-    count and the state's length (``_Rows`` or ``_CsvRows``); its
-    ``trajectory`` method gives the result.
-    """
+def _check_span(t_end: float, h: float, name: str = "t_end") -> None:
+    """Refuse a run span the RK4 loop cannot finish: ``t_end``, passed
+    as ``name``, must be finite and non-negative, ``h`` positive."""
     if not 0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+        raise ValueError(f"{name} must be finite and non-negative, got {t_end!r}")
     if not h > 0:
         raise ValueError(f"h must be positive, got {h!r}")
+
+
+def _rk4_run(field, x: np.ndarray, t_end: float, h: float, record,
+             adaptive: bool = False, tol: float = 1e-9,
+             stop_residual: float | None = None) -> tuple[float, float]:
+    """``integrate``'s RK4 run of x' = field(x) from the simplex state x.
+
+    Once the span is checked, each row ``(t, x, ||field(x)||_1)`` goes to
+    ``record``, x a fresh array each time. Returns the run's
+    ``(mass_drift_rate, min_component)``.
+    """
+    _check_span(t_end, h)
+    if adaptive and not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     fx = field(x)  # the residual's f(x) is the next step's k1
     max_drift_rate = 0.0
     min_component = float(x.min())
@@ -209,10 +214,7 @@ def _rk4_run(field, x: np.ndarray, t_end: float, h: float, recorder,
 
     t = 0.0
     h_cur = min(h, t_end) if t_end > 0 else h
-    # fixed steps give ceil(t_end / h) + 2 rows: the last step may be a
-    # rounding remainder
-    record = recorder(math.ceil(t_end / h_cur) + 2 if t_end > 0 else 1, x.size)
-    record(t, x, np.abs(fx).sum())
+    record((t, x, np.abs(fx).sum()))
     while t < t_end - 1e-12:
         h_step = min(h_cur, t_end - t)
         if not adaptive:
@@ -231,59 +233,16 @@ def _rk4_run(field, x: np.ndarray, t_end: float, h: float, recorder,
                 h_cur = min(h_step * 2, h)
         fx = field(x)
         residual = np.abs(fx).sum()
-        record(t, x, residual)
+        record((t, x, residual))
         if stop_residual is not None and residual < stop_residual:
             break
-    return record.trajectory(max_drift_rate, min_component)
+    return max_drift_rate, min_component
 
 
-class _Rows:
-    """Recorder that keeps every row, in arrays of ``rows`` rows that
-    double when a run needs more, as an adaptive one can."""
-
-    def __init__(self, rows: int, d: int):
-        self.times, self.residuals = np.empty(rows), np.empty(rows)
-        self.states = np.empty((rows, d))
-        self.n = 0
-
-    def __call__(self, t: float, x: np.ndarray, residual: float) -> None:
-        n = self.n
-        if n == len(self.times):
-            self.times, self.states, self.residuals = (
-                np.concatenate([b, np.empty_like(b)])
-                for b in (self.times, self.states, self.residuals))
-        self.times[n], self.states[n], self.residuals[n] = t, x, residual
-        self.n = n + 1
-
-    def trajectory(self, mass_drift_rate: float, min_component: float) -> Trajectory:
-        n = self.n
-        return Trajectory(times=self.times[:n], states=self.states[:n],
-                          residuals=self.residuals[:n],
-                          mass_drift_rate=mass_drift_rate,
-                          min_component=min_component)
-
-
-class _CsvRows:
-    """Recorder that writes each row to the text stream ``out`` as the
-    line ``write_trajectory_csv`` writes for it, if given a stream, and
-    keeps only the last row."""
-
-    def __init__(self, out, rows: int, d: int):
-        self.out = out
-        if out is not None:
-            out.write(_csv_header(d))
-
-    def __call__(self, t: float, x: np.ndarray, residual: float) -> None:
-        self.last = t, x, residual  # x is a fresh array each step
-        if self.out is not None:
-            self.out.write(_csv_line(t, x, residual))
-
-    def trajectory(self, mass_drift_rate: float, min_component: float) -> Trajectory:
-        t, x, residual = self.last
-        return Trajectory(times=np.array([t]), states=x[None, :],
-                          residuals=np.array([residual]),
-                          mass_drift_rate=mass_drift_rate,
-                          min_component=min_component)
+def _trajectory(rows: list, stats: tuple[float, float]) -> Trajectory:
+    """The ``Trajectory`` of ``_rk4_run``'s rows and returned stats."""
+    times, states, residuals = zip(*rows)
+    return Trajectory(np.array(times), np.array(states), np.array(residuals), *stats)
 
 
 def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
@@ -294,24 +253,36 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     Each accepted step is renormalised back onto the simplex; the drift
     removed that way is tracked and reported per unit time. With
     ``adaptive=True`` the step size is controlled by step doubling
-    against ``tol``. ``stop_residual`` ends the run early once
-    ||f(x)||_1 falls below it.
+    against ``tol``, which must then be positive and finite.
+    ``stop_residual`` ends the run early once ||f(x)||_1 falls below it.
     """
-    return _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
-                    _Rows, adaptive, tol, stop_residual)
+    rows = []
+    stats = _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
+                     rows.append, adaptive, tol, stop_residual)
+    return _trajectory(rows, stats)
 
 
 def integrate_to_csv(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
                      out=None) -> Trajectory:
     """``integrate``'s fixed-step run, written to the text stream ``out``
-    as it goes: the text ``write_trajectory_csv`` would write for the
-    whole trajectory, one row as each step is accepted (no CSV if ``out``
-    is None). Only the current row is kept, so memory does not grow with
+    as it goes: the text ``trajectory_to_csv`` would give for the whole
+    trajectory, one row as each step is accepted (no CSV if ``out`` is
+    None). Only the current row is kept, so memory does not grow with
     ``t_end / h``; the returned ``Trajectory`` holds the last row alone.
     A run that fails part way has already written the rows before it.
     """
-    return _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
-                    partial(_CsvRows, out))
+    last = []
+
+    def record(row: tuple) -> None:
+        if out is not None:
+            if not last:  # the first row: the span has passed its check
+                out.write(_csv_header(row[1].size))
+            out.write(_csv_line(*row))
+        last[:] = [row]
+
+    stats = _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
+                     record)
+    return _trajectory(last, stats)
 
 
 def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
@@ -331,10 +302,10 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
         raise ValueError("y0 must be finite, non-negative and nonzero")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    traj = _rk4_run(partial(np.matmul, a - phi * np.eye(C.d)), y / y.sum(), t_end, h,
-                    _Rows)
-    traj.residuals[:] = [_residual(a, x) for x in traj.states]
-    return traj
+    rows = []
+    stats = _rk4_run(partial(np.matmul, a - phi * np.eye(C.d)), y / y.sum(), t_end, h,
+                     rows.append)
+    return _trajectory([(t, x, _residual(a, x)) for t, x, _ in rows], stats)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +624,8 @@ def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int) -> float
     The trajectory must be uniformly sampled, with spacing h; the
     finite-difference error is O(h^2), which halving h shrinks fourfold.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     times = trajectory.times
     if times.size < 3:
         raise ValueError("need at least 3 samples")
@@ -683,24 +656,15 @@ def _csv_line(t: float, x: np.ndarray, residual: float) -> str:
     return ",".join(map(repr, [float(t), *x.tolist(), float(residual)])) + "\n"
 
 
-def write_trajectory_csv(traj: Trajectory, out) -> None:
-    """Write the CSV to the text stream ``out``, one row at a time.
-
-    The columns are t, x_0 ... x_{d-1} and the residual; each value is the
-    ``repr`` of its float, so the text reads back to the same bits.
-    """
-    states = np.asarray(traj.states, dtype=float)
-    out.write(_csv_header(states.shape[1]))
-    for t, x, residual in zip(np.asarray(traj.times, dtype=float), states,
-                              np.asarray(traj.residuals, dtype=float)):
-        out.write(_csv_line(t, x, residual))
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """The text ``write_trajectory_csv`` writes, as one string."""
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    return buf.getvalue()
+    """The trajectory as CSV text: columns t, x_0 ... x_{d-1} and the
+    residual, each value the ``repr`` of its float, so the text reads
+    back to the same bits."""
+    states = np.asarray(traj.states, dtype=float)
+    return _csv_header(states.shape[1]) + "".join(
+        _csv_line(t, x, residual) for t, x, residual in zip(
+            np.asarray(traj.times, dtype=float), states,
+            np.asarray(traj.residuals, dtype=float)))
 
 
 def equilibrium_to_json_dict(eq: EquilibriumResult) -> dict:

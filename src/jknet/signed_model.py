@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import _rk4_step
+from .dynamics import _check_span, _rk4_step
 from .rng import stream
 
 __all__ = [
@@ -136,8 +136,7 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
     the run ends: the trajectory has left the constraint set for good and
     the quadratic field would blow up numerically soon after.
     """
-    if not h > 0:  # every step is then positive, and the loop ends
-        raise ValueError("h must be positive")
+    _check_span(t_max, h, "t_max")  # every step is then positive, and the loop ends
     field = partial(constrained_field, M)
     x = np.asarray(x0, dtype=float).copy()
     t = 0.0

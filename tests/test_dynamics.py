@@ -856,12 +856,6 @@ class TestIntegrateMatchesListOracle:
             "0.0,0.0,-0.0,5e-324,9.9999e-05,0.0001,1e+16,9999999999999998.0,"
             "0.30000000000000004,1.0,2.5e-310,9.9999e-05")
 
-    def test_stream_and_string_carry_the_same_text(self, example2):
-        traj = integrate(example2, [0.7, 0.2, 0.1], t_end=0.5)
-        out = io.StringIO()
-        dynamics.write_trajectory_csv(traj, out)
-        assert out.getvalue() == trajectory_to_csv(traj)
-
     def test_adaptive_buffers_grow_past_the_fixed_step_bound(self, example2):
         # tight tolerance at a coarse h: far more rows than t_end / h + 2
         kw = dict(t_end=1.0, h=0.5, adaptive=True, tol=1e-13)
@@ -896,6 +890,11 @@ DYNAMICS_REFUSALS = [
     (lambda: integrate_projective(_PAIR, [0.2, 0.3, 0.5]), "dimension mismatch"),
     (lambda: andi_residual(_PAIR, _uneven_trajectory(), 1),
      "trajectory is not uniformly sampled"),
+    (lambda: andi_residual(_PAIR, _uneven_trajectory(), 0), "n must be >= 1, got 0"),
+    (lambda: andi_residual(_PAIR, _uneven_trajectory(), -1), "n must be >= 1, got -1"),
+    *((lambda tol=tol: integrate(_PAIR, [0.5, 0.5], 1.0, adaptive=True, tol=tol),
+       f"tol must be positive and finite, got {tol!r}")
+      for tol in (0.0, -1.0, float("nan"), float("inf"))),
     (lambda: equilibrium(_PAIR, [1.0, 0.0], analytic=True),
      "analytic=True answers from the graph alone: give no x0, or drop analytic "
      "for the flow limit"),
@@ -911,10 +910,13 @@ def test_argument_refusals(call, message):
 
 
 class TestTimeArguments:
+    # each run gets a text stream, which only integrate_to_csv writes to
     RUNS = {
-        "integrate": lambda C, **kw: integrate(C, uniform_state(C.d), **kw),
-        "integrate_projective": lambda C, **kw: integrate_projective(
+        "integrate": lambda C, out, **kw: integrate(C, uniform_state(C.d), **kw),
+        "integrate_projective": lambda C, out, **kw: integrate_projective(
             C, uniform_state(C.d), **kw),
+        "integrate_to_csv": lambda C, out, **kw: dynamics.integrate_to_csv(
+            C, uniform_state(C.d), out=out, **kw),
     }
 
     @pytest.mark.parametrize("entry", sorted(RUNS))
@@ -928,13 +930,15 @@ class TestTimeArguments:
         (0.0, 0.0, "h must be positive, got 0.0"),
     ])
     def test_bad_times_are_refused(self, example1, entry, t_end, h, message):
+        out = io.StringIO()
         with pytest.raises(ValueError) as exc:
-            self.RUNS[entry](example1, t_end=t_end, h=h)
+            self.RUNS[entry](example1, out, t_end=t_end, h=h)
         assert str(exc.value) == message
+        assert out.getvalue() == ""  # not even the CSV header
 
     @pytest.mark.parametrize("entry", sorted(RUNS))
     def test_zero_t_end_returns_the_start(self, example1, entry):
-        traj = self.RUNS[entry](example1, t_end=0.0, h=0.01)
+        traj = self.RUNS[entry](example1, io.StringIO(), t_end=0.0, h=0.01)
         assert traj.times.tolist() == [0.0]
         np.testing.assert_array_equal(traj.states, [uniform_state(3)])
 

@@ -150,6 +150,9 @@ SIGNED_REFUSALS = [
      "dimension mismatch"),
     (lambda: demonstrate_inconsistency(3, 0.5, trials=0, seed=1),
      "trials must be >= 1"),
+    *((lambda t_max=t_max: demonstrate_inconsistency(4, 0.5, 2, 1, t_max=t_max),
+       f"t_max must be finite and non-negative, got {t_max!r}")
+      for t_max in (float("nan"), -5.0, float("inf"))),
 ]
 
 
