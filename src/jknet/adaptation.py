@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class AdaptiveState:
     def directed_cycle(self) -> bool:
         return self.x_star.kind == KIND_ACS
 
-    @property
+    @cached_property
     def full_acs(self) -> bool:
         dst, _ = self.matrix.arcs
         return bool(np.bincount(dst, minlength=self.matrix.d).all())
@@ -237,9 +238,9 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
 
         if state.x_star.zero_set.size > 0:
             sup = state.x_star.support
-            ok = record.chosen in set(state.x_star.zero_set.tolist())
-            old = state.matrix.entries[np.ix_(sup, sup)]
-            new = new_state.matrix.entries[np.ix_(sup, sup)]
+            ok = bool((state.x_star.zero_set == record.chosen).any())
+            old = state.matrix.entries[sup][:, sup]
+            new = new_state.matrix.entries[sup][:, sup]
             ok = ok and bool((old == new).all())
             if state.directed_cycle:
                 ok = ok and new_state.directed_cycle

@@ -11,6 +11,7 @@ squaring of I + C (cyclic case) or by the last nonvanishing power C^m x0
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -312,16 +313,23 @@ def integrate_projective(C: InteractionMatrix, y0, phi: float = -1.0,
 # Equilibria
 # ---------------------------------------------------------------------------
 
-def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
-    """Limit direction of exp(tC) x0 for nilpotent C: last nonzero C^n x0."""
+def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray | None:
+    """The last nonzero C^n x0, normalised, or None once x0 reaches a cycle:
+    the support repeats, nonempty (each of its vertices has an in-neighbour
+    in it), or ``C.d`` powers pass without a zero one (past them an acyclic
+    graph's power is zero). Support sizes are compared before supports."""
     best = x0 / x0.sum()
     for _ in range(C.d):
         nxt = _arc_product(C, best)
         s = nxt.sum()
         if s <= 0.0:
-            break
-        best = nxt / s
-    return best
+            return best
+        nxt /= s
+        if (np.count_nonzero(nxt) == np.count_nonzero(best)
+                and ((nxt > 0.0) == (best > 0.0)).all()):
+            return None
+        best = nxt
+    return None
 
 
 # Width of the shared blocks that small components are packed into, and
@@ -496,7 +504,8 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     start with zeros is solved on that subgraph alone: the squaring on
     the whole graph would take its scale from a faster-growing block the
     start never reaches and underflow the blocks it does reach to 0/0.
-    The subgraph decides between the squaring and the nilpotent limit.
+    The powers of ``_nilpotent_limit`` pick the squaring or their own
+    limit: no separate cycle test is made.
     """
     live, sub = slice(None), C
     if not start.all():
@@ -505,10 +514,8 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
             return start
         sub = InteractionMatrix(C.entries[np.ix_(live, live)])
     x = np.zeros(C.d)
-    if has_directed_cycle(sub):
-        x[live] = _dominant_direction(sub, start[live])
-    else:
-        x[live] = _nilpotent_limit(sub, start[live])
+    limit = _nilpotent_limit(sub, start[live])
+    x[live] = _dominant_direction(sub, start[live]) if limit is None else limit
     return x
 
 
@@ -624,8 +631,8 @@ def andi_residual(C: InteractionMatrix, trajectory: Trajectory, n: int) -> float
     The trajectory must be uniformly sampled, with spacing h; the
     finite-difference error is O(h^2), which halving h shrinks fourfold.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not isinstance(n, numbers.Integral) or n < 1:  # numpy integers pass
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     times = trajectory.times
     if times.size < 3:
         raise ValueError("need at least 3 samples")

@@ -182,9 +182,10 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
     if not 0 <= j < d:
         raise IndexError(f"vertex {j} out of range for d={d}")
     a = np.array(C.entries, dtype=np.int8)
-    others = np.delete(np.arange(d), j)
-    a[j, others] = rng.random(d - 1) < p
-    a[others, j] = rng.random(d - 1) < p
+    row = rng.random(d - 1) < p  # row j, then column j, each without c[j, j]
+    a[j, :j], a[j, j + 1:] = row[:j], row[j:]
+    col = rng.random(d - 1) < p
+    a[:j, j], a[j + 1:, j] = col[:j], col[j:]
     return InteractionMatrix(a)
 
 

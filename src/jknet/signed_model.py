@@ -137,8 +137,12 @@ def integrate_constrained(M: SignedMatrix, x0, h: float = 0.01,
     the quadratic field would blow up numerically soon after.
     """
     _check_span(t_max, h, "t_max")  # every step is then positive, and the loop ends
-    field = partial(constrained_field, M)
     x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (M.d,):
+        raise ValueError(f"x0 must have shape ({M.d},), got {x.shape}")
+    if not (np.isfinite(x) & (x >= 0.0)).all():
+        raise ValueError("x0 must be finite and non-negative")
+    field = partial(constrained_field, M)
     t = 0.0
     times = [0.0]
     mass = [float(x.sum())]

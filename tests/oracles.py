@@ -6,7 +6,10 @@ dense eigensolves, the vector field by a double loop, the flow limit by
 squaring the whole dense I + C, or its blocks cut from a dense copy,
 with dense products throughout; the RK4 flow recorded into lists, and
 its CSV joined from row strings. Each oracle pairs with a production
-routine in a dual-route test.
+routine in a dual-route test. Two keep a replaced production form
+whole, so that the new one can be held to its bits: the flow limit
+decided by Kahn's peel before the squaring or the power loop, and the
+vertex resample that indexes with ``np.delete``.
 """
 from __future__ import annotations
 
@@ -14,8 +17,14 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from jknet.dynamics import _field, _residual, simplex_vector
-from jknet.graph import PF_MAX_ITER, TOL, NonConvergenceError
+from jknet.dynamics import (
+    _arc_product,
+    _dominant_direction,
+    _field,
+    _residual,
+    simplex_vector,
+)
+from jknet.graph import PF_MAX_ITER, TOL, InteractionMatrix, NonConvergenceError
 
 
 def floyd_warshall_reachability(entries: np.ndarray) -> np.ndarray:
@@ -275,6 +284,51 @@ def dense_is_cyclic(entries: np.ndarray) -> bool:
         indeg -= entries[:, layer].sum(axis=1, dtype=np.int64)
         layer = np.flatnonzero(alive & (indeg == 0))
     return bool(alive.any())
+
+
+def arc_nilpotent_limit(C, x0: np.ndarray) -> np.ndarray:
+    """Last nonzero C^n x0, normalised, for an acyclic C: the power loop
+    run until the power vanishes, with C x summed over the edge list."""
+    best = x0 / x0.sum()
+    for _ in range(C.d):
+        nxt = _arc_product(C, best)
+        s = nxt.sum()
+        if s <= 0.0:
+            break
+        best = nxt / s
+    return best
+
+
+def peeled_flow_limit(C, start: np.ndarray) -> np.ndarray:
+    """The flow limit with the cycle test made apart from the power loop.
+
+    The subgraph reachable from supp(start) (by dense BFS) is tested by
+    Kahn's peel (``dense_is_cyclic``); a cyclic one goes to the
+    library's squaring, an acyclic one to ``arc_nilpotent_limit``.
+    """
+    live, sub = slice(None), C
+    if not start.all():
+        live = np.flatnonzero(dense_reachable_from(C.entries, np.flatnonzero(start)))
+        if live.size == 1:
+            return start
+        sub = InteractionMatrix(C.entries[np.ix_(live, live)])
+    x = np.zeros(C.d)
+    if dense_is_cyclic(sub.entries):
+        x[live] = _dominant_direction(sub, start[live])
+    else:
+        x[live] = arc_nilpotent_limit(sub, start[live])
+    return x
+
+
+def delete_resample_vertex(C, j: int, p: float, rng) -> InteractionMatrix:
+    """Row j, then column j, redrawn through the index array that
+    ``np.delete`` leaves without j, in one fancy-indexed write each."""
+    d = C.d
+    a = np.array(C.entries, dtype=np.int8)
+    others = np.delete(np.arange(d), j)
+    a[j, others] = rng.random(d - 1) < p
+    a[others, j] = rng.random(d - 1) < p
+    return InteractionMatrix(a)
 
 
 def dense_flow_equilibrium(entries: np.ndarray, x0, tol: float,

@@ -15,10 +15,13 @@ from jknet import (
     trace_from_json_lines,
     trace_to_json_lines,
 )
+from jknet import dynamics, graph
 from jknet.adaptation import X0_MODES
 from jknet.dynamics import KIND_ACS, KIND_DEGENERATE, KIND_TERMINAL
 from jknet.graph import has_undirected_cycle, resample_vertex, sample_er_digraph
 from jknet.rng import stream
+
+from oracles import peeled_flow_limit
 
 
 class TestMinPrevalenceSet:
@@ -353,3 +356,37 @@ def test_an_update_that_changes_the_support_is_counted(monkeypatch):
     assert clean.records[0].support_size == 2 and clean.invariant_violations == 0
     monkeypatch.setattr(adaptation, "resample_vertex", cutting)
     assert run_adaptive(params, **kw).invariant_violations >= 1
+
+
+# (d, theta, plant_cycle, max_steps) of the replayed runs
+REPLAYS = [(30, 0.5, None, 200), (60, 1.5, 2, 120), (120, 3.0, None, 60),
+           (200, 1.0, 3, 40), (400, 0.5, 2, 30), (400, 0.5, None, 30)]
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+@pytest.mark.parametrize("d, theta, plant, steps", REPLAYS)
+def test_traces_replay_under_the_peeled_flow_limit(monkeypatch, x0_mode, d, theta,
+                                                   plant, steps):
+    # the flow limit decided by Kahn's peel gives the same trace text
+    params = ModelParams.from_theta(d, theta)
+    kw = dict(seed=d + 7, max_steps=steps, x0_mode=x0_mode, plant_cycle=plant)
+    fast = trace_to_json_lines(run_adaptive(params, **kw))
+    monkeypatch.setattr(dynamics, "_flow_limit", peeled_flow_limit)
+    assert trace_to_json_lines(run_adaptive(params, **kw)) == fast
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+def test_an_adaptive_run_makes_no_separate_cycle_test(monkeypatch, x0_mode):
+    # the flow limit's power loop is the cycle test: no has_directed_cycle
+    # call and no Kahn peel on the adaptive path
+    calls = []
+    for module, name in ((graph, "has_directed_cycle"),
+                         (dynamics, "has_directed_cycle"), (graph, "_peel")):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    trace = run_adaptive(ModelParams.from_theta(40, 0.5), seed=2, max_steps=150,
+                         x0_mode=x0_mode)
+    assert {r.directed_cycle for r in trace.records} == {True, False}
+    assert calls == []

@@ -30,14 +30,17 @@ from jknet.rng import stream
 
 from conftest import interior_state, random_matrices
 from oracles import (
+    arc_nilpotent_limit,
     dense_block_stacks,
     dense_dominant_direction,
     dense_flow_equilibrium,
+    dense_reachable_from,
     floyd_warshall_reachability,
     joined_trajectory_csv,
     list_integrate,
     list_integrate_projective,
     naive_vector_field,
+    peeled_flow_limit,
     relative_pf_vector,
 )
 
@@ -632,6 +635,84 @@ class TestBlockSolver:
         assert len(dynamics._block_layout(m)) == 1
 
 
+class TestPowerLoopCycleTest:
+    """The nilpotent power loop decides cyclic or not; Kahn's peel before
+    the squaring or the loop run to a zero power is the oracle."""
+
+    def test_matches_the_peel_on_seeded_corpus(self):
+        rng = stream(31337)
+        acyclic = cyclic = 0
+        for case in range(3000):
+            d = int(rng.integers(4, 121))
+            theta = float(rng.uniform(0.2, 3.0))
+            m = sample_er_digraph(ModelParams.from_theta(d, theta), rng)
+            if case % 3 == 0:
+                start = uniform_state(d)
+            elif case % 3 == 1:
+                start = interior_state(d, rng)
+            else:
+                start = np.where(rng.random(d) < rng.uniform(0.05, 0.6),
+                                 rng.random(d), 0.0)
+                start[int(rng.integers(d))] += 0.1
+                start = simplex_vector(start / start.sum())
+            live = np.flatnonzero(dense_reachable_from(m.entries,
+                                                       np.flatnonzero(start)))
+            if live.size == 1:  # a start on one sink: no subgraph to test
+                assert dynamics._nilpotent_limit(m, start) is not None
+                continue
+            sub = InteractionMatrix(m.entries[np.ix_(live, live)])
+            expect = has_directed_cycle(sub)
+            # on the whole graph the loop sees only what the start reaches
+            assert (dynamics._nilpotent_limit(m, start) is None) == expect, case
+            limit = dynamics._nilpotent_limit(sub, start[live])
+            assert (limit is None) == expect, case
+            if expect:
+                cyclic += 1
+                continue
+            acyclic += 1
+            np.testing.assert_array_equal(limit, arc_nilpotent_limit(sub, start[live]))
+            np.testing.assert_array_equal(dynamics._flow_limit(m, start),
+                                          peeled_flow_limit(m, start))
+        assert acyclic >= 500 and cyclic >= 500, (acyclic, cyclic)
+
+    def test_alternating_supports_reach_the_bound(self):
+        # a 2-cycle started on one of its vertices: the supports {0}, {1},
+        # {0}, ... never repeat in a row, so only the d-power bound ends it
+        m = InteractionMatrix.from_edges(5, TWO_CYCLE + [(2, 3), (3, 4)])
+        start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        a, y, supports = m.as_float(), start, []
+        for _ in range(m.d + 1):
+            supports.append(tuple(np.flatnonzero(y)))
+            y = a @ y
+        assert all(s in ((0,), (1,)) for s in supports)
+        assert all(s != t for s, t in zip(supports, supports[1:]))
+        assert dynamics._nilpotent_limit(m, start) is None
+        x = dynamics._flow_limit(m, start)
+        np.testing.assert_array_equal(x, peeled_flow_limit(m, start))
+        np.testing.assert_allclose(x, [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-12)
+
+    def test_equal_size_supports_on_a_chain_are_acyclic(self):
+        # a -> b -> c from a: supports {a}, {b}, {c} tie in size, not as sets
+        m = InteractionMatrix.from_edges(3, [(0, 1), (1, 2)])
+        start = np.array([1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(dynamics._nilpotent_limit(m, start),
+                                      [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(dynamics._flow_limit(m, start),
+                                      peeled_flow_limit(m, start))
+        assert equilibrium(m, start).kind == dynamics.KIND_TERMINAL
+
+    def test_a_cycle_the_start_cannot_reach_is_not_seen(self):
+        # 0 -> 1 from 0, beside the 2-cycle {2, 3}
+        m = InteractionMatrix.from_edges(4, [(0, 1), (2, 3), (3, 2)])
+        start = np.array([1.0, 0.0, 0.0, 0.0])
+        assert has_directed_cycle(m)
+        np.testing.assert_array_equal(dynamics._nilpotent_limit(m, start),
+                                      [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(dynamics._flow_limit(m, start),
+                                      peeled_flow_limit(m, start))
+        assert equilibrium(m, start).kind == dynamics.KIND_TERMINAL
+
+
 def test_analytic_equilibrium_with_large_lambda():
     rng = stream(10271)
     d = int(rng.integers(3, 40))
@@ -733,7 +814,7 @@ class TestAndi:
         # so both sides of the hierarchy are exactly zero there
         m = InteractionMatrix.from_edges(3, [(0, 1), (1, 2)])
         traj = integrate(m, [0.5, 0.3, 0.2], t_end=1.0, h=1e-3)
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, np.int64(3)):  # numpy integers are integers too
             assert andi_residual(m, traj, n) == 0.0
         # r_2 = x_0 still moves, and only the O(h^2) difference error is left
         assert 0.0 < andi_residual(m, traj, 2) < 1e-6
@@ -890,8 +971,12 @@ DYNAMICS_REFUSALS = [
     (lambda: integrate_projective(_PAIR, [0.2, 0.3, 0.5]), "dimension mismatch"),
     (lambda: andi_residual(_PAIR, _uneven_trajectory(), 1),
      "trajectory is not uniformly sampled"),
-    (lambda: andi_residual(_PAIR, _uneven_trajectory(), 0), "n must be >= 1, got 0"),
-    (lambda: andi_residual(_PAIR, _uneven_trajectory(), -1), "n must be >= 1, got -1"),
+    (lambda: andi_residual(_PAIR, _uneven_trajectory(), 0),
+     "n must be an integer >= 1, got 0"),
+    (lambda: andi_residual(_PAIR, _uneven_trajectory(), -1),
+     "n must be an integer >= 1, got -1"),
+    (lambda: andi_residual(_PAIR, _uneven_trajectory(), 1.5),
+     "n must be an integer >= 1, got 1.5"),
     *((lambda tol=tol: integrate(_PAIR, [0.5, 0.5], 1.0, adaptive=True, tol=tol),
        f"tol must be positive and finite, got {tol!r}")
       for tol in (0.0, -1.0, float("nan"), float("inf"))),

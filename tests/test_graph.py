@@ -27,6 +27,7 @@ from oracles import (
     brute_force_path_counts,
     brute_force_sccs,
     brute_force_undirected_cycle,
+    delete_resample_vertex,
     dense_spectral_radius,
     floyd_warshall_reachability,
 )
@@ -164,6 +165,19 @@ class TestResampleVertex:
         assert out.entries.tolist() == expected
         again = resample_vertex(base, 2, 0.5, stream(20240, 0))
         assert (out.entries == again.entries).all()
+
+    @pytest.mark.parametrize("d", [2, 3, 17, 64])
+    def test_matches_the_delete_form(self, d):
+        # the slices write the draws where the np.delete index put them,
+        # and use up the same stream: j = 0, interior j and j = d - 1
+        base = sample_er_digraph(ModelParams(d=d, p=0.3), stream(5, d))
+        for j in sorted({0, d // 2, d - 1}):
+            for p in (0.0, 0.3, 1.0):
+                rng, ref = stream(11, d, j), stream(11, d, j)
+                np.testing.assert_array_equal(
+                    resample_vertex(base, j, p, rng).entries,
+                    delete_resample_vertex(base, j, p, ref).entries)
+                assert rng.random() == ref.random()
 
     def test_index_out_of_range(self):
         base = InteractionMatrix.zero(4)

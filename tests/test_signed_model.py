@@ -148,6 +148,11 @@ SIGNED_REFUSALS = [
     (lambda: sample_signed(3, -0.1, stream(1)), "p must lie in [0, 1]"),
     (lambda: constrained_field(hand_built_witness_matrix(), [0.2, 0.3, 0.5]),
      "dimension mismatch"),
+    (lambda: integrate_constrained(hand_built_witness_matrix(), [0.2, 0.3, 0.5]),
+     "x0 must have shape (2,), got (3,)"),
+    *((lambda x0=x0: integrate_constrained(hand_built_witness_matrix(), x0),
+       "x0 must be finite and non-negative")
+      for x0 in ([float("nan"), 0.5], [-0.5, 1.5])),
     (lambda: demonstrate_inconsistency(3, 0.5, trials=0, seed=1),
      "trials must be >= 1"),
     *((lambda t_max=t_max: demonstrate_inconsistency(4, 0.5, 2, 1, t_max=t_max),
