@@ -141,7 +141,10 @@ def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
     ``x0_mode`` picks the initial condition the new equilibrium is read
     from: "uniform" restarts at the barycentre every epoch, "carry"
     reuses the previous equilibrium with the resampled vertex reset to
-    1/d (then renormalised).
+    1/d (then renormalised). A uniform step whose redraw left the graph
+    unchanged (``resample_vertex`` returned it as is) keeps
+    ``state.x_star``: the solve of the same graph from the same start
+    would give the same bits. A carried start is solved every step.
     """
     if x0_mode not in X0_MODES:
         raise ValueError(f"x0_mode must be one of {X0_MODES}")
@@ -150,7 +153,8 @@ def jk_step(state: AdaptiveState, p: float, rng: np.random.Generator,
     chosen = int(jset[rng.integers(jset.size)])
     new_matrix = resample_vertex(state.matrix, chosen, p, rng)
     x0 = _carry_state(x, chosen) if x0_mode == "carry" else None
-    new_eq = equilibrium(new_matrix, x0=x0)
+    new_eq = (state.x_star if x0 is None and new_matrix is state.matrix
+              else equilibrium(new_matrix, x0=x0))
     record = _record_state(state, chosen, jset)
     return AdaptiveState(state.s + 1, new_matrix, new_eq), record
 

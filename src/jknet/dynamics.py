@@ -22,12 +22,12 @@ from .graph import (
     TOL,
     InteractionMatrix,
     NonConvergenceError,
+    _arc_product,
     _reachable_from,
     _weak_component_labels,
     has_directed_cycle,
     path_counts,
     spectral_radius_pf,
-    terminal_vertices,
 )
 
 __all__ = [
@@ -53,6 +53,7 @@ KIND_DEGENERATE = "degenerate_no_edges"
 
 ZERO_TOL = 1e-9  # a concentration at or below it is outside the support
 MAX_DOUBLINGS = 70  # squarings of I + C before the flow-limit solve gives up
+STALL = 0.75  # a near-threshold entry above STALL x its last value has stalled
 MASS_ATOL = 1e-9  # how far a state's mass may stray from 1 to be renormalised
 
 
@@ -147,12 +148,6 @@ def vector_field(C: InteractionMatrix, x) -> np.ndarray:
 
 def _residual(a: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(_field(a, x)).sum())
-
-
-def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:
-    """C x summed over the edge list: no dense copy, no BLAS."""
-    dst, src = C.arcs
-    return np.bincount(dst, weights=x[src], minlength=C.d)
 
 
 def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> float:
@@ -427,8 +422,9 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     applied to x0 converge to the flow's limit even when the leading
     eigenvalue is defective (where the decay is only ~t^-1 in real time
     but halves per squaring here). After the residual ``TOL`` is met,
-    extra squarings run until no component is stranded near the support
-    threshold, so the zero set is classified cleanly.
+    extra squarings run, up to 32, while a component near the support
+    threshold still falls below ``STALL`` times its previous value, so
+    the zero set is classified cleanly.
 
     I + C is block-diagonal over the weak components of C, and so is
     every power of it, so only the blocks of ``_block_layout`` are
@@ -480,19 +476,24 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
                 np.matmul(block, block_start, out=block_out)
 
     # defective leading eigenvalues leave slowly decaying components that
-    # shrink only ~2x per squaring; keep going until none is stranded in
-    # the ambiguous band around the support threshold
+    # shrink only ~2x per squaring; keep going while one in the ambiguous
+    # band around the support threshold still shrinks. A stalled one is a
+    # Perron entry, of which a support of ~1000 vertices has many.
     band_lo, band_hi = ZERO_TOL * 1e-3, 1e-4
     polish_left = 32
+    prev = None
     for _ in range(MAX_DOUBLINGS):
         square()
         y = slots[pos]
         y = y / y.sum()
         if _arc_residual(C, y) <= TOL:
-            in_band = bool(((y > band_lo) & (y < band_hi)).any())
-            if not in_band or polish_left == 0:
+            moving = (y > band_lo) & (y < band_hi)
+            if prev is not None:
+                moving &= y < STALL * prev
+            if not moving.any() or polish_left == 0:
                 return y
             polish_left -= 1
+        prev = y
     raise NonConvergenceError(
         f"projective iteration residual {_arc_residual(C, y):.3e} > {TOL}")
 
@@ -593,25 +594,19 @@ def equilibrium_set_basis(C: InteractionMatrix) -> EquilibriumSetBasis:
     if C.edge_count() == 0:  # no check to run: C x = 0 for every x
         return EquilibriumSetBasis(kind=KIND_DEGENERATE,
                                    vectors=tuple(np.eye(C.d)), non_unique=True)
-    a = C.as_float()
     if has_directed_cycle(C):
-        sd = spectral_radius_pf(C)
-        vectors = sd.pf_basis
+        vectors = spectral_radius_pf(C).pf_basis
         kind = KIND_ACS
     else:
+        # a vertex with an out-edge has fewer ancestors than its target,
+        # so every vertex of maximal count is terminal
         pc = path_counts(C)
-        term = terminal_vertices(C)
-        best = term[pc[term] == pc[term].max()]
-        vectors = tuple(np.eye(C.d)[best])
+        best = np.flatnonzero(pc == pc.max())
+        vectors = tuple((best[:, None] == np.arange(C.d)).astype(np.float64))
         kind = KIND_TERMINAL
 
-    # one row per check, all residuals from one matrix product
-    checks = np.array([np.mean(vectors, axis=0), *vectors,
-                       0.5 * (vectors[0] + vectors[-1])])
-    checks /= checks.sum(axis=1, keepdims=True)
-    cx = checks @ a.T
-    if (np.abs(cx - cx.sum(axis=1, keepdims=True) * checks).sum(axis=1)
-            > RESIDUAL_FLOOR).any():
+    checks = [np.mean(vectors, axis=0), *vectors, 0.5 * (vectors[0] + vectors[-1])]
+    if any(_arc_residual(C, x / x.sum()) > RESIDUAL_FLOOR for x in checks):
         raise NonConvergenceError(
             "combination of basis vectors fails the equilibrium check")
     return EquilibriumSetBasis(kind=kind, vectors=vectors,

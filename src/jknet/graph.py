@@ -114,6 +114,12 @@ class InteractionMatrix:
         return cls(a)
 
 
+def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:
+    """C x summed over the edge list: no dense copy, no BLAS."""
+    dst, src = C.arcs
+    return np.bincount(dst, weights=x[src], minlength=C.d)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Vertex count and per-edge probability; theta = p*d is derived.
@@ -176,7 +182,9 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
 
     Draw order is fixed for reproducibility: first the incoming entries
     ``c[j, i]`` for i != j in ascending i, then the outgoing entries
-    ``c[i, j]`` likewise. All other entries are copied unchanged.
+    ``c[i, j]`` likewise. All other entries are copied unchanged. When
+    the redrawn row and column equal the old ones, C itself is returned,
+    so a caller can tell an unchanged graph by identity.
     """
     d = C.d
     if not 0 <= j < d:
@@ -186,6 +194,8 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
     a[j, :j], a[j, j + 1:] = row[:j], row[j:]
     col = rng.random(d - 1) < p
     a[:j, j], a[j + 1:, j] = col[:j], col[j:]
+    if (a[j] == C.entries[j]).all() and (a[:, j] == C.entries[:, j]).all():
+        return C
     return InteractionMatrix(a)
 
 
@@ -431,8 +441,10 @@ def spectral_radius_pf(C: InteractionMatrix) -> SpectralData:
     if not nontrivial:
         return SpectralData(lam=0.0, pf_basis=(), multiplicity=0)
 
-    a = C.as_float()
-    radii, vectors = zip(*(_pf_vector_irreducible(a[np.ix_(comp, comp)])
+    def block(rows, cols):  # the float values a dense copy would hold
+        return C.entries[np.ix_(rows, cols)].astype(np.float64)
+
+    radii, vectors = zip(*(_pf_vector_irreducible(block(comp, comp))
                            for comp in nontrivial))
 
     rho = max(radii)
@@ -450,13 +462,12 @@ def spectral_radius_pf(C: InteractionMatrix) -> SpectralData:
         v = np.zeros(C.d)
         v[list(comp)] = vectors[i]
         if downstream.size:
-            sub = a[np.ix_(downstream, downstream)]
-            cross = a[np.ix_(downstream, list(comp))]
-            sol = np.linalg.solve(rho * np.eye(len(downstream)) - sub,
-                                  cross @ vectors[i])
+            sol = np.linalg.solve(
+                rho * np.eye(downstream.size) - block(downstream, downstream),
+                block(downstream, comp) @ vectors[i])
             v[downstream] = np.clip(sol, 0.0, None)
         v /= v.sum()
-        resid = np.abs(a @ v - rho * v).sum()
+        resid = np.abs(_arc_product(C, v) - rho * v).sum()
         if resid > PF_ATOL:
             raise NonConvergenceError(
                 f"eigenvector residual {resid:.3e} exceeds tolerance")

@@ -6,10 +6,11 @@ dense eigensolves, the vector field by a double loop, the flow limit by
 squaring the whole dense I + C, or its blocks cut from a dense copy,
 with dense products throughout; the RK4 flow recorded into lists, and
 its CSV joined from row strings. Each oracle pairs with a production
-routine in a dual-route test. Two keep a replaced production form
+routine in a dual-route test. Some keep a replaced production form
 whole, so that the new one can be held to its bits: the flow limit
-decided by Kahn's peel before the squaring or the power loop, and the
-vertex resample that indexes with ``np.delete``.
+decided by Kahn's peel before the squaring or the power loop, the
+vertex resample that indexes with ``np.delete``, and the analytic
+equilibrium set read from dense float copies of C.
 """
 from __future__ import annotations
 
@@ -18,13 +19,31 @@ from itertools import combinations, permutations
 import numpy as np
 
 from jknet.dynamics import (
+    KIND_ACS,
+    KIND_TERMINAL,
+    STALL,
+    EquilibriumSetBasis,
     _arc_product,
     _dominant_direction,
     _field,
     _residual,
     simplex_vector,
 )
-from jknet.graph import PF_MAX_ITER, TOL, InteractionMatrix, NonConvergenceError
+from jknet.graph import (
+    PF_ATOL,
+    PF_MAX_ITER,
+    RESIDUAL_FLOOR,
+    TOL,
+    InteractionMatrix,
+    NonConvergenceError,
+    SpectralData,
+    _pf_vector_irreducible,
+    _reachable_from,
+    has_directed_cycle,
+    path_counts,
+    strongly_connected_components,
+    terminal_vertices,
+)
 
 
 def floyd_warshall_reachability(entries: np.ndarray) -> np.ndarray:
@@ -236,8 +255,8 @@ def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
     applied to x0 converge to the flow's limit even when the leading
     eigenvalue is defective (where the decay is only ~t^-1 in real time
     but halves per squaring here). After the residual tolerance is met,
-    extra squarings run until no component is stranded near the support
-    threshold, so the zero set is classified cleanly.
+    extra squarings run, up to 32, while a component near the support
+    threshold still shrinks, so the zero set is classified cleanly.
 
     With ``groups``, a block layout, only those blocks are squared, cut
     from a dense I + C, all divided by one global maximum; without, the
@@ -253,10 +272,12 @@ def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
         x_pad = np.concatenate([x0, [0.0]])
         starts = [x_pad[idx][:, :, None] for idx in groups]
     # defective leading eigenvalues leave slowly decaying components that
-    # shrink only ~2x per squaring; keep going until none is stranded in
-    # the ambiguous band around the support threshold
+    # shrink only ~2x per squaring; keep going while one in the ambiguous
+    # band around the support threshold still falls below STALL times
+    # its value at the squaring before
     band_lo, band_hi = zero_tol * 1e-3, 1e-4
     polish_left = 32
+    prev = None
     for _ in range(max_doublings):
         blocks = [m @ m for m in blocks]
         top = max([m.max() for m in blocks])
@@ -266,10 +287,13 @@ def dense_dominant_direction(a: np.ndarray, x0: np.ndarray, tol: float,
                             for m, start in zip(blocks, starts)])[pos]
         y = y / y.sum()
         if _residual(a, y) <= tol:
-            in_band = bool(((y > band_lo) & (y < band_hi)).any())
-            if not in_band or polish_left == 0:
+            moving = (y > band_lo) & (y < band_hi)
+            if prev is not None:
+                moving &= y < STALL * prev
+            if not moving.any() or polish_left == 0:
                 return y
             polish_left -= 1
+        prev = y
     raise NonConvergenceError(
         f"projective iteration residual {_residual(a, y):.3e} > tol={tol}")
 
@@ -471,3 +495,63 @@ def list_integrate_projective(C, y0, phi: float = -1.0, t_end: float = 50.0,
         states.append(y.copy())
         residuals.append(_residual(a, y))
     return np.array(times), np.array(states), np.array(residuals)
+
+
+def dense_spectral_radius_pf(C) -> SpectralData:
+    """``spectral_radius_pf`` with its Perron blocks, the downstream
+    blocks and the residual check all cut from one dense float copy."""
+    nontrivial = [c for c in strongly_connected_components(C) if len(c) > 1]
+    if not nontrivial:
+        return SpectralData(lam=0.0, pf_basis=(), multiplicity=0)
+    a = C.as_float()
+    radii, vectors = zip(*(_pf_vector_irreducible(a[np.ix_(comp, comp)])
+                           for comp in nontrivial))
+    rho = max(radii)
+    basic = [i for i, lam_b in enumerate(radii) if lam_b >= rho - PF_ATOL]
+    basis = []
+    for i in basic:
+        comp = nontrivial[i]
+        reach = _reachable_from(C, comp)
+        if any(reach[list(nontrivial[j])].any() for j in basic if j != i):
+            continue
+        reach[list(comp)] = False
+        downstream = np.flatnonzero(reach)
+        v = np.zeros(C.d)
+        v[list(comp)] = vectors[i]
+        if downstream.size:
+            sub = a[np.ix_(downstream, downstream)]
+            cross = a[np.ix_(downstream, list(comp))]
+            sol = np.linalg.solve(rho * np.eye(len(downstream)) - sub,
+                                  cross @ vectors[i])
+            v[downstream] = np.clip(sol, 0.0, None)
+        v /= v.sum()
+        if np.abs(a @ v - rho * v).sum() > PF_ATOL:
+            raise NonConvergenceError("eigenvector residual exceeds tolerance")
+        basis.append(v)
+    return SpectralData(lam=float(rho), pf_basis=tuple(basis),
+                        multiplicity=len(basis))
+
+
+def dense_equilibrium_set_basis(C) -> EquilibriumSetBasis:
+    """``equilibrium_set_basis`` for a graph with edges, on dense forms:
+    the acyclic argmax taken over ``terminal_vertices`` alone, unit
+    vectors cut from a d x d identity, and every check a row of one
+    ``checks @ a.T`` product."""
+    a = C.as_float()
+    if has_directed_cycle(C):
+        vectors, kind = dense_spectral_radius_pf(C).pf_basis, KIND_ACS
+    else:
+        pc = path_counts(C)
+        term = terminal_vertices(C)
+        best = term[pc[term] == pc[term].max()]
+        vectors, kind = tuple(np.eye(C.d)[best]), KIND_TERMINAL
+    checks = np.array([np.mean(vectors, axis=0), *vectors,
+                       0.5 * (vectors[0] + vectors[-1])])
+    checks /= checks.sum(axis=1, keepdims=True)
+    cx = checks @ a.T
+    if (np.abs(cx - cx.sum(axis=1, keepdims=True) * checks).sum(axis=1)
+            > RESIDUAL_FLOOR).any():
+        raise NonConvergenceError(
+            "combination of basis vectors fails the equilibrium check")
+    return EquilibriumSetBasis(kind=kind, vectors=vectors,
+                               non_unique=len(vectors) > 1)

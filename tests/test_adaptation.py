@@ -376,6 +376,30 @@ def test_traces_replay_under_the_peeled_flow_limit(monkeypatch, x0_mode, d, thet
 
 
 @pytest.mark.parametrize("x0_mode", X0_MODES)
+@pytest.mark.parametrize("d, theta, plant, steps", REPLAYS)
+def test_an_unchanged_graph_reuses_the_solve(monkeypatch, x0_mode, d, theta,
+                                             plant, steps):
+    # a uniform step whose redraw changed nothing keeps the last solve;
+    # forced to solve again, every run gives the same trace text
+    from jknet import adaptation
+
+    params = ModelParams.from_theta(d, theta)
+    kw = dict(seed=d + 11, max_steps=steps, x0_mode=x0_mode, plant_cycle=plant)
+    real, solves = adaptation.resample_vertex, []
+    monkeypatch.setattr(adaptation, "equilibrium",
+                        lambda *a, **k: solves.append(1) or equilibrium(*a, **k))
+    reused = trace_to_json_lines(run_adaptive(params, **kw))
+    reuses = steps + 1 - len(solves)
+    monkeypatch.setattr(adaptation, "resample_vertex",
+                        lambda C, *a: InteractionMatrix(real(C, *a).entries))
+    assert trace_to_json_lines(run_adaptive(params, **kw)) == reused
+    if x0_mode == "carry":
+        assert reuses == 0
+    elif theta == 0.5:  # a sparse graph often redraws an isolated vertex bare
+        assert reuses > 0
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
 def test_an_adaptive_run_makes_no_separate_cycle_test(monkeypatch, x0_mode):
     # the flow limit's power loop is the cycle test: no has_directed_cycle
     # call and no Kahn peel on the adaptive path

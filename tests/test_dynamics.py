@@ -33,8 +33,10 @@ from oracles import (
     arc_nilpotent_limit,
     dense_block_stacks,
     dense_dominant_direction,
+    dense_equilibrium_set_basis,
     dense_flow_equilibrium,
     dense_reachable_from,
+    dense_spectral_radius_pf,
     floyd_warshall_reachability,
     joined_trajectory_csv,
     list_integrate,
@@ -462,6 +464,20 @@ class TestEquilibrium:
         np.testing.assert_allclose(traj.states[-1], eq.x_star, atol=0.01)
 
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("pad", [0, 70], ids=["one block", "blocks"])
+    def test_defective_chains_polish_out_of_the_band(self, k, pad):
+        # k chained 2-cycles: a Jordan chain of length k at lambda = 1.
+        # Upstream entries only halve per squaring, which counts as still
+        # moving, so the polish runs them below the band's 1e-12 floor
+        edges = []
+        for c in range(0, 2 * k, 2):
+            edges += [(c, c + 1), (c + 1, c)] + ([(c - 2, c)] if c else [])
+        eq = equilibrium(InteractionMatrix.from_edges(2 * k + pad, edges))
+        assert eq.support.tolist() == [2 * k - 2, 2 * k - 1]
+        assert eq.x_star[:2 * k - 2].max() <= dynamics.ZERO_TOL * 1e-3
+
+
 def dense_flow_limit(C, x0, tol=1e-10, zero_tol=1e-9):
     """The flow limit with the whole dense I + C squared."""
     return dense_flow_equilibrium(C.entries, x0, tol, zero_tol, 70,
@@ -795,6 +811,52 @@ class TestEquilibriumSetBasis:
                 assert set(np.flatnonzero(v).tolist()) <= best
             checked += 1
         assert checked > 30
+
+    def test_matches_the_dense_forms_bit_for_bit(self, monkeypatch):
+        # blocks cut from C.entries, checks over the edge list and the
+        # argmax over all vertices against as_float blocks, the batched
+        # dense checks and the terminal_vertices filter: the same
+        # SpectralData and analytic JSON bits on both kinds of graph
+        rng = stream(20261019)
+        kinds = {"acs_supported": 0, "terminal_supported": 0}
+        for _ in range(640):
+            d = int(rng.integers(4, 120))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.2, 3.0))), rng)
+            if m.edge_count() == 0:
+                continue
+            sd, ref = spectral_radius_pf(m), dense_spectral_radius_pf(m)
+            assert (repr(sd.lam), sd.multiplicity) == (repr(ref.lam), ref.multiplicity)
+            for v, w in zip(sd.pf_basis, ref.pf_basis, strict=True):
+                assert v.tobytes() == w.tobytes()
+            eq = equilibrium(m, analytic=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "equilibrium_set_basis",
+                              dense_equilibrium_set_basis)
+                dense = equilibrium(m, analytic=True)
+            assert (json.dumps(equilibrium_to_json_dict(eq)), repr(eq.lam)) == (
+                json.dumps(equilibrium_to_json_dict(dense)), repr(dense.lam))
+            kinds[eq.kind] += 1
+        assert min(kinds.values()) >= 150, kinds
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 0), (1, 2), (2, 3)],  # a 2-cycle with a downstream tail
+        [(0, 1), (1, 0), (2, 3), (3, 2)],  # two tied classes
+        [(0, 1), (1, 2), (3, 2), (4, 5)],  # acyclic
+    ], ids=["tail", "tied", "acyclic"])
+    def test_analytic_solve_makes_one_dense_float_copy(self, monkeypatch, edges):
+        # the recorded residual's C x is the one dense product left
+        m = InteractionMatrix.from_edges(6, edges)
+        calls = []
+        real = InteractionMatrix.as_float
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(InteractionMatrix, "as_float", spy)
+        equilibrium(m, analytic=True)
+        assert calls == [m]
 
     def test_example3_integration_limits_stay_in_hull(self, example3):
         # limits from several starts lie on the segment between the two

@@ -179,6 +179,14 @@ class TestResampleVertex:
                     delete_resample_vertex(base, j, p, ref).entries)
                 assert rng.random() == ref.random()
 
+    def test_unchanged_redraw_returns_the_same_matrix(self):
+        # vertex 5 is isolated, so p = 0 redraws what it had; vertex 0
+        # loses its edges, so a new matrix comes back
+        base = InteractionMatrix.from_edges(6, self.BASE_EDGES)
+        assert resample_vertex(base, 5, 0.0, stream(3)) is base
+        out = resample_vertex(base, 0, 0.0, stream(3))
+        assert out is not base and not out.entries[0].any()
+
     def test_index_out_of_range(self):
         base = InteractionMatrix.zero(4)
         with pytest.raises(IndexError):
@@ -468,6 +476,19 @@ class TestPathCounts:
             a[np.arange(1, d), np.arange(d - 1)] = True
         perm = rng.permutation(d)
         return InteractionMatrix(a[np.ix_(perm, perm)].astype(np.int8)), perm
+
+    def test_argmax_is_terminal(self):
+        # an out-edge j -> k gives k every ancestor of j and j itself, so
+        # a vertex of maximal count has none; with an edge it has one in
+        rng = stream(120)
+        for k in range(300):
+            d = int(rng.integers(2, 80))
+            m, _ = self.permuted_dag(d, float(rng.uniform(0.0, 0.4)), rng,
+                                     chain=k % 5 == 0)
+            if m.edge_count() == 0:
+                continue
+            pc = path_counts(m)
+            assert set(np.flatnonzero(pc == pc.max())) <= set(terminal_vertices(m))
 
     def test_permuted_chains(self):
         rng = stream(118)
