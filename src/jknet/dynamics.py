@@ -133,6 +133,14 @@ def simplex_vector(x) -> np.ndarray:
     return x / x.sum()
 
 
+def _start(C: InteractionMatrix, x0) -> np.ndarray:
+    """``simplex_vector(x0)``, refused unless it has one entry per vertex."""
+    x = simplex_vector(x0)
+    if x.size != C.d:
+        raise ValueError(f"x0 must have length {C.d}, got {x.size}")
+    return x
+
+
 def _field(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     cx = a @ x
     return cx - cx.sum() * x
@@ -253,7 +261,7 @@ def integrate(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
     ``stop_residual`` ends the run early once ||f(x)||_1 falls below it.
     """
     rows = []
-    stats = _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
+    stats = _rk4_run(partial(_field, C.as_float()), _start(C, x0), t_end, h,
                      rows.append, adaptive, tol, stop_residual)
     return _trajectory(rows, stats)
 
@@ -276,7 +284,7 @@ def integrate_to_csv(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
             out.write(_csv_line(*row))
         last[:] = [row]
 
-    stats = _rk4_run(partial(_field, C.as_float()), simplex_vector(x0), t_end, h,
+    stats = _rk4_run(partial(_field, C.as_float()), _start(C, x0), t_end, h,
                      record)
     return _trajectory(last, stats)
 
@@ -314,107 +322,87 @@ def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray | None:
     in it), or ``C.d`` powers pass without a zero one (past them an acyclic
     graph's power is zero). Support sizes are compared before supports."""
     best = x0 / x0.sum()
+    size = np.count_nonzero(best)
     for _ in range(C.d):
         nxt = _arc_product(C, best)
         s = nxt.sum()
         if s <= 0.0:
             return best
         nxt /= s
-        if (np.count_nonzero(nxt) == np.count_nonzero(best)
-                and ((nxt > 0.0) == (best > 0.0)).all()):
+        nxt_size = np.count_nonzero(nxt)
+        if nxt_size == size and ((nxt > 0.0) == (best > 0.0)).all():
             return None
-        best = nxt
+        best, size = nxt, nxt_size
     return None
 
 
-# Width of the shared blocks that small components are packed into, and
-# the largest graph that is one block; see _block_layout.
-_TILE = 32
+# The largest graph that is squared as one block, unlabelled; see
+# _dominant_direction.
 _ONE_BLOCK = 64
 
 
-def _block_layout(C: InteractionMatrix) -> list | None:
-    """Diagonal blocks of I + C that cover every weak component of C.
+def _block_layout(label: np.ndarray, verts: np.ndarray) -> list:
+    """Diagonal blocks of I + C, one per weak component among ``verts``.
 
-    Returns int index arrays of shape (n, s), row k listing the vertices
-    of the k-th (s, s) block, so that, with a = C as a dense matrix,
+    ``label`` names each vertex's weak component of C and ``verts``
+    lists, in increasing order, whole components. Returns int index
+    arrays of shape (n, s), row k listing the vertices of the k-th
+    (s, s) block: the components of s vertices, in the order of their
+    labels, each in vertex order. With a = C as a dense matrix,
     ``a[idx[:, :, None], idx[:, None, :]]`` is the (n, s, s) stack of
-    those blocks of C. No edge joins two blocks, so squaring the stack
-    squares I + C. None means one block of all d vertices in order: up
-    to ``_ONE_BLOCK`` vertices the labelling costs more than the
-    squaring it would save.
-
-    A component larger than ``_TILE`` is a block of its own, stacked
-    with the others of its size. The rest share tiles of at most
-    ``_TILE`` slots: each is padded to a power of two and laid out
-    largest first, so that none straddles two tiles, and padding slots
-    hold the index d, which ``_block_stacks`` maps to a zero row and
-    column. Tiles keep the number of stacks, and with it the
-    per-squaring Python overhead, small when a graph has many little
-    components.
+    those blocks of C; no edge joins two of them.
     """
-    d = C.d
-    if d <= _ONE_BLOCK:
-        return None
-    label = _weak_component_labels(*C.arcs, d)
-    size = np.bincount(label)[label]
-    big = size > _TILE
-    groups = []
-    if big.any():
-        order = np.flatnonzero(big)[np.lexsort((label[big], size[big]))]
-        sizes, firsts = np.unique(size[order], return_index=True)
-        groups += [chunk.reshape(-1, s)
-                   for s, chunk in zip(sizes, np.split(order, firsts[1:]))]
-    if not big.all():
-        small = np.flatnonzero(~big)
-        pad = 2 ** np.ceil(np.log2(size[small])).astype(np.int64)
-        order = np.lexsort((label[small], -pad))  # stable: vertex order kept
-        verts, pad, lab = small[order], pad[order], label[small][order]
-        opens = np.r_[True, lab[1:] != lab[:-1]]  # a component starts here
-        first = np.flatnonzero(opens)
-        comp = np.cumsum(opens) - 1
-        offset = np.cumsum(pad[first]) - pad[first]
-        slot = offset[comp] + np.arange(verts.size) - first[comp]
-        total = int(offset[-1] + pad[first[-1]])
-        tile = min(_TILE, 1 << (total - 1).bit_length())
-        flat = np.full(-(-total // tile) * tile, d)
-        flat[slot] = verts
-        groups.append(flat.reshape(-1, tile))
-    return groups
+    size = np.bincount(label)[label[verts]]
+    order = np.lexsort((label[verts], size))  # stable: vertex order kept
+    verts, size = verts[order], size[order]
+    cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), verts.size]
+    return [verts[a:b].reshape(-1, size[a]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _block_stacks(C: InteractionMatrix, groups: list) -> tuple[list, np.ndarray]:
+def _block_stacks(dst: np.ndarray, src: np.ndarray, d: int,
+                  groups: list) -> list:
     """The (n, s, s) stacks of blocks of I + C that ``groups`` lists.
 
     Stack g holds ``one[idx[:, :, None], idx[:, None, :]]`` for
-    ``idx = groups[g]``, where ``one`` is I + C with a zero row and
-    column d for the padding slots. It is scattered from the edge list,
-    with no dense ``one``: in the buffer the stacks share, the slot t of
-    a stack of width s starts its block row at t * s and is column
-    t % s, and every edge joins two slots of one block. Also returns
-    the slot of each vertex in the concatenated groups.
+    ``idx = groups[g]``, where ``one`` is I + C on d vertices. It is
+    scattered from the edges ``(dst, src)`` inside the groups, with no
+    dense ``one``: in the buffer the stacks share, the slot t of a stack
+    of width s starts its block row at t * s and is column t % s, and
+    every edge joins two slots of one block.
     """
-    sizes = [idx.size * idx.shape[1] for idx in groups]
-    buf = np.zeros(sum(sizes))
-    row, col, base = [], [], 0
-    for idx, size in zip(groups, sizes):
-        slot = np.arange(idx.size)
-        row.append(base + slot * idx.shape[1])
-        col.append(slot % idx.shape[1])
-        base += size
-    # the slots of the vertices 0..d-1; the padding slots sort last
-    pos = np.argsort(np.concatenate([idx.ravel() for idx in groups]),
-                     kind="stable")[:C.d]
-    row, col = np.concatenate(row)[pos], np.concatenate(col)[pos]
-    dst, src = C.arcs
-    buf[row + col] = 1.0
+    buf = np.zeros(sum(idx.size * idx.shape[1] for idx in groups))
+    row, col = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
+    blocks, base = [], 0
+    for idx in groups:
+        n, s = idx.shape
+        slot = np.arange(n * s)
+        row[idx.ravel()] = base + slot * s
+        col[idx.ravel()] = slot % s
+        blocks.append(buf[base:base + n * s * s].reshape(n, s, s))
+        blocks[-1].reshape(n, s * s)[:, ::s + 1] = 1.0  # the diagonal
+        base += n * s * s
     buf[row[dst] + col[src]] = 1.0
-    blocks = [block.reshape(-1, idx.shape[1], idx.shape[1]) for block, idx
-              in zip(np.split(buf, np.cumsum(sizes)[:-1]), groups)]
-    return blocks, pos
+    return blocks
 
 
-def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
+def _krylov(dst: np.ndarray, src: np.ndarray, verts: np.ndarray,
+            x: np.ndarray) -> np.ndarray:
+    """Rows N^i x[verts], i = 0, 1, ... up to the last nonzero one, for N
+    the acyclic subgraph on ``verts`` with the edges ``(dst, src)``."""
+    local = np.empty(x.size, dtype=np.intp)
+    local[verts] = np.arange(verts.size)
+    dst, src = local[dst], local[src]
+    rows = [x[verts]]
+    for _ in range(verts.size):  # N^verts.size is zero
+        nxt = np.bincount(dst, weights=rows[-1][src], minlength=verts.size)
+        if not np.count_nonzero(nxt):
+            break
+        rows.append(nxt)
+    return np.array(rows)
+
+
+def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
+                        follow_trees: bool = True) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -427,45 +415,93 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     the zero set is classified cleanly.
 
     I + C is block-diagonal over the weak components of C, and so is
-    every power of it, so only the blocks of ``_block_layout`` are
-    squared, one batched matmul per stack, and all are divided by the
-    one global maximum as the dense squaring divides its matrix. The
-    iterate, the number of squarings and the stop test are the dense
-    ones; only the summation order inside each product changes. A
-    squaring costs O(sum s^3) over the blocks instead of O(d^3).
+    every power of it. A graph of up to ``_ONE_BLOCK`` vertices is
+    squared whole. On a larger one, each component with an undirected
+    cycle (every component with a directed one among them) is a block
+    of ``_block_layout``, scattered from ``C.arcs`` (``_block_stacks``)
+    and squared, one batched matmul per stack. Every block is divided
+    by the one maximum over them all, as the dense squaring divides its
+    matrix.
 
-    Nothing here is O(d^2) outside the blocks: they are scattered from
-    ``C.arcs`` (``_block_stacks``), and each residual sums C y over the
-    edge list (``_arc_residual``).
+    On the trees C is nilpotent, N with N^(L+1) = 0, and the iterate is
+    p(N) for a polynomial p of degree L: 1 + z at first, and each
+    squaring sets p <- (p * p truncated at degree L) / top, with the
+    same divisor top. So that part of M x0 is sum_i p[i] N^i x0: one
+    convolution and one small matvec per squaring, over the Krylov rows
+    N^i x0 (``_krylov``) formed once. In a tree two vertices are joined
+    by at most one path, so the largest entry of a tree's block is the
+    largest coefficient of p, and the divisor is the dense squaring's
+    as long as that coefficient stays below the squared blocks' maximum.
+    When it does not (exactly so at the first squaring, whose entries
+    are integers, and with a relative margin of 1e-6 after it), the
+    solve starts over with the trees squared as blocks too
+    (``follow_trees=False``). A squaring costs O(sum s^3) over the
+    blocks, plus O(L^2 + L n) for the n tree vertices, instead of
+    O(d^3); each residual sums C y over the edge list (``_arc_residual``).
     """
     d = C.d
-    groups = _block_layout(C)
-    if groups is None:  # one block, held as a plain matrix
+    krylov = poly = None
+    if d <= _ONE_BLOCK:  # one block, held as a plain matrix
         m = np.eye(d)
         m[C.arcs] = 1.0
         blocks, starts, pos = [m], [x0], slice(None)
     else:
-        blocks, pos = _block_stacks(C, groups)
-        x_pad = np.concatenate([x0, [0.0]])
-        starts = [x_pad[idx][:, :, None] for idx in groups]
-    slots = np.empty(sum(start.size for start in starts))  # M x0 by stack
+        dst, src = C.arcs
+        label = _weak_component_labels(dst, src, d)
+        # a weak component is a tree iff it has one edge fewer than vertices
+        edges = np.bincount(label[dst], minlength=d)
+        squared = (edges >= np.bincount(label, minlength=d))[label] | (not follow_trees)
+        inside = squared[dst]
+        verts = np.flatnonzero(squared)
+        groups = _block_layout(label, verts)
+        blocks = _block_stacks(dst[inside], src[inside], d, groups)
+        starts = [x0[idx][:, :, None] for idx in groups]
+        pos = np.empty(d, dtype=np.intp)
+        pos[np.concatenate([idx.ravel() for idx in groups])] = np.arange(verts.size)
+        if verts.size < d:
+            trees = np.flatnonzero(~squared)
+            pos[trees] = np.arange(verts.size, d)
+            krylov = _krylov(dst[~inside], src[~inside], trees, x0)
+            poly = np.zeros(len(krylov))
+            poly[:2] = 1.0  # I + N
+    slots = np.empty(d)  # M x0 by stack, then the trees'
     outs, at = [], 0
     for start in starts:
         outs.append(slots[at:at + start.size].reshape(start.shape))
         at += start.size
+    tail = slots[at:]
+    slack = 1.0  # the first squaring's entries are exact integers
 
-    # one squaring: M <- M^2 / max(M^2), then M x0 into the slots
+    def follow(top: float) -> bool:
+        """The trees' part of M x0 under the divisor ``top``; False when a
+        tree's block may hold the maximum."""
+        nonlocal poly, slack
+        poly = np.convolve(poly, poly)[:len(krylov)]
+        if poly.max() * slack > top:
+            return False
+        slack = 1.0 + 1e-6
+        poly /= top
+        np.matmul(poly, krylov, out=tail)
+        return True
+
+    # one squaring: M <- M^2 / max(M^2), then M x0 into the slots; False
+    # when a tree's block may hold the maximum
     if len(blocks) == 1:
         # the same step without the list handling: on graphs of up to
         # _ONE_BLOCK vertices, where a whole solve takes 0.1-0.2 ms,
-        # that handling alone made the small adaptive steps 5-20 % slower
+        # that handling alone made the small adaptive steps 5-20 % slower.
+        # Holding the scattered block past the first squaring made
+        # squarings of a 300-vertex block some 5 % slower
         (m,), (start,), (out,) = blocks, starts, outs
+        blocks = None
 
         def square():
             nonlocal m
             m = m @ m
-            m /= m.max()
+            top = m.max()
+            m /= top
             np.matmul(m, start, out=out)
+            return krylov is None or follow(top)
     else:
         def square():
             nonlocal blocks
@@ -474,6 +510,7 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
             for block, block_start, block_out in zip(blocks, starts, outs):
                 block /= top
                 np.matmul(block, block_start, out=block_out)
+            return krylov is None or follow(top)
 
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going while one in the ambiguous
@@ -483,7 +520,8 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     polish_left = 32
     prev = None
     for _ in range(MAX_DOUBLINGS):
-        square()
+        if not square():
+            return _dominant_direction(C, x0, follow_trees=False)
         y = slots[pos]
         y = y / y.sum()
         if _arc_residual(C, y) <= TOL:
@@ -561,7 +599,7 @@ def equilibrium(C: InteractionMatrix, x0=None,
             x /= x.sum()
         non_unique = basis.non_unique
     else:
-        x = uniform_state(C.d) if x0 is None else simplex_vector(x0)
+        x = uniform_state(C.d) if x0 is None else _start(C, x0)
         if has_edges:
             x = _flow_limit(C, x)
         else:

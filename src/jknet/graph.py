@@ -313,8 +313,9 @@ def _weak_component_labels(rows: np.ndarray, cols: np.ndarray,
     """
     label = np.arange(d)
     while True:
-        lo = np.minimum(label[rows], label[cols])
-        hi = np.maximum(label[rows], label[cols])
+        at_rows, at_cols = label[rows], label[cols]
+        lo = np.minimum(at_rows, at_cols)
+        hi = np.maximum(at_rows, at_cols)
         if (lo == hi).all():
             return label
         np.minimum.at(label, hi, lo)

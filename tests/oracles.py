@@ -23,7 +23,9 @@ from jknet.dynamics import (
     KIND_TERMINAL,
     STALL,
     EquilibriumSetBasis,
+    _ONE_BLOCK,
     _arc_product,
+    _block_layout,
     _dominant_direction,
     _field,
     _residual,
@@ -39,6 +41,7 @@ from jknet.graph import (
     SpectralData,
     _pf_vector_irreducible,
     _reachable_from,
+    _weak_component_labels,
     has_directed_cycle,
     path_counts,
     strongly_connected_components,
@@ -226,6 +229,18 @@ def dense_block_stacks(a: np.ndarray, groups) -> list:
     one[:d, :d] = a
     one.flat[:d * (d + 2):d + 2] = 1.0
     return [one[idx[:, :, None], idx[:, None, :]] for idx in groups]
+
+
+def every_block_layout(entries: np.ndarray):
+    """The library's block layout over every weak component of the
+    graph, trees too, as the squaring covered them all before trees were
+    followed as polynomials; None (one block) up to ``_ONE_BLOCK``
+    vertices."""
+    d = entries.shape[0]
+    if d <= _ONE_BLOCK:
+        return None
+    dst, src = np.nonzero(entries)
+    return _block_layout(_weak_component_labels(dst, src, d), np.arange(d))
 
 
 def relative_pf_vector(block: np.ndarray):

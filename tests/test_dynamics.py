@@ -28,6 +28,7 @@ from jknet.adaptation import plant_directed_cycle, run_adaptive
 from jknet.dynamics import Trajectory, equilibrium_to_json_dict, trajectory_to_csv
 from jknet.rng import stream
 
+import oracles
 from conftest import interior_state, random_matrices
 from oracles import (
     arc_nilpotent_limit,
@@ -37,6 +38,7 @@ from oracles import (
     dense_flow_equilibrium,
     dense_reachable_from,
     dense_spectral_radius_pf,
+    every_block_layout,
     floyd_warshall_reachability,
     joined_trajectory_csv,
     list_integrate,
@@ -484,20 +486,112 @@ def dense_flow_limit(C, x0, tol=1e-10, zero_tol=1e-9):
                                   lambda sub: None)[0]
 
 
-def covering_rows(groups, d):
-    """Map each vertex to the (stack, row) of the block that holds it."""
+def covering_rows(groups, verts):
+    """Map each vertex of ``verts`` to the (stack, row) of the block that
+    holds it; each lies in exactly one."""
     where = {}
     for g, idx in enumerate(groups):
         for r, row in enumerate(idx):
-            for v in row[row < d]:
+            for v in row:
                 assert int(v) not in where
                 where[int(v)] = (g, r)
-    assert sorted(where) == list(range(d))
+    assert sorted(where) == list(verts)
     return where
 
 
+def counted(monkeypatch, module, name):
+    """Wrap ``module.name`` to count its calls; returns the count list."""
+    calls, inner = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def solved_beside_the_oracle(monkeypatch, m, x0):
+    """``equilibrium(m, x0)`` and the oracle's ``(x, lam)``, squaring every
+    weak component, with the squarings each made, and how the library's
+    last squaring run went: "trees" if it followed trees as polynomials,
+    "restarted" if it squared every block after giving that up, else
+    "blocks"."""
+    residuals = counted(monkeypatch, dynamics, "_arc_residual")
+    krylov = counted(monkeypatch, dynamics, "_krylov")
+    runs = []  # the residuals made before each squaring run
+    inner = dynamics._dominant_direction
+
+    def run(C, x0, follow_trees=True):
+        runs.append(len(residuals))
+        return inner(C, x0, follow_trees)
+
+    monkeypatch.setattr(dynamics, "_dominant_direction", run)
+    eq = equilibrium(m, x0=x0)
+    squarings = len(residuals) - runs[-1] if runs else 0
+    how = "restarted" if len(runs) > 1 else "trees" if krylov else "blocks"
+    # the oracle makes one residual per squaring, and one at the end
+    oracle_residuals = counted(monkeypatch, oracles, "_residual")
+    x, lam, _ = dense_flow_equilibrium(
+        m.entries, x0, graph.TOL, dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS,
+        every_block_layout)
+    monkeypatch.undo()
+    return eq, x, lam, squarings, len(oracle_residuals) - 1, how
+
+
+def assert_within_the_oracle_bounds(eq, x, lam, squarings, oracle_squarings):
+    """Support, zero set, kind and squaring count equal the oracle's;
+    lambda within 1e-15 relative, and every x_star entry within 1e-15
+    relative or 1e-290 absolute (denormal and underflowed entries)."""
+    support, zero_set, kind = dynamics._classify(lam, x, True)
+    np.testing.assert_array_equal(eq.support, support)
+    np.testing.assert_array_equal(eq.zero_set, zero_set)
+    assert eq.kind == kind
+    assert squarings == oracle_squarings
+    assert abs(eq.lam - lam) <= 1e-15 * abs(lam)
+    gap = np.abs(eq.x_star - x)
+    bad = (gap > 1e-15 * np.abs(x)) & (gap > 1e-290)
+    assert not bad.any(), (np.flatnonzero(bad), eq.x_star[bad], x[bad])
+
+
+def _path(first, n):
+    return [(v, v + 1) for v in range(first, first + n - 1)]
+
+
+def _mass_on(d, where):
+    x0 = np.zeros(d)
+    x0[where] = 1.0
+    return x0 / x0.sum()
+
+
+# name: (d, edges, start or None, support), each beside the planted
+# 2-cycle {0, 1}; every graph has more than _ONE_BLOCK vertices and a
+# tree component, so trees are followed as polynomials
+HAND_MADE = {
+    # L = 39: the top coefficients of p fall far below the rest
+    "a 40-vertex path": (70, _path(2, 40), None, [0, 1]),
+    # s = 2 -> five middles -> t = 8, and s -> t: (I + N)^2 has 7 at
+    # (t, s), over the 2-cycle block's 2, so the divisor of the first
+    # squaring comes from this acyclic component. It is no tree, and is
+    # squared as a block
+    "parallel paths": (70, [(2, v) for v in range(3, 8)]
+                       + [(v, 8) for v in range(3, 8)] + [(2, 8)], None, [0, 1]),
+    "isolated vertices": (70, [], None, [0, 1]),
+    # mass on 0, the path's head and the out-tree's root: the rest of
+    # those components is reached, the 20 isolated vertices are not
+    "a start with zeros": (100, [(1, 2), (2, 3)] + _path(4, 40)
+                           + [(44 + v, 44 + c) for v in range(17)
+                              for c in (2 * v + 1, 2 * v + 2) if c < 36],
+                           _mass_on(100, [0, 4, 44, 50]), [0, 1, 2, 3]),
+    # from {0} and the path's head the supports alternate on the
+    # 2-cycle, so only the C.d bound ends the power loop
+    "alternating supports": (72, _path(2, 70), _mass_on(72, [0, 2]), [0, 1]),
+}
+
+
 class TestBlockSolver:
-    """The block-diagonal squaring against the dense one it replaced."""
+    """The squaring of the components that are not trees, with the trees
+    followed as polynomials, against every block squared."""
 
     def test_matches_dense_oracle_on_seeded_corpus(self):
         rng = stream(4242)
@@ -537,9 +631,13 @@ class TestBlockSolver:
             for r, q in zip(trace.records, dense.records):
                 assert abs(r.lam - q.lam) <= 1e-12
 
-    def test_edge_list_path_matches_dense_path_bit_for_bit(self):
-        # the flow path reads C.arcs; the oracle runs the same squaring on
-        # blocks cut from a dense I + C, with dense products throughout
+    def test_edge_list_path_matches_dense_path_bit_for_bit(self, monkeypatch):
+        # the flow path reads C.arcs; the oracle squares every block, cut
+        # from a dense I + C, with dense products throughout. Where the
+        # library squares every block too (d <= _ONE_BLOCK, or no tree
+        # beside the other components) the two agree bit for bit; where it
+        # follows trees as polynomials, to the bounds of
+        # assert_within_the_oracle_bounds
         rng = stream(2718)
         kinds = set()
         for case in range(60):
@@ -553,46 +651,95 @@ class TestBlockSolver:
                 x0 = np.where(rng.random(d) < 0.3, rng.random(d), 0.0)
                 x0[int(rng.integers(d))] += 0.1
                 x0 /= x0.sum()
-            eq = equilibrium(m, x0=x0)
-            x, lam, _ = dense_flow_equilibrium(
-                m.entries, x0, 1e-10, dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS,
-                lambda sub: dynamics._block_layout(InteractionMatrix(sub)))
+            eq, x, lam, squarings, oracle_squarings, how = (
+                solved_beside_the_oracle(monkeypatch, m, x0))
             support, _, kind = dynamics._classify(lam, x, m.edge_count() > 0)
-            np.testing.assert_array_equal(eq.x_star, x)
-            np.testing.assert_array_equal(eq.support, support)
-            assert eq.kind == kind
-            assert abs(eq.lam - lam) <= 1e-12 * max(1.0, abs(lam))
-            kinds.add((kind, x0 is None, d > dynamics._ONE_BLOCK))
-        assert len(kinds) == 8
+            if how == "trees":
+                assert_within_the_oracle_bounds(eq, x, lam, squarings,
+                                                oracle_squarings)
+            else:
+                np.testing.assert_array_equal(eq.x_star, x)
+                np.testing.assert_array_equal(eq.support, support)
+                assert eq.kind == kind
+                assert abs(eq.lam - lam) <= 1e-12 * max(1.0, abs(lam))
+            kinds.add((kind, x0 is None, d > dynamics._ONE_BLOCK, how))
+        assert len(kinds) == 10, sorted(kinds)
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made_cases_match_every_block_squared(self, monkeypatch, case):
+        d, edges, x0, support = HAND_MADE[case]
+        m = InteractionMatrix.from_edges(d, TWO_CYCLE + edges)
+        eq, x, lam, squarings, oracle_squarings, how = (
+            solved_beside_the_oracle(monkeypatch, m, x0))
+        assert how == "trees" and eq.kind == dynamics.KIND_ACS
+        assert_within_the_oracle_bounds(eq, x, lam, squarings, oracle_squarings)
+        assert eq.support.tolist() == support
+
+    def test_the_parallel_paths_outgrow_the_cycle_at_first(self):
+        d, edges, _, _ = HAND_MADE["parallel paths"]
+        one = np.eye(d) + InteractionMatrix.from_edges(d, TWO_CYCLE + edges).as_float()
+        square = one @ one
+        assert square[2:9, 2:9].max() == 7 > square[:2, :2].max() == 2
+
+    def test_the_alternating_supports_exit_at_the_bound(self):
+        d, edges, x0, _ = HAND_MADE["alternating supports"]
+        m = InteractionMatrix.from_edges(d, TWO_CYCLE + edges)
+        a, y = m.as_float(), x0
+        for _ in range(d):
+            nxt = a @ y
+            assert (nxt > 0).tolist() != (y > 0).tolist()
+            y = nxt
+        assert dynamics._nilpotent_limit(m, x0) is None
+
+    def test_a_tree_that_may_set_the_divisor_squares_every_block(self, monkeypatch):
+        # a 4-cycle beside a path of 5: the second squaring's largest
+        # entries tie at 6/4 = 1.5 in both, so the path's block might set
+        # the divisor, and the solve squares every block instead
+        m = InteractionMatrix.from_edges(
+            70, [(0, 1), (1, 2), (2, 3), (3, 0)] + _path(4, 5))
+        eq, x, lam, squarings, oracle_squarings, how = (
+            solved_beside_the_oracle(monkeypatch, m, None))
+        assert how == "restarted" and squarings == oracle_squarings
+        np.testing.assert_array_equal(eq.x_star, x)
+        assert eq.support.tolist() == [0, 1, 2, 3]
 
     def test_block_stacks_match_dense_extraction(self):
-        # padding slots included: they are zero rows and columns, with a
-        # zero diagonal, in both
+        # every component, or those that meet a random vertex sample: each
+        # stack holds the blocks of one size, cut as a dense copy cuts them
         rng = stream(77)
         seen = set()
-        for _ in range(40):
+        for case in range(40):
             d = int(rng.integers(dynamics._ONE_BLOCK + 1, 400))
             m = sample_er_digraph(
                 ModelParams.from_theta(d, float(rng.uniform(0.2, 2.5))), rng)
-            groups = dynamics._block_layout(m)
-            blocks, pos = dynamics._block_stacks(m, groups)
+            dst, src = m.arcs
+            label = graph._weak_component_labels(dst, src, d)
+            chosen = np.ones(d, dtype=bool)
+            if case % 2:
+                chosen[:] = False
+                chosen[label[rng.random(d) < 0.05]] = True
+                chosen[label[0]] = True
+                chosen = chosen[label]
+            verts = np.flatnonzero(chosen)
+            groups = dynamics._block_layout(label, verts)
+            inside = chosen[dst]
+            blocks = dynamics._block_stacks(dst[inside], src[inside], d, groups)
             want = dense_block_stacks(m.as_float(), groups)
             assert len(blocks) == len(want)
-            for got, ref in zip(blocks, want):
+            for got, ref, idx in zip(blocks, want, groups):
                 assert got.shape == ref.shape
                 np.testing.assert_array_equal(got, ref)
-            flat = np.concatenate([idx.ravel() for idx in groups])
-            np.testing.assert_array_equal(flat[pos], np.arange(d))
-            seen.update("own block" if idx.shape[1] > dynamics._TILE else "tiles"
-                        for idx in groups)
-            if (flat == d).any():
-                seen.add("padding")
-        assert seen == {"own block", "tiles", "padding"}
+                # a row is one whole component
+                assert (label[idx] == label[idx[:, :1]]).all()
+                assert (np.bincount(label)[label[idx]] == idx.shape[1]).all()
+            assert len({idx.shape[1] for idx in groups}) == len(groups)
+            covering_rows(groups, verts)
+            seen.add((case % 2, len(groups) > 1))
+        assert seen == {(0, True), (1, False), (1, True)}
 
     def test_equal_size_components_share_one_stack(self):
         # 20 two-cycles, 10 three-cycles and 30 isolated vertices, with
-        # shuffled names: every component fits a tile, so one stack of
-        # tiles holds them all, and none is split between two tiles
+        # shuffled names: one stack per size, a row per component
         rng = stream(9)
         perm = rng.permutation(100)
         edges = []
@@ -603,9 +750,10 @@ class TestBlockSolver:
             edges += [(u, u + 1), (u + 1, u + 2), (u + 2, u)]
         m = InteractionMatrix.from_edges(
             100, [(int(perm[u]), int(perm[v])) for u, v in edges])
-        groups = dynamics._block_layout(m)
-        assert len(groups) == 1 and groups[0].shape[1] == dynamics._TILE
-        where = covering_rows(groups, 100)
+        groups = dynamics._block_layout(
+            graph._weak_component_labels(*m.arcs, 100), np.arange(100))
+        assert [g.shape for g in groups] == [(30, 1), (20, 2), (10, 3)]
+        where = covering_rows(groups, range(100))
         for u, v in edges:
             assert where[int(perm[u])] == where[int(perm[v])]
         np.testing.assert_allclose(equilibrium(m).x_star,
@@ -614,17 +762,17 @@ class TestBlockSolver:
 
     def test_large_components_stack_by_size(self):
         # three 40-cycles are one (3, 40) stack; the 20 isolated vertices
-        # share a tile
+        # are one (20, 1) stack, and no block of the squaring
         edges = []
         for c in range(3):
             ring = list(range(c, 120, 3))
             edges += list(zip(ring, ring[1:] + ring[:1]))
         m = InteractionMatrix.from_edges(140, edges)
-        groups = dynamics._block_layout(m)
-        assert sorted(g.shape for g in groups) == [(1, 32), (3, 40)]
-        rings = next(g for g in groups if g.shape == (3, 40))
-        np.testing.assert_array_equal(rings, np.arange(120).reshape(40, 3).T)
-        covering_rows(groups, 140)
+        groups = dynamics._block_layout(
+            graph._weak_component_labels(*m.arcs, 140), np.arange(140))
+        assert [g.shape for g in groups] == [(20, 1), (3, 40)]
+        np.testing.assert_array_equal(groups[1], np.arange(120).reshape(40, 3).T)
+        covering_rows(groups, range(140))
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)
@@ -633,22 +781,28 @@ class TestBlockSolver:
         d = 100
         ring = [(v, (v + 1) % d) for v in range(d)]
         m = InteractionMatrix.from_edges(d, ring + [(0, 50), (70, 20)])
-        groups = dynamics._block_layout(m)
+        groups = dynamics._block_layout(
+            graph._weak_component_labels(*m.arcs, d), np.arange(d))
         assert len(groups) == 1
         np.testing.assert_array_equal(groups[0], np.arange(d)[None, :])
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)
 
-    def test_small_graph_is_one_block(self):
+    def test_small_graph_is_one_block(self, monkeypatch):
+        # up to _ONE_BLOCK vertices the whole I + C is squared, with no
+        # labelling and no polynomial part
+        labels = counted(monkeypatch, dynamics, "_weak_component_labels")
+        krylov = counted(monkeypatch, dynamics, "_krylov")
         d = dynamics._ONE_BLOCK
         m = InteractionMatrix.from_edges(d, [(0, 1), (1, 0), (5, 6)])
-        assert dynamics._block_layout(m) is None
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)
+        assert not labels and not krylov
         m = InteractionMatrix.from_edges(d + 1, [(0, 1), (1, 0), (5, 6)])
-        assert len(dynamics._block_layout(m)) == 1
+        equilibrium(m)
+        assert len(labels) == len(krylov) == 1
 
 
 class TestPowerLoopCycleTest:
@@ -1028,7 +1182,31 @@ def _uneven_trajectory():
 
 
 _PAIR = InteractionMatrix.from_edges(2, TWO_CYCLE)
+_FED_PAIR = InteractionMatrix.from_edges(3, TWO_CYCLE + [(1, 2)])
+_PLANTED = plant_directed_cycle(
+    sample_er_digraph(ModelParams.from_theta(100, 0.5), stream(5)), 2)
+
+
+def _padded(n):
+    """A simplex start of n entries: uniform on the first 99, zeros after."""
+    x = np.zeros(n)
+    x[:99] = 1 / 99
+    return x
+
+
+# every entry point that takes a start refuses one of the wrong length
+_STARTS = {
+    "equilibrium": lambda C, x0: equilibrium(C, x0=x0),
+    "integrate": lambda C, x0: integrate(C, x0, 1.0),
+    "integrate_to_csv": lambda C, x0: dynamics.integrate_to_csv(
+        C, x0, 1.0, out=io.StringIO()),
+}
 DYNAMICS_REFUSALS = [
+    *((lambda run=run, C=C, x0=x0: run(C, x0), f"x0 must have length {C.d}, got {len(x0)}")
+      for run in _STARTS.values()
+      for C, x0 in [(_FED_PAIR, [0.2, 0.3, 0.5, 0.0]), (_FED_PAIR, [0.5, 0.5]),
+                    (_PLANTED, _padded(99)), (_PLANTED, _padded(101)),
+                    (_PLANTED, _padded(120))]),
     (lambda: simplex_vector([[0.5, 0.5]]), "state must be a vector"),
     (lambda: integrate_projective(_PAIR, [0.2, 0.3, 0.5]), "dimension mismatch"),
     (lambda: andi_residual(_PAIR, _uneven_trajectory(), 1),
