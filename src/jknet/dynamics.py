@@ -472,45 +472,36 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
     tail = slots[at:]
     slack = 1.0  # the first squaring's entries are exact integers
 
-    def follow(top: float) -> bool:
-        """The trees' part of M x0 under the divisor ``top``; False when a
-        tree's block may hold the maximum."""
-        nonlocal poly, slack
-        poly = np.convolve(poly, poly)[:len(krylov)]
-        if poly.max() * slack > top:
-            return False
-        slack = 1.0 + 1e-6
-        poly /= top
-        np.matmul(poly, krylov, out=tail)
-        return True
-
     # one squaring: M <- M^2 / max(M^2), then M x0 into the slots; False
     # when a tree's block may hold the maximum
-    if len(blocks) == 1:
+    if len(blocks) == 1 and krylov is None:
         # the same step without the list handling: on graphs of up to
         # _ONE_BLOCK vertices, where a whole solve takes 0.1-0.2 ms,
-        # that handling alone made the small adaptive steps 5-20 % slower.
-        # Holding the scattered block past the first squaring made
-        # squarings of a 300-vertex block some 5 % slower
+        # that handling alone made the small adaptive steps 5-20 % slower
         (m,), (start,), (out,) = blocks, starts, outs
-        blocks = None
 
         def square():
             nonlocal m
             m = m @ m
-            top = m.max()
-            m /= top
+            m /= m.max()
             np.matmul(m, start, out=out)
-            return krylov is None or follow(top)
+            return True
     else:
         def square():
-            nonlocal blocks
+            nonlocal blocks, poly, slack
             blocks = [m @ m for m in blocks]
             top = max([m.max() for m in blocks])
             for block, block_start, block_out in zip(blocks, starts, outs):
                 block /= top
                 np.matmul(block, block_start, out=block_out)
-            return krylov is None or follow(top)
+            if krylov is not None:
+                poly = np.convolve(poly, poly)[:len(krylov)]
+                if poly.max() * slack > top:
+                    return False
+                slack = 1.0 + 1e-6
+                poly /= top
+                np.matmul(poly, krylov, out=tail)
+            return True
 
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going while one in the ambiguous
