@@ -431,13 +431,14 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
     N^i x0 (``_krylov``) formed once. In a tree two vertices are joined
     by at most one path, so the largest entry of a tree's block is the
     largest coefficient of p, and the divisor is the dense squaring's
-    as long as that coefficient stays below the squared blocks' maximum.
-    When it does not (exactly so at the first squaring, whose entries
-    are integers, and with a relative margin of 1e-6 after it), the
-    solve starts over with the trees squared as blocks too
-    (``follow_trees=False``). A squaring costs O(sum s^3) over the
-    blocks, plus O(L^2 + L n) for the n tree vertices, instead of
-    O(d^3); each residual sums C y over the edge list (``_arc_residual``).
+    as long as that coefficient stays below the squared blocks' maximum:
+    at most equal at the first squaring, whose entries are integers, and
+    1e-6 (relative) below after it. Otherwise the solve starts over with
+    the trees squared as blocks too (``follow_trees=False``), so the
+    divisors, and the blocks, stay the dense squaring's bit for bit. A
+    squaring costs O(sum s^3) over the blocks, plus O(L^2 + L n) for the
+    n tree vertices, instead of O(d^3); each residual sums C y over the
+    edge list (``_arc_residual``).
     """
     d = C.d
     krylov = poly = None
