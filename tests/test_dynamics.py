@@ -761,8 +761,8 @@ class TestBlockSolver:
                                    rtol=0, atol=1e-12)
 
     def test_large_components_stack_by_size(self):
-        # three 40-cycles are one (3, 40) stack; the 20 isolated vertices
-        # are one (20, 1) stack, and no block of the squaring
+        # three 40-cycles are one (3, 40) stack, the 20 isolated vertices
+        # one (20, 1) stack (the solve itself follows them as trees)
         edges = []
         for c in range(3):
             ring = list(range(c, 120, 3))
@@ -1195,15 +1195,15 @@ def _padded(n):
 
 
 # every entry point that takes a start refuses one of the wrong length
-_STARTS = {
-    "equilibrium": lambda C, x0: equilibrium(C, x0=x0),
-    "integrate": lambda C, x0: integrate(C, x0, 1.0),
-    "integrate_to_csv": lambda C, x0: dynamics.integrate_to_csv(
-        C, x0, 1.0, out=io.StringIO()),
-}
+_STARTS = [
+    lambda C, x0: equilibrium(C, x0=x0),
+    lambda C, x0: integrate(C, x0, 1.0),
+    lambda C, x0: dynamics.integrate_to_csv(C, x0, 1.0, out=io.StringIO()),
+]
 DYNAMICS_REFUSALS = [
-    *((lambda run=run, C=C, x0=x0: run(C, x0), f"x0 must have length {C.d}, got {len(x0)}")
-      for run in _STARTS.values()
+    *((lambda run=run, C=C, x0=x0: run(C, x0),
+       f"x0 must have length {C.d}, got {len(x0)}")
+      for run in _STARTS
       for C, x0 in [(_FED_PAIR, [0.2, 0.3, 0.5, 0.0]), (_FED_PAIR, [0.5, 0.5]),
                     (_PLANTED, _padded(99)), (_PLANTED, _padded(101)),
                     (_PLANTED, _padded(120))]),
