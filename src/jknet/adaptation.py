@@ -283,6 +283,8 @@ def trace_to_json_lines(trace: AdaptiveTrace) -> str:
 
 def trace_from_json_lines(text: str) -> AdaptiveTrace:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("trace text has no header line")
     header = json.loads(lines[0])
     trace = AdaptiveTrace(
         params=ModelParams(d=header["d"], p=header["p"]),

@@ -201,11 +201,11 @@ def _parse_d(raw) -> tuple[int | None, tuple | None]:
         return raw, None
     try:
         if isinstance(raw, (list, tuple)):
-            return None, tuple(int(str(v)) for v in raw)  # 2.5 is no int
-        text = str(raw)
-        if "," not in text:
-            return int(text), None
-        grid = tuple(int(v) for v in text.split(",") if v.strip())
+            grid = tuple(int(str(v)) for v in raw)  # 2.5 is no int
+        elif "," in str(raw):
+            grid = tuple(int(v) for v in str(raw).split(",") if v.strip())
+        else:
+            return int(str(raw)), None
     except (TypeError, ValueError):
         raise CliError(f"invalid d value {raw!r}")
     if not grid:

@@ -401,8 +401,7 @@ def _krylov(dst: np.ndarray, src: np.ndarray, verts: np.ndarray,
     return np.array(rows)
 
 
-def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
-                        follow_trees: bool = True) -> np.ndarray:
+def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -419,90 +418,60 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
     squared whole. On a larger one, each component with an undirected
     cycle (every component with a directed one among them) is a block
     of ``_block_layout``, scattered from ``C.arcs`` (``_block_stacks``)
-    and squared, one batched matmul per stack. Every block is divided
-    by the one maximum over them all, as the dense squaring divides its
-    matrix.
+    and squared, one batched matmul per stack.
 
     On the trees C is nilpotent, N with N^(L+1) = 0, and the iterate is
     p(N) for a polynomial p of degree L: 1 + z at first, and each
-    squaring sets p <- (p * p truncated at degree L) / top, with the
-    same divisor top. So that part of M x0 is sum_i p[i] N^i x0: one
-    convolution and one small matvec per squaring, over the Krylov rows
-    N^i x0 (``_krylov``) formed once. In a tree two vertices are joined
-    by at most one path, so the largest entry of a tree's block is the
-    largest coefficient of p, and the divisor is the dense squaring's
-    as long as that coefficient stays below the squared blocks' maximum:
-    at most equal at the first squaring, whose entries are integers, and
-    1e-6 (relative) below after it. Otherwise the solve starts over with
-    the trees squared as blocks too (``follow_trees=False``), so the
-    divisors, and the blocks, stay the dense squaring's bit for bit. A
-    squaring costs O(sum s^3) over the blocks, plus O(L^2 + L n) for the
-    n tree vertices, instead of O(d^3); each residual sums C y over the
-    edge list (``_arc_residual``).
+    squaring sets p <- (p * p truncated at degree L) / top. So that part
+    of M x0 is sum_i p[i] N^i x0: one convolution and one small matvec
+    per squaring, over the Krylov rows N^i x0 (``_krylov``) formed once.
+    In a tree two vertices are joined by at most one path, so the
+    largest entry of a tree's block is the largest coefficient of p.
+    The divisor top, the largest of the blocks' maxima and p's, is then
+    the dense squaring's, up to the order of summation. With no tree p
+    is [1], an isolated vertex's entry, which never exceeds a block's
+    diagonal. A squaring costs O(sum s^3) over the blocks, plus
+    O(L^2 + L n) for the n tree vertices, instead of O(d^3); each
+    residual sums C y over the edge list (``_arc_residual``).
     """
     d = C.d
-    krylov = poly = None
+    # square() sets M <- M^2 / top and returns M x0
     if d <= _ONE_BLOCK:  # one block, held as a plain matrix
         m = np.eye(d)
         m[C.arcs] = 1.0
-        blocks, starts, pos = [m], [x0], slice(None)
-    else:
-        dst, src = C.arcs
-        label = _weak_component_labels(dst, src, d)
-        # a weak component is a tree iff it has one edge fewer than vertices
-        edges = np.bincount(label[dst], minlength=d)
-        squared = (edges >= np.bincount(label, minlength=d))[label] | (not follow_trees)
-        inside = squared[dst]
-        verts = np.flatnonzero(squared)
-        groups = _block_layout(label, verts)
-        blocks = _block_stacks(dst[inside], src[inside], d, groups)
-        starts = [x0[idx][:, :, None] for idx in groups]
-        pos = np.empty(d, dtype=np.intp)
-        pos[np.concatenate([idx.ravel() for idx in groups])] = np.arange(verts.size)
-        if verts.size < d:
-            trees = np.flatnonzero(~squared)
-            pos[trees] = np.arange(verts.size, d)
-            krylov = _krylov(dst[~inside], src[~inside], trees, x0)
-            poly = np.zeros(len(krylov))
-            poly[:2] = 1.0  # I + N
-    slots = np.empty(d)  # M x0 by stack, then the trees'
-    outs, at = [], 0
-    for start in starts:
-        outs.append(slots[at:at + start.size].reshape(start.shape))
-        at += start.size
-    tail = slots[at:]
-    slack = 1.0  # the first squaring's entries are exact integers
-
-    # one squaring: M <- M^2 / max(M^2), then M x0 into the slots; False
-    # when a tree's block may hold the maximum
-    if len(blocks) == 1 and krylov is None:
-        # the same step without the list handling: on graphs of up to
-        # _ONE_BLOCK vertices, where a whole solve takes 0.1-0.2 ms,
-        # that handling alone made the small adaptive steps 5-20 % slower
-        (m,), (start,), (out,) = blocks, starts, outs
 
         def square():
             nonlocal m
             m = m @ m
             m /= m.max()
-            np.matmul(m, start, out=out)
-            return True
+            return m @ x0
     else:
+        dst, src = C.arcs
+        label = _weak_component_labels(dst, src, d)
+        # a weak component is a tree iff it has one edge fewer than vertices
+        edges = np.bincount(label[dst], minlength=d)
+        squared = (edges >= np.bincount(label, minlength=d))[label]
+        inside = squared[dst]
+        trees = np.flatnonzero(~squared)
+        groups = _block_layout(label, np.flatnonzero(squared))
+        blocks = _block_stacks(dst[inside], src[inside], d, groups)
+        starts = [x0[idx][:, :, None] for idx in groups]
+        pos = np.empty(d, dtype=np.intp)
+        pos[np.concatenate([idx.ravel() for idx in groups] + [trees])] = np.arange(d)
+        krylov = _krylov(dst[~inside], src[~inside], trees, x0)
+        poly = np.zeros(len(krylov))
+        poly[:2] = 1.0  # I + N
+
         def square():
-            nonlocal blocks, poly, slack
+            nonlocal blocks, poly
             blocks = [m @ m for m in blocks]
-            top = max([m.max() for m in blocks])
-            for block, block_start, block_out in zip(blocks, starts, outs):
-                block /= top
-                np.matmul(block, block_start, out=block_out)
-            if krylov is not None:
-                poly = np.convolve(poly, poly)[:len(krylov)]
-                if poly.max() * slack > top:
-                    return False
-                slack = 1.0 + 1e-6
-                poly /= top
-                np.matmul(poly, krylov, out=tail)
-            return True
+            poly = np.convolve(poly, poly)[:len(krylov)]
+            top = max([m.max() for m in blocks] + [poly.max()])
+            for m in blocks:
+                m /= top
+            poly /= top
+            return np.concatenate([(m @ start).ravel() for m, start in zip(blocks, starts)]
+                                  + [poly @ krylov])[pos]
 
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going while one in the ambiguous
@@ -512,10 +481,8 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray,
     polish_left = 32
     prev = None
     for _ in range(MAX_DOUBLINGS):
-        if not square():
-            return _dominant_direction(C, x0, follow_trees=False)
-        y = slots[pos]
-        y = y / y.sum()
+        y = square()
+        y /= y.sum()
         if _arc_residual(C, y) <= TOL:
             moving = (y > band_lo) & (y < band_hi)
             if prev is not None:

@@ -126,6 +126,8 @@ def _run_trials(task, trials: int, jobs: int = 1,
                 oracle_value=None) -> ExperimentResult:
     """Aggregate the ``(value, censored)`` pairs ``task(t)`` returns for
     t < trials, in ``jobs`` processes; trial t reads only its own stream."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     if jobs <= 1:
         pairs = [task(t) for t in range(trials)]
     else:
@@ -527,6 +529,8 @@ def conjecture_scan(kind: str, theta: float, d_grid, trials, seed: int,
         trial_counts = [int(t) for t in trials]
         if len(trial_counts) != len(ds):
             raise ValueError("need one trial count per grid point")
+    if min(trial_counts, default=1) < 1:
+        raise ValueError("trials must be >= 1 at every grid point")
     budgets = [scan_budget(kind, theta, d) for d in ds]
     if max(budgets, default=0) > MAX_DEFAULT_BUDGET:
         raise ValueError(f"a scan budget of {max(budgets)} steps exceeds the "

@@ -289,6 +289,11 @@ class TestTraceSerialisation:
         assert [vars(r) for r in back.records] == [vars(r) for r in trace.records]
         assert all(type(r.j_min_set) is tuple for r in back.records)
 
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
+    def test_text_without_a_header_line_is_refused(self, text):
+        with pytest.raises(ValueError, match="^trace text has no header line$"):
+            trace_from_json_lines(text)
+
     def test_header_carries_params_and_options(self):
         import json
         trace = run_adaptive(ModelParams(d=8, p=0.1), seed=10, max_steps=5)

@@ -371,9 +371,15 @@ class TestParseAndValidate:
         assert json.loads(capsys.readouterr().err) == {
             "error": "config", "message": "config file must hold a JSON object"}
 
-    def test_empty_d_grid_is_a_config_error(self, capsys, no_library):
-        assert main(["conjecture-scan", "first-cycle", "--d", ",", "--theta", "0.5",
-                     "--seed", "1", "--trials", "1"]) == 1
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_empty_d_grid_is_a_config_error(self, tmp_path, capsys, no_library,
+                                            form):
+        args = ["--d", ",", "--theta", "0.5", "--seed", "1"]
+        if form == "config":
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"d": [], "theta": 0.5, "seed": 1}))
+            args = ["--config", str(cfg_path)]
+        assert main(["conjecture-scan", "first-cycle", *args, "--trials", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "config",

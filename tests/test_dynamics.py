@@ -513,23 +513,20 @@ def counted(monkeypatch, module, name):
 
 def solved_beside_the_oracle(monkeypatch, m, x0):
     """``equilibrium(m, x0)`` and the oracle's ``(x, lam)``, squaring every
-    weak component, with the squarings each made, and how the library's
-    last squaring run went: "trees" if it followed trees as polynomials,
-    "restarted" if it squared every block after giving that up, else
-    "blocks"."""
+    weak component, with the squarings each made, and how the library
+    squared: "trees" if it followed trees as polynomials, else "blocks"."""
     residuals = counted(monkeypatch, dynamics, "_arc_residual")
-    krylov = counted(monkeypatch, dynamics, "_krylov")
-    runs = []  # the residuals made before each squaring run
-    inner = dynamics._dominant_direction
+    trees = []  # the vertices each Krylov basis was formed on
+    inner = dynamics._krylov
 
-    def run(C, x0, follow_trees=True):
-        runs.append(len(residuals))
-        return inner(C, x0, follow_trees)
+    def krylov(dst, src, verts, x):
+        trees.append(verts.size)
+        return inner(dst, src, verts, x)
 
-    monkeypatch.setattr(dynamics, "_dominant_direction", run)
+    monkeypatch.setattr(dynamics, "_krylov", krylov)
     eq = equilibrium(m, x0=x0)
-    squarings = len(residuals) - runs[-1] if runs else 0
-    how = "restarted" if len(runs) > 1 else "trees" if krylov else "blocks"
+    squarings = len(residuals)
+    how = "trees" if any(trees) else "blocks"
     # the oracle makes one residual per squaring, and one at the end
     oracle_residuals = counted(monkeypatch, oracles, "_residual")
     x, lam, _ = dense_flow_equilibrium(
@@ -691,17 +688,23 @@ class TestBlockSolver:
             y = nxt
         assert dynamics._nilpotent_limit(m, x0) is None
 
-    def test_a_tree_that_may_set_the_divisor_squares_every_block(self, monkeypatch):
-        # a 4-cycle beside a path of 5: the second squaring's largest
-        # entries tie at 6/4 = 1.5 in both, so the path's block might set
-        # the divisor, and the solve squares every block instead
+    @pytest.mark.parametrize("cycle, path", [(4, 5), (6, 8), (5, 30)])
+    def test_a_tree_that_may_set_the_divisor_matches_every_block_squared(
+            self, monkeypatch, cycle, path):
+        # a cycle beside a path: the second squaring's largest entries tie
+        # at 6/4 = 1.5 in both blocks, and at the third the path's comes
+        # within an ulp of the 6-cycle's and the 5-cycle's, so the path's
+        # top coefficient of p may set the divisor. Beside the 4-cycle
+        # every bit is the oracle's
         m = InteractionMatrix.from_edges(
-            70, [(0, 1), (1, 2), (2, 3), (3, 0)] + _path(4, 5))
+            70, [(v, (v + 1) % cycle) for v in range(cycle)] + _path(cycle, path))
         eq, x, lam, squarings, oracle_squarings, how = (
             solved_beside_the_oracle(monkeypatch, m, None))
-        assert how == "restarted" and squarings == oracle_squarings
-        np.testing.assert_array_equal(eq.x_star, x)
-        assert eq.support.tolist() == [0, 1, 2, 3]
+        assert how == "trees" and eq.kind == dynamics.KIND_ACS
+        assert_within_the_oracle_bounds(eq, x, lam, squarings, oracle_squarings)
+        assert eq.support.tolist() == list(range(cycle))
+        if (cycle, path) == (4, 5):
+            np.testing.assert_array_equal(eq.x_star, x)
 
     def test_block_stacks_match_dense_extraction(self):
         # every component, or those that meet a random vertex sample: each

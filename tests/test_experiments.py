@@ -21,6 +21,7 @@ from jknet.experiments import (
     sample_er_undirected,
     scaling_fit,
     waiting_time_experiment,
+    _run_trials,
 )
 from jknet.rng import stream
 
@@ -356,6 +357,13 @@ REFUSALS = [
     (lambda: first_cycle_uniform_model(2, stream(1)), ValueError, "d must be >= 3"),
     (lambda: first_cycle_permutation_model(2, stream(1)), ValueError,
      "d must be >= 3"),
+    (lambda: conjecture_scan("first_cycle", 0.5, (8, 12, 16), 0, seed=1),
+     ValueError, "trials must be >= 1 at every grid point"),
+    (lambda: conjecture_scan("acs_growth", 0.5, (8, 12, 16), -2, seed=1),
+     ValueError, "trials must be >= 1 at every grid point"),
+    (lambda: conjecture_scan("first_cycle", 0.5, (8, 12, 16), (3, 0, 2), seed=1),
+     ValueError, "trials must be >= 1 at every grid point"),
+    (lambda: _run_trials(_half_censored, -1), ValueError, "trials must be >= 0"),
 ]
 
 
