@@ -124,6 +124,8 @@ def min_prevalence_set(x_star) -> np.ndarray:
     Returns {j : x_j <= min_k x_k + REL_TOL * max(1, min_k)}.
     """
     x = np.asarray(x_star, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("the state must be a non-empty vector")
     m = float(x.min())
     return np.flatnonzero(x <= m + REL_TOL * max(1.0, m))
 
@@ -176,10 +178,21 @@ def plant_directed_cycle(C: InteractionMatrix, length: int = 2) -> InteractionMa
     """Overlay a directed cycle on vertices 0..length-1."""
     if not 2 <= length <= C.d:
         raise ValueError("cycle length must be in [2, d]")
-    a = np.array(C.entries, dtype=np.int8)
-    for i in range(length):
-        a[(i + 1) % length, i] = 1
-    return InteractionMatrix(a)
+    d, (dst, src) = C.d, C.arcs
+    ring = np.arange(length)
+    keys = np.sort(np.concatenate([dst * d + src, (ring + 1) % length * d + ring]),
+                   kind="stable")
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # once each
+    return InteractionMatrix._from_arcs(d, *np.divmod(keys, d), cycle=ring)
+
+
+def _arcs_among(C: InteractionMatrix, verts: np.ndarray) -> np.ndarray:
+    """The arcs of the subgraph on ``verts``, as flat indices dst * d + src."""
+    among = np.zeros(C.d, dtype=bool)
+    among[verts] = True
+    dst, src = C.arcs
+    inside = among[dst] & among[src]
+    return dst[inside] * C.d + src[inside]
 
 
 def run_adaptive(params: ModelParams, seed: int, max_steps: int,
@@ -243,9 +256,8 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
         if state.x_star.zero_set.size > 0:
             sup = state.x_star.support
             ok = bool((state.x_star.zero_set == record.chosen).any())
-            old = state.matrix.entries[sup][:, sup]
-            new = new_state.matrix.entries[sup][:, sup]
-            ok = ok and bool((old == new).all())
+            ok = ok and np.array_equal(_arcs_among(state.matrix, sup),
+                                       _arcs_among(new_state.matrix, sup))
             if state.directed_cycle:
                 ok = ok and new_state.directed_cycle
             if not ok:

@@ -320,7 +320,11 @@ def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray | None:
     """The last nonzero C^n x0, normalised, or None once x0 reaches a cycle:
     the support repeats, nonempty (each of its vertices has an in-neighbour
     in it), or ``C.d`` powers pass without a zero one (past them an acyclic
-    graph's power is zero). Support sizes are compared before supports."""
+    graph's power is zero). Support sizes are compared before supports.
+
+    A repeated support S is recorded as C's cycle certificate, which
+    holds exactly: (C y)_v is 0 for a v with no in-neighbour in supp(y),
+    and rounding can shrink a support but never grow it."""
     best = x0 / x0.sum()
     size = np.count_nonzero(best)
     for _ in range(C.d):
@@ -331,6 +335,7 @@ def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray | None:
         nxt /= s
         nxt_size = np.count_nonzero(nxt)
         if nxt_size == size and ((nxt > 0.0) == (best > 0.0)).all():
+            object.__setattr__(C, "_cycle", np.flatnonzero(nxt))
             return None
         best, size = nxt, nxt_size
     return None
@@ -503,17 +508,33 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     the whole graph would take its scale from a faster-growing block the
     start never reaches and underflow the blocks it does reach to 0/0.
     The powers of ``_nilpotent_limit`` pick the squaring or their own
-    limit: no separate cycle test is made.
+    limit: no separate cycle test is made. They are skipped where C's
+    cycle certificate lies among the vertices solved on: the start then
+    reaches the certificate's cycle, so no power of C vanishes on it and
+    the limit is the squaring's. A certificate the powers find is
+    recorded on C.
     """
-    live, sub = slice(None), C
+    live, sub, cycle = slice(None), C, C._cycle
     if not start.all():
-        live = np.flatnonzero(_reachable_from(C, np.flatnonzero(start)))
+        reach = _reachable_from(C, np.flatnonzero(start))
+        live = np.flatnonzero(reach)
         if live.size == 1:  # a start on one sink is already stationary
             return start
-        sub = InteractionMatrix(C.entries[np.ix_(live, live)])
+        if cycle is not None and not reach[cycle].all():
+            cycle = None
+        # the reachable set is closed under successors, so it holds both
+        # ends of every arc it holds the source of; the relabelling keeps
+        # the arcs' order
+        dst, src = C.arcs
+        inside = reach[src]
+        local = np.cumsum(reach) - 1
+        sub = InteractionMatrix._from_arcs(live.size, local[dst[inside]],
+                                           local[src[inside]])
     x = np.zeros(C.d)
-    limit = _nilpotent_limit(sub, start[live])
+    limit = None if cycle is not None else _nilpotent_limit(sub, start[live])
     x[live] = _dominant_direction(sub, start[live]) if limit is None else limit
+    if sub is not C and sub._cycle is not None:
+        object.__setattr__(C, "_cycle", live[sub._cycle])
     return x
 
 

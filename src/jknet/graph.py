@@ -5,12 +5,15 @@ Convention used everywhere: entry ``c[i, j] = 1`` encodes the edge j -> i
 the usual adjacency matrix. File formats list edges as ``src dst`` and the
 loader transposes, so on disk the orientation reads naturally.
 
-All functions are pure: they never mutate their inputs and take explicit
-RNG streams, so they are safe to call concurrently.
+All functions are pure: they never change the graph an input holds and
+take explicit RNG streams, so they are safe to call concurrently. A
+matrix only caches facts derived from it (``arcs``, ``entries`` and a
+cycle certificate), each the same whoever computes it first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,15 +47,26 @@ class NonConvergenceError(RuntimeError):
     """An iterative solve exceeded its iteration budget."""
 
 
-@dataclass(frozen=True, eq=False)
 class InteractionMatrix:
     """Binary d x d interaction matrix with zero diagonal.
 
     ``entries[i, j] = 1`` means there is an edge from vertex j to vertex i.
-    The array is validated and frozen read-only on construction.
+    ``InteractionMatrix(entries)`` validates the array (``__post_init__``)
+    and keeps a read-only int8 copy. The library's own graph steps build
+    their results with ``_from_arcs`` from edge lists they have formed
+    themselves: nothing is validated, and ``entries`` is formed only when
+    first read. Either way the matrix is immutable.
+
+    ``_cycle`` is None or a cycle certificate: a vertex array S in which
+    every vertex has an in-neighbour in S, so that the subgraph on S, and
+    with it the graph, holds a directed cycle. The flow-limit solver
+    records one where its power loop finds it, and ``resample_vertex``
+    passes it on while the redrawn vertex lies outside it.
     """
 
-    entries: np.ndarray
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -66,11 +80,37 @@ class InteractionMatrix:
             raise ValueError("diagonal must be zero (self-loops not allowed)")
         a = a.astype(np.int8, copy=True)
         a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        self.__dict__.update(entries=a, d=a.shape[0], _cycle=None)
 
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
+    @classmethod
+    def _from_arcs(cls, d: int, dst: np.ndarray, src: np.ndarray,
+                   cycle: np.ndarray | None = None) -> "InteractionMatrix":
+        """The matrix on d vertices with the edges ``(dst, src)``, unchecked.
+
+        The caller vouches for the edges: in range, no self-loop, no
+        repeat, sorted by dst then src (the order ``arcs`` has). ``cycle``
+        is a certificate for ``_cycle``, or None.
+        """
+        for half in (dst, src):
+            half.setflags(write=False)
+        m = object.__new__(cls)
+        m.__dict__.update(d=d, arcs=(dst, src), _cycle=cycle)
+        return m
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"InteractionMatrix(d={self.d}, edges={self.edge_count()})"
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The read-only int8 matrix of a ``_from_arcs`` graph, formed on
+        first read from ``arcs`` (a validated one holds its own)."""
+        a = np.zeros((self.d, self.d), dtype=np.int8)
+        a[self.arcs] = 1
+        a.setflags(write=False)
+        return a
 
     def as_float(self) -> np.ndarray:
         return self.entries.astype(np.float64)
@@ -79,7 +119,7 @@ class InteractionMatrix:
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges as read-only ``(dst, src)`` index arrays, by dst then src.
 
-        Computed on first use and kept: ``entries`` is frozen, so the
+        Computed on first use and kept: the matrix is immutable, so the
         list never goes stale. The per-state passes of the adaptive loop
         read it instead of the d x d matrix.
         """
@@ -120,6 +160,11 @@ def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:
     return np.bincount(dst, weights=x[src], minlength=C.d)
 
 
+def _check_probability(p) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError("p must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Vertex count and per-edge probability; theta = p*d is derived.
@@ -134,8 +179,7 @@ class ModelParams:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 2:
             raise ValueError("d must be an integer >= 2")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        _check_probability(self.p)
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "p", float(self.p))
 
@@ -168,12 +212,25 @@ class SpectralData:
 # Sampling
 # ---------------------------------------------------------------------------
 
+# uniforms drawn per block of rows by sample_er_digraph
+_ER_BLOCK = 1 << 14
+
+
 def sample_er_digraph(params: ModelParams, rng: np.random.Generator) -> InteractionMatrix:
-    """Erdos-Renyi digraph: each off-diagonal entry is 1 with probability p."""
-    d = params.d
-    a = rng.random((d, d)) < params.p
-    np.fill_diagonal(a, False)
-    return InteractionMatrix(a.astype(np.int8))
+    """Erdos-Renyi digraph: each off-diagonal entry is 1 with probability p.
+
+    Entry ``(i, k)`` is 1 where the ``i * d + k``-th uniform of ``rng``
+    falls below p, the draw of one ``rng.random((d, d))``. The uniforms
+    are drawn in blocks of whole rows, ``_ER_BLOCK`` or so at a time,
+    and only the hits are kept, so no d x d array is formed.
+    """
+    d, p = params.d, params.p
+    rows = max(1, _ER_BLOCK // d)
+    hits = [np.flatnonzero(rng.random((min(rows, d - r), d)) < p) + r * d
+            for r in range(0, d, rows)]
+    keys = np.concatenate(hits)
+    keys = keys[keys % (d + 1) != 0]  # flat indices; the diagonal's are i * (d + 1)
+    return InteractionMatrix._from_arcs(d, *np.divmod(keys, d))
 
 
 def resample_vertex(C: InteractionMatrix, j: int, p: float,
@@ -182,21 +239,41 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
 
     Draw order is fixed for reproducibility: first the incoming entries
     ``c[j, i]`` for i != j in ascending i, then the outgoing entries
-    ``c[i, j]`` likewise. All other entries are copied unchanged. When
-    the redrawn row and column equal the old ones, C itself is returned,
-    so a caller can tell an unchanged graph by identity.
+    ``c[i, j]`` likewise. All other entries are kept. When the redrawn
+    row and column equal the old ones, C itself is returned, so a caller
+    can tell an unchanged graph by identity.
+
+    The new graph is built from ``C.arcs`` in O(E + d): the arcs at j
+    are dropped and j's new ones merged in, in the order of ``arcs``.
+    It keeps C's cycle certificate when j lies outside it, since every
+    edge among the certificate's vertices survives the redraw.
     """
+    _check_probability(p)
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+        raise ValueError(f"vertex must be an integer, got {j!r}")
     d = C.d
     if not 0 <= j < d:
         raise IndexError(f"vertex {j} out of range for d={d}")
-    a = np.array(C.entries, dtype=np.int8)
-    row = rng.random(d - 1) < p  # row j, then column j, each without c[j, j]
-    a[j, :j], a[j, j + 1:] = row[:j], row[j:]
-    col = rng.random(d - 1) < p
-    a[:j, j], a[j + 1:, j] = col[:j], col[j:]
-    if (a[j] == C.entries[j]).all() and (a[:, j] == C.entries[:, j]).all():
+    j = int(j)
+    # row j, then column j, each without c[j, j]: the in-, then the
+    # out-neighbours of j, shifted past j
+    ins = np.flatnonzero(rng.random(d - 1) < p)
+    outs = np.flatnonzero(rng.random(d - 1) < p)
+    ins += ins >= j
+    outs += outs >= j
+    # arcs as flat indices dst * d + src into entries, which sort as
+    # ``arcs`` does; a stable sort merges the sorted runs in linear time
+    new = np.sort(np.concatenate([j * d + ins, outs * d + j]), kind="stable")
+    dst, src = C.arcs
+    keys = dst * d + src
+    at_j = (dst == j) | (src == j)
+    if np.array_equal(keys[at_j], new):
         return C
-    return InteractionMatrix(a)
+    keys = np.sort(np.concatenate([keys[~at_j], new]), kind="stable")
+    cycle = C._cycle
+    if cycle is not None and (cycle == j).any():
+        cycle = None
+    return InteractionMatrix._from_arcs(d, *np.divmod(keys, d), cycle=cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ its CSV joined from row strings. Each oracle pairs with a production
 routine in a dual-route test. Some keep a replaced production form
 whole, so that the new one can be held to its bits: the flow limit
 decided by Kahn's peel before the squaring or the power loop, the
-vertex resample that indexes with ``np.delete``, and the analytic
+vertex resample on a dense copy and the one that indexes with
+``np.delete``, the Erdos-Renyi draw in one call, and the analytic
 equilibrium set read from dense float copies of C.
 """
 from __future__ import annotations
@@ -357,6 +358,30 @@ def peeled_flow_limit(C, start: np.ndarray) -> np.ndarray:
     else:
         x[live] = arc_nilpotent_limit(sub, start[live])
     return x
+
+
+def dense_resample_vertex(C, j: int, p: float, rng) -> InteractionMatrix:
+    """The redraw on a dense int8 copy: row j, then column j, written as
+    two slices each; C itself when they come out as they were."""
+    d = C.d
+    if not 0 <= j < d:
+        raise IndexError(f"vertex {j} out of range for d={d}")
+    a = np.array(C.entries, dtype=np.int8)
+    row = rng.random(d - 1) < p  # row j, then column j, each without c[j, j]
+    a[j, :j], a[j, j + 1:] = row[:j], row[j:]
+    col = rng.random(d - 1) < p
+    a[:j, j], a[j + 1:, j] = col[:j], col[j:]
+    if (a[j] == C.entries[j]).all() and (a[:, j] == C.entries[:, j]).all():
+        return C
+    return InteractionMatrix(a)
+
+
+def one_call_er_digraph(params, rng) -> InteractionMatrix:
+    """The Erdos-Renyi digraph from one ``rng.random((d, d))`` call on a
+    dense array, its diagonal cleared."""
+    a = rng.random((params.d, params.d)) < params.p
+    np.fill_diagonal(a, False)
+    return InteractionMatrix(a.astype(np.int8))
 
 
 def delete_resample_vertex(C, j: int, p: float, rng) -> InteractionMatrix:

@@ -39,6 +39,12 @@ class TestMinPrevalenceSet:
         x = [0.5, 0.25 + 1e-12, 0.25]
         assert min_prevalence_set(x).tolist() == [1, 2]
 
+    @pytest.mark.parametrize("x", [[], np.zeros((0, 3)), [[0.5, 0.5]], 0.5])
+    def test_an_empty_or_not_flat_state_is_refused(self, x):
+        with pytest.raises(ValueError) as exc:
+            min_prevalence_set(x)
+        assert str(exc.value) == "the state must be a non-empty vector"
+
 
 def make_state(matrix, x0=None):
     return AdaptiveState(0, matrix, equilibrium(matrix, x0=x0))
@@ -419,3 +425,116 @@ def test_an_adaptive_run_makes_no_separate_cycle_test(monkeypatch, x0_mode):
                          x0_mode=x0_mode)
     assert {r.directed_cycle for r in trace.records} == {True, False}
     assert calls == []
+
+
+def certified_solves(monkeypatch) -> tuple[list, list]:
+    """Spy on the flow limit: the first list gets, for each solve that
+    skipped the power loop on a cycle certificate, what the loop would
+    have returned (run on a copy, which records nothing); the second
+    gets True for each solve that ran it."""
+    skipped, ran = [], []
+    real_flow, real_limit = dynamics._flow_limit, dynamics._nilpotent_limit
+    real_direction = dynamics._dominant_direction
+
+    def flow_limit(C, start):
+        ran.append(False)
+        return real_flow(C, start)
+
+    def limit(C, x0):
+        ran[-1] = True
+        return real_limit(C, x0)
+
+    def direction(C, x0):
+        if not ran[-1]:
+            skipped.append(real_limit(InteractionMatrix(C.entries), x0))
+        return real_direction(C, x0)
+
+    monkeypatch.setattr(dynamics, "_flow_limit", flow_limit)
+    monkeypatch.setattr(dynamics, "_nilpotent_limit", limit)
+    monkeypatch.setattr(dynamics, "_dominant_direction", direction)
+    return skipped, ran
+
+
+# (d, theta, plant_cycle, max_steps) of the runs whose skipped loops are
+# replayed: growth runs at d = 50, a cyclic run at d = 400
+CERTIFIED = [(50, 0.5, None, 400), (50, 0.5, 2, 300), (60, 1.5, None, 60),
+             (400, 0.5, 2, 40)]
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+@pytest.mark.parametrize("d, theta, plant, steps", CERTIFIED)
+def test_a_certified_solve_skips_only_a_loop_that_would_find_a_cycle(
+        monkeypatch, x0_mode, d, theta, plant, steps):
+    skipped, ran = certified_solves(monkeypatch)
+    trace = run_adaptive(ModelParams.from_theta(d, theta), seed=d + 5,
+                         max_steps=steps, x0_mode=x0_mode, plant_cycle=plant)
+    assert trace.invariant_violations == 0
+    assert len(skipped) > 0
+    assert all(limit is None for limit in skipped)
+
+
+def test_a_redraw_inside_the_certificate_runs_the_loop(monkeypatch):
+    # the planted 2-cycle {0, 1} is the certificate: a redraw of vertex 5
+    # keeps it and skips the loop, a redraw of vertex 0 drops it, and the
+    # loop then runs and finds the cycle the redraw left
+    skipped, ran = certified_solves(monkeypatch)
+    base = plant_directed_cycle(InteractionMatrix.zero(8), 2)
+    outside = resample_vertex(base, 5, 1.0, stream(1))
+    equilibrium(outside)
+    assert (ran, len(skipped)) == ([False], 1)
+    inside = resample_vertex(base, 0, 1.0, stream(1))
+    assert inside._cycle is None
+    assert equilibrium(inside).kind == KIND_ACS
+    assert (ran, len(skipped)) == ([False, True], 1)
+    assert inside._cycle is not None and is_acs(inside, inside._cycle)
+
+
+def test_a_step_whose_chosen_vertex_is_certified_runs_the_loop(monkeypatch):
+    # along a growth run, every step whose chosen vertex lies in the
+    # certificate of the graph it leaves solves with the power loop
+    from jknet import adaptation
+
+    chosen_in = []  # (the index of the solve after the redraw, j certified)
+    real = adaptation.resample_vertex
+
+    def redraw(C, j, p, rng):
+        chosen_in.append((len(ran), C._cycle is not None and j in C._cycle))
+        return real(C, j, p, rng)
+
+    monkeypatch.setattr(adaptation, "resample_vertex", redraw)
+    skipped, ran = certified_solves(monkeypatch)
+    trace = run_adaptive(ModelParams.from_theta(50, 0.5), seed=2, max_steps=300,
+                         x0_mode="carry")
+    assert trace.invariant_violations == 0
+    assert len(ran) == 301  # a carried start is solved every step
+    assert sum(c for _, c in chosen_in) > 10
+    assert all(ran[k] for k, c in chosen_in if c)
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+@pytest.mark.parametrize("cycle_kind", ["directed", "undirected"])
+def test_an_adaptive_run_forms_and_validates_no_dense_matrix(monkeypatch,
+                                                             x0_mode, cycle_kind):
+    # the sampled graph and every redraw come from edge lists: no state
+    # is validated, forms its d x d entries or rebuilds its arcs from them
+    made = []
+
+    def validate(self):
+        made.append("validated")
+
+    def watch(name):
+        real = getattr(InteractionMatrix, name)
+
+        def read(self):
+            if name not in vars(self):
+                made.append(name)
+            return real.__get__(self, InteractionMatrix)
+        return property(read)
+
+    monkeypatch.setattr(InteractionMatrix, "__post_init__", validate)
+    for name in ("arcs", "entries"):
+        monkeypatch.setattr(InteractionMatrix, name, watch(name))
+    trace = run_adaptive(ModelParams.from_theta(60, 0.5), seed=8, max_steps=200,
+                         x0_mode=x0_mode, cycle_kind=cycle_kind, plant_cycle=2)
+    assert trace.steps == 200 and trace.invariant_violations == 0
+    assert made == []

@@ -28,8 +28,10 @@ from oracles import (
     brute_force_sccs,
     brute_force_undirected_cycle,
     delete_resample_vertex,
+    dense_resample_vertex,
     dense_spectral_radius,
     floyd_warshall_reachability,
+    one_call_er_digraph,
 )
 
 
@@ -72,6 +74,26 @@ class TestInteractionMatrix:
         m = InteractionMatrix.from_edges(3, [(0, 1)])
         assert m.entries[1, 0] == 1
         assert m.entries.sum() == 1
+
+    def test_an_edge_list_graph_forms_entries_on_first_read(self):
+        m = resample_vertex(InteractionMatrix.from_edges(4, [(0, 1)]), 2, 1.0,
+                            stream(0))
+        assert "entries" not in vars(m)
+        want = InteractionMatrix.from_edges(
+            4, [(0, 1), (0, 2), (1, 2), (3, 2), (2, 0), (2, 1), (2, 3)])
+        np.testing.assert_array_equal(m.entries, want.entries)
+        assert m.entries is m.entries and m.entries.dtype == np.int8
+        with pytest.raises(ValueError):
+            m.entries[0, 1] = 1
+
+    def test_a_matrix_cannot_be_assigned_to(self):
+        from dataclasses import FrozenInstanceError
+
+        m = InteractionMatrix.zero(3)
+        with pytest.raises(FrozenInstanceError):
+            m.entries = np.eye(3)
+        with pytest.raises(FrozenInstanceError):
+            m.d = 4
 
     def test_arcs_are_the_nonzero_entries_and_cached(self):
         graphs = random_matrices(60, seed=31, d_range=(2, 60), p_range=(0.0, 0.5))
@@ -126,6 +148,40 @@ class TestSampling:
         expected = n_pairs * p
         sigma = np.sqrt(n_pairs * p * (1 - p) / samples)
         assert abs(np.mean(counts) - expected) < 3 * sigma
+
+    @pytest.mark.parametrize("block", [None, 1, 64, 1000])
+    @pytest.mark.parametrize("d, theta", [(3, 1.5), (7, 3.0), (30, 0.5),
+                                          (64, 2.0), (101, 1.0), (700, 0.5)])
+    def test_row_blocks_draw_what_one_call_draws(self, monkeypatch, block, d,
+                                                 theta):
+        # blocks of 1, 64 or 1000 uniforms split the rows into one-row
+        # blocks, equal blocks, or blocks and a short last one (d = 64 and
+        # 101 at 1000); the arcs and the stream left are the one-call draw's
+        if block is not None:
+            monkeypatch.setattr(graph, "_ER_BLOCK", block)
+        params = ModelParams.from_theta(d, theta)
+        rng, ref = stream(21, d), stream(21, d)
+        got, want = sample_er_digraph(params, rng), one_call_er_digraph(params, ref)
+        assert want.edge_count() > 0
+        for half, want_half in zip(got.arcs, want.arcs):
+            np.testing.assert_array_equal(half, want_half)
+        np.testing.assert_array_equal(got.entries, want.entries)
+        assert rng.random() == ref.random()
+
+    def test_a_large_draw_holds_no_dense_array(self):
+        # at d = 4000 one rng.random((d, d)) call takes 128 MB; the row
+        # blocks keep the draw to a few MB over the graph's own arrays
+        import tracemalloc
+
+        params = ModelParams.from_theta(4000, 0.5)
+        tracemalloc.start()
+        try:
+            m = sample_er_digraph(params, stream(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "entries" not in vars(m)
+        assert peak < 8e6
 
 
 class TestResampleVertex:
@@ -191,6 +247,52 @@ class TestResampleVertex:
         base = InteractionMatrix.zero(4)
         with pytest.raises(IndexError):
             resample_vertex(base, 4, 0.5, stream(0))
+
+    # (d, theta, j, p) of the redraws held to the dense form: j = 0 and
+    # j = d - 1, p = 0 and p = 1, sparse graphs full of isolated j
+    DENSE_CASES = [(2, 1.0, 0, None), (2, 1.0, 1, 1.0), (5, 2.0, 4, 0.0),
+                   (17, 0.5, 0, 1.0), (40, 0.3, 39, None), (64, 3.0, 20, None),
+                   (150, 0.5, 75, 0.0), (300, 1.5, 299, None)]
+
+    @pytest.mark.parametrize("d, theta, j, p", DENSE_CASES)
+    def test_matches_the_dense_form(self, d, theta, j, p):
+        # the edge-list redraw gives the dense copy's entries, its arcs
+        # are those flatnonzero reads off them, and it uses up the same
+        # stream; an unchanged redraw returns C itself on both sides
+        params = ModelParams.from_theta(d, theta)
+        base = sample_er_digraph(params, stream(9, d))
+        p = params.p if p is None else p
+        for k in range(12):
+            jj = (j + 7 * k) % d if k else j
+            rng, ref = stream(13, d, k), stream(13, d, k)
+            out = resample_vertex(base, jj, p, rng)
+            want = dense_resample_vertex(base, jj, p, ref)
+            assert (out is base) == (want is base)
+            np.testing.assert_array_equal(out.entries, want.entries)
+            for half, want_half in zip(out.arcs, np.divmod(
+                    np.flatnonzero(want.entries), d)):
+                np.testing.assert_array_equal(half, want_half)
+            assert rng.random() == ref.random()
+
+    def test_an_isolated_vertex_redrawn_bare_returns_c_itself(self):
+        base = sample_er_digraph(ModelParams(d=50, p=0.0), stream(1))
+        base = resample_vertex(base, 3, 0.5, stream(2))  # an edge list graph
+        isolated = [v for v in range(50) if not base.entries[v].any()
+                    and not base.entries[:, v].any()]
+        assert resample_vertex(base, isolated[0], 0.0, stream(4)) is base
+        assert dense_resample_vertex(base, isolated[0], 0.0, stream(4)) is base
+
+    def test_the_cycle_certificate_survives_a_redraw_outside_it(self):
+        # vertices {0, 1} carry the planted 2-cycle; a redraw of vertex 5
+        # keeps every edge between them, a redraw of vertex 1 may not
+        from jknet.adaptation import plant_directed_cycle
+
+        base = plant_directed_cycle(InteractionMatrix.zero(8), 2)
+        np.testing.assert_array_equal(base._cycle, [0, 1])
+        outside = resample_vertex(base, 5, 1.0, stream(1))
+        assert outside._cycle is base._cycle
+        assert resample_vertex(base, 1, 1.0, stream(1))._cycle is None
+        assert InteractionMatrix(base.entries)._cycle is None
 
 
 class TestDirectedCycles:
@@ -630,6 +732,12 @@ GRAPH_REFUSALS = [
      "edge 0->3 out of range for d=3"),
     (lambda: is_acs(InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]), [0, 3]),
      ValueError, "subset out of range"),
+    *((lambda p=p: resample_vertex(InteractionMatrix.zero(50), 3, p, stream(0)),
+       ValueError, "p must lie in [0, 1]") for p in (float("nan"), -0.2, 1.5)),
+    (lambda: resample_vertex(InteractionMatrix.zero(50), 1.5, 0.5, stream(0)),
+     ValueError, "vertex must be an integer, got 1.5"),
+    (lambda: resample_vertex(InteractionMatrix.zero(50), True, 0.5, stream(0)),
+     ValueError, "vertex must be an integer, got True"),
 ]
 
 
