@@ -23,6 +23,7 @@ from .graph import (
     InteractionMatrix,
     NonConvergenceError,
     _arc_product,
+    _induced,
     _reachable_from,
     _weak_component_labels,
     has_directed_cycle,
@@ -346,60 +347,13 @@ def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray | None:
 _ONE_BLOCK = 64
 
 
-def _block_layout(label: np.ndarray, verts: np.ndarray) -> list:
-    """Diagonal blocks of I + C, one per weak component among ``verts``.
-
-    ``label`` names each vertex's weak component of C and ``verts``
-    lists, in increasing order, whole components. Returns int index
-    arrays of shape (n, s), row k listing the vertices of the k-th
-    (s, s) block: the components of s vertices, in the order of their
-    labels, each in vertex order. With a = C as a dense matrix,
-    ``a[idx[:, :, None], idx[:, None, :]]`` is the (n, s, s) stack of
-    those blocks of C; no edge joins two of them.
-    """
-    size = np.bincount(label)[label[verts]]
-    order = np.lexsort((label[verts], size))  # stable: vertex order kept
-    verts, size = verts[order], size[order]
-    cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), verts.size]
-    return [verts[a:b].reshape(-1, size[a]) for a, b in zip(cuts, cuts[1:])]
-
-
-def _block_stacks(dst: np.ndarray, src: np.ndarray, d: int,
-                  groups: list) -> list:
-    """The (n, s, s) stacks of blocks of I + C that ``groups`` lists.
-
-    Stack g holds ``one[idx[:, :, None], idx[:, None, :]]`` for
-    ``idx = groups[g]``, where ``one`` is I + C on d vertices. It is
-    scattered from the edges ``(dst, src)`` inside the groups, with no
-    dense ``one``: in the buffer the stacks share, the slot t of a stack
-    of width s starts its block row at t * s and is column t % s, and
-    every edge joins two slots of one block.
-    """
-    buf = np.zeros(sum(idx.size * idx.shape[1] for idx in groups))
-    row, col = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
-    blocks, base = [], 0
-    for idx in groups:
-        n, s = idx.shape
-        slot = np.arange(n * s)
-        row[idx.ravel()] = base + slot * s
-        col[idx.ravel()] = slot % s
-        blocks.append(buf[base:base + n * s * s].reshape(n, s, s))
-        blocks[-1].reshape(n, s * s)[:, ::s + 1] = 1.0  # the diagonal
-        base += n * s * s
-    buf[row[dst] + col[src]] = 1.0
-    return blocks
-
-
-def _krylov(dst: np.ndarray, src: np.ndarray, verts: np.ndarray,
+def _krylov(n: int, dst: np.ndarray, src: np.ndarray,
             x: np.ndarray) -> np.ndarray:
-    """Rows N^i x[verts], i = 0, 1, ... up to the last nonzero one, for N
-    the acyclic subgraph on ``verts`` with the edges ``(dst, src)``."""
-    local = np.empty(x.size, dtype=np.intp)
-    local[verts] = np.arange(verts.size)
-    dst, src = local[dst], local[src]
-    rows = [x[verts]]
-    for _ in range(verts.size):  # N^verts.size is zero
-        nxt = np.bincount(dst, weights=rows[-1][src], minlength=verts.size)
+    """Rows N^i x, i = 0, 1, ... up to the last nonzero one, for N the
+    acyclic graph on n vertices with the edges ``(dst, src)``."""
+    rows = [x]
+    for _ in range(n):  # N^n is zero
+        nxt = np.bincount(dst, weights=rows[-1][src], minlength=n)
         if not np.count_nonzero(nxt):
             break
         rows.append(nxt)
@@ -421,9 +375,8 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     I + C is block-diagonal over the weak components of C, and so is
     every power of it. A graph of up to ``_ONE_BLOCK`` vertices is
     squared whole. On a larger one, each component with an undirected
-    cycle (every component with a directed one among them) is a block
-    of ``_block_layout``, scattered from ``C.arcs`` (``_block_stacks``)
-    and squared, one batched matmul per stack.
+    cycle (every component with a directed one among them) is a dense
+    block of I + C, cut from the edge list (``_induced``) and squared.
 
     On the trees C is nilpotent, N with N^(L+1) = 0, and the iterate is
     p(N) for a polynomial p of degree L: 1 + z at first, and each
@@ -455,15 +408,25 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
         label = _weak_component_labels(dst, src, d)
         # a weak component is a tree iff it has one edge fewer than vertices
         edges = np.bincount(label[dst], minlength=d)
-        squared = (edges >= np.bincount(label, minlength=d))[label]
-        inside = squared[dst]
+        size = np.bincount(label, minlength=d)
+        roots = (edges >= size) & (size > 0)  # the squared components' labels
+        squared = roots[label]
         trees = np.flatnonzero(~squared)
-        groups = _block_layout(label, np.flatnonzero(squared))
-        blocks = _block_stacks(dst[inside], src[inside], d, groups)
-        starts = [x0[idx][:, :, None] for idx in groups]
+        # the squared vertices by component, each in vertex order
+        order = np.flatnonzero(squared)
+        order = order[np.argsort(label[order], kind="stable")]
+        ends = np.cumsum(size[roots]).tolist()
+        blocks, starts = [], []
+        for a, b in zip([0] + ends, ends):
+            verts = order[a:b]
+            s, bdst, bsrc = _induced(C, verts)
+            m = np.eye(s)
+            m[bdst, bsrc] = 1.0
+            blocks.append(m)
+            starts.append(x0[verts][:, None])
         pos = np.empty(d, dtype=np.intp)
-        pos[np.concatenate([idx.ravel() for idx in groups] + [trees])] = np.arange(d)
-        krylov = _krylov(dst[~inside], src[~inside], trees, x0)
+        pos[np.concatenate([order, trees])] = np.arange(d)
+        krylov = _krylov(*_induced(C, trees), x0[trees])
         poly = np.zeros(len(krylov))
         poly[:2] = 1.0  # I + N
 
@@ -522,14 +485,7 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
             return start
         if cycle is not None and not reach[cycle].all():
             cycle = None
-        # the reachable set is closed under successors, so it holds both
-        # ends of every arc it holds the source of; the relabelling keeps
-        # the arcs' order
-        dst, src = C.arcs
-        inside = reach[src]
-        local = np.cumsum(reach) - 1
-        sub = InteractionMatrix._from_arcs(live.size, local[dst[inside]],
-                                           local[src[inside]])
+        sub = InteractionMatrix._from_arcs(*_induced(C, live))
     x = np.zeros(C.d)
     limit = None if cycle is not None else _nilpotent_limit(sub, start[live])
     x[live] = _dominant_direction(sub, start[live]) if limit is None else limit

@@ -7,8 +7,9 @@ loader transposes, so on disk the orientation reads naturally.
 
 All functions are pure: they never change the graph an input holds and
 take explicit RNG streams, so they are safe to call concurrently. A
-matrix only caches facts derived from it (``arcs``, ``entries`` and a
-cycle certificate), each the same whoever computes it first.
+matrix holds its edge list ``arcs`` and only caches facts derived from
+it (``entries`` and a cycle certificate), each the same whoever
+computes it first.
 """
 from __future__ import annotations
 
@@ -51,11 +52,13 @@ class InteractionMatrix:
     """Binary d x d interaction matrix with zero diagonal.
 
     ``entries[i, j] = 1`` means there is an edge from vertex j to vertex i.
-    ``InteractionMatrix(entries)`` validates the array (``__post_init__``)
-    and keeps a read-only int8 copy. The library's own graph steps build
-    their results with ``_from_arcs`` from edge lists they have formed
-    themselves: nothing is validated, and ``entries`` is formed only when
-    first read. Either way the matrix is immutable.
+    The matrix is held as its edge list ``arcs``: two read-only index
+    arrays ``(dst, src)``, sorted by dst then src. ``InteractionMatrix(
+    entries)`` validates the array (``__post_init__``) and keeps only its
+    arcs. The library's own graph steps build their results with
+    ``_from_arcs`` from edge lists they have formed themselves, unchecked.
+    Either way ``entries`` is formed from ``arcs`` when first read, and
+    the matrix is immutable.
 
     ``_cycle`` is None or a cycle certificate: a vertex array S in which
     every vertex has an in-neighbour in S, so that the subgraph on S, and
@@ -65,11 +68,11 @@ class InteractionMatrix:
     """
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", entries)
+        self.__dict__["entries"] = entries
         self.__post_init__()
 
     def __post_init__(self):
-        a = np.asarray(self.entries)
+        a = np.asarray(self.__dict__.pop("entries"))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must be a square matrix")
         if a.shape[0] < 2:
@@ -78,9 +81,9 @@ class InteractionMatrix:
             raise ValueError("entries must be 0 or 1")
         if np.diagonal(a).any():
             raise ValueError("diagonal must be zero (self-loops not allowed)")
-        a = a.astype(np.int8, copy=True)
-        a.setflags(write=False)
-        self.__dict__.update(entries=a, d=a.shape[0], _cycle=None)
+        d = a.shape[0]
+        # flatnonzero of a bool array is several times faster than on int8
+        self._hold(d, *np.divmod(np.flatnonzero(a != 0), d), None)
 
     @classmethod
     def _from_arcs(cls, d: int, dst: np.ndarray, src: np.ndarray,
@@ -91,11 +94,16 @@ class InteractionMatrix:
         repeat, sorted by dst then src (the order ``arcs`` has). ``cycle``
         is a certificate for ``_cycle``, or None.
         """
+        m = object.__new__(cls)
+        m._hold(d, dst, src, cycle)
+        return m
+
+    def _hold(self, d: int, dst: np.ndarray, src: np.ndarray,
+              cycle: np.ndarray | None) -> None:
+        """Store d, the edges ``(dst, src)``, made read-only, and ``cycle``."""
         for half in (dst, src):
             half.setflags(write=False)
-        m = object.__new__(cls)
-        m.__dict__.update(d=d, arcs=(dst, src), _cycle=cycle)
-        return m
+        self.__dict__.update(d=d, arcs=(dst, src), _cycle=cycle)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -105,8 +113,7 @@ class InteractionMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The read-only int8 matrix of a ``_from_arcs`` graph, formed on
-        first read from ``arcs`` (a validated one holds its own)."""
+        """The read-only int8 matrix, formed from ``arcs`` on first read."""
         a = np.zeros((self.d, self.d), dtype=np.int8)
         a[self.arcs] = 1
         a.setflags(write=False)
@@ -114,20 +121,6 @@ class InteractionMatrix:
 
     def as_float(self) -> np.ndarray:
         return self.entries.astype(np.float64)
-
-    @cached_property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges as read-only ``(dst, src)`` index arrays, by dst then src.
-
-        Computed on first use and kept: the matrix is immutable, so the
-        list never goes stale. The per-state passes of the adaptive loop
-        read it instead of the d x d matrix.
-        """
-        # flatnonzero of a bool view is several times faster than on int8
-        arcs = np.divmod(np.flatnonzero(self.entries.view(np.bool_)), self.d)
-        for half in arcs:
-            half.setflags(write=False)
-        return arcs
 
     def edge_count(self) -> int:
         return int(self.arcs[0].size)
@@ -416,6 +409,21 @@ def has_undirected_cycle(C: InteractionMatrix) -> bool:
     return bool(pairs > d - np.count_nonzero(labels == np.arange(d)))
 
 
+def _induced(C: InteractionMatrix, verts: np.ndarray) -> tuple:
+    """The subgraph on ``verts`` as ``(n, dst, src)``, over the edge list.
+
+    ``verts`` lists n vertices in increasing order, and ``verts[k]`` is
+    renumbered k. The arcs with both ends in ``verts`` keep the order
+    they have in ``C.arcs``, so the subgraph's arcs are sorted too.
+    """
+    local = np.full(C.d, -1)
+    local[verts] = np.arange(len(verts))
+    dst, src = C.arcs
+    dst, src = local[dst], local[src]
+    inside = (dst >= 0) & (src >= 0)
+    return len(verts), dst[inside], src[inside]
+
+
 def is_acs(C: InteractionMatrix, subset) -> bool:
     """Whether every vertex of the induced subgraph has an in-edge from it.
 
@@ -427,15 +435,15 @@ def is_acs(C: InteractionMatrix, subset) -> bool:
         raise ValueError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= C.d:
         raise ValueError("subset out of range")
-    sub = C.entries[np.ix_(idx, idx)]
-    return bool((sub.sum(axis=1) >= 1).all())
+    n, dst, _ = _induced(C, idx)
+    return bool(np.bincount(dst, minlength=n).all())
 
 
 def terminal_vertices(C: InteractionMatrix) -> np.ndarray:
     """Vertices with at least one incoming edge and no outgoing edge."""
-    entries = C.entries
-    has_in = entries.any(axis=1)
-    has_out = entries.any(axis=0)
+    dst, src = C.arcs
+    has_in = np.bincount(dst, minlength=C.d) > 0
+    has_out = np.bincount(src, minlength=C.d) > 0
     return np.flatnonzero(has_in & ~has_out)
 
 

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import _check_span, _rk4_step
+from .graph import _check_probability
 from .rng import stream
 
 __all__ = [
@@ -104,8 +105,7 @@ def sample_signed(d: int, p: float, rng: np.random.Generator) -> SignedMatrix:
     Draw order (for reproducibility): presence mask (d*d), off-diagonal
     values (d*d), diagonal values (d).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability(p)
     mask = rng.random((d, d)) < p
     vals = rng.uniform(-1.0, 1.0, (d, d))
     np.fill_diagonal(vals, rng.uniform(-1.0, 0.0, d))

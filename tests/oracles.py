@@ -26,7 +26,6 @@ from jknet.dynamics import (
     EquilibriumSetBasis,
     _ONE_BLOCK,
     _arc_product,
-    _block_layout,
     _dominant_direction,
     _field,
     _residual,
@@ -42,7 +41,6 @@ from jknet.graph import (
     SpectralData,
     _pf_vector_irreducible,
     _reachable_from,
-    _weak_component_labels,
     has_directed_cycle,
     path_counts,
     strongly_connected_components,
@@ -232,16 +230,30 @@ def dense_block_stacks(a: np.ndarray, groups) -> list:
     return [one[idx[:, :, None], idx[:, None, :]] for idx in groups]
 
 
+def dense_component_labels(entries: np.ndarray) -> np.ndarray:
+    """Label every vertex with the smallest vertex of its weak component,
+    by min-label sweeps over the dense symmetrised adjacency."""
+    d = entries.shape[0]
+    linked = (entries != 0) | (entries.T != 0)
+    label = np.arange(d)
+    while True:
+        nxt = np.minimum(label, np.where(linked, label, d).min(axis=1))
+        if (nxt == label).all():
+            return label
+        label = nxt
+
+
 def every_block_layout(entries: np.ndarray):
-    """The library's block layout over every weak component of the
-    graph, trees too, as the squaring covered them all before trees were
-    followed as polynomials; None (one block) up to ``_ONE_BLOCK``
-    vertices."""
+    """One (1, s) block per weak component of the graph, trees too, as
+    the squaring covered them all before trees were followed as
+    polynomials, in the order of their smallest vertex; None (one block)
+    up to ``_ONE_BLOCK`` vertices."""
     d = entries.shape[0]
     if d <= _ONE_BLOCK:
         return None
-    dst, src = np.nonzero(entries)
-    return _block_layout(_weak_component_labels(dst, src, d), np.arange(d))
+    label = dense_component_labels(entries)
+    return [np.flatnonzero(label == r)[None, :]
+            for r in np.flatnonzero(label == np.arange(d))]
 
 
 def relative_pf_vector(block: np.ndarray):

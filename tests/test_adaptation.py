@@ -516,24 +516,21 @@ def test_a_step_whose_chosen_vertex_is_certified_runs_the_loop(monkeypatch):
 def test_an_adaptive_run_forms_and_validates_no_dense_matrix(monkeypatch,
                                                              x0_mode, cycle_kind):
     # the sampled graph and every redraw come from edge lists: no state
-    # is validated, forms its d x d entries or rebuilds its arcs from them
+    # is validated or forms its d x d entries
     made = []
 
     def validate(self):
         made.append("validated")
 
-    def watch(name):
-        real = getattr(InteractionMatrix, name)
+    real = InteractionMatrix.entries
 
-        def read(self):
-            if name not in vars(self):
-                made.append(name)
-            return real.__get__(self, InteractionMatrix)
-        return property(read)
+    def read(self):
+        if "entries" not in vars(self):
+            made.append("entries")
+        return real.__get__(self, InteractionMatrix)
 
     monkeypatch.setattr(InteractionMatrix, "__post_init__", validate)
-    for name in ("arcs", "entries"):
-        monkeypatch.setattr(InteractionMatrix, name, watch(name))
+    monkeypatch.setattr(InteractionMatrix, "entries", property(read))
     trace = run_adaptive(ModelParams.from_theta(60, 0.5), seed=8, max_steps=200,
                          x0_mode=x0_mode, cycle_kind=cycle_kind, plant_cycle=2)
     assert trace.steps == 200 and trace.invariant_violations == 0

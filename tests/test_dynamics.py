@@ -33,6 +33,7 @@ from conftest import interior_state, random_matrices
 from oracles import (
     arc_nilpotent_limit,
     dense_block_stacks,
+    dense_component_labels,
     dense_dominant_direction,
     dense_equilibrium_set_basis,
     dense_flow_equilibrium,
@@ -486,17 +487,40 @@ def dense_flow_limit(C, x0, tol=1e-10, zero_tol=1e-9):
                                   lambda sub: None)[0]
 
 
-def covering_rows(groups, verts):
-    """Map each vertex of ``verts`` to the (stack, row) of the block that
-    holds it; each lies in exactly one."""
-    where = {}
-    for g, idx in enumerate(groups):
-        for r, row in enumerate(idx):
-            for v in row:
-                assert int(v) not in where
-                where[int(v)] = (g, r)
-    assert sorted(where) == list(verts)
-    return where
+class _BlocksCut(Exception):
+    """Raised where the solve turns from its blocks to the trees."""
+
+
+def blocks_the_solve_cuts(monkeypatch, m):
+    """The vertex sets ``_dominant_direction`` cuts its blocks of I + C on,
+    in order, and the trees' vertices: each ``_induced`` call it makes
+    before it forms the trees' Krylov rows, and the one for those rows.
+    The solve is stopped there."""
+    cuts = []
+    inner = dynamics._induced
+
+    def induced(C, verts):
+        cuts.append(np.asarray(verts).tolist())
+        return inner(C, verts)
+
+    def krylov(*args):
+        raise _BlocksCut
+
+    monkeypatch.setattr(dynamics, "_induced", induced)
+    monkeypatch.setattr(dynamics, "_krylov", krylov)
+    with pytest.raises(_BlocksCut):
+        dynamics._dominant_direction(m, uniform_state(m.d))
+    monkeypatch.undo()
+    return cuts[:-1], cuts[-1]
+
+
+def whole_components(entries):
+    """The weak components, smallest vertex first, each as a sorted list,
+    with whether it has at least as many edges as vertices."""
+    label = dense_component_labels(entries)
+    comps = [np.flatnonzero(label == r).tolist()
+             for r in np.flatnonzero(label == np.arange(label.size))]
+    return [(c, int(entries[np.ix_(c, c)].sum()) >= len(c)) for c in comps]
 
 
 def counted(monkeypatch, module, name):
@@ -519,9 +543,9 @@ def solved_beside_the_oracle(monkeypatch, m, x0):
     trees = []  # the vertices each Krylov basis was formed on
     inner = dynamics._krylov
 
-    def krylov(dst, src, verts, x):
-        trees.append(verts.size)
-        return inner(dst, src, verts, x)
+    def krylov(n, dst, src, x):
+        trees.append(n)
+        return inner(n, dst, src, x)
 
     monkeypatch.setattr(dynamics, "_krylov", krylov)
     eq = equilibrium(m, x0=x0)
@@ -706,43 +730,45 @@ class TestBlockSolver:
         if (cycle, path) == (4, 5):
             np.testing.assert_array_equal(eq.x_star, x)
 
-    def test_block_stacks_match_dense_extraction(self):
+    def test_component_blocks_match_dense_extraction(self, monkeypatch):
         # every component, or those that meet a random vertex sample: each
-        # stack holds the blocks of one size, cut as a dense copy cuts them
+        # block of I + C cut from the edge list is the one a dense copy
+        # cuts. On a whole graph the solve cuts one block per component
+        # that is no tree, in the order of their smallest vertices, and
+        # follows the rest as trees
         rng = stream(77)
         seen = set()
         for case in range(40):
             d = int(rng.integers(dynamics._ONE_BLOCK + 1, 400))
             m = sample_er_digraph(
                 ModelParams.from_theta(d, float(rng.uniform(0.2, 2.5))), rng)
-            dst, src = m.arcs
-            label = graph._weak_component_labels(dst, src, d)
+            label = dense_component_labels(m.entries)
             chosen = np.ones(d, dtype=bool)
             if case % 2:
                 chosen[:] = False
                 chosen[label[rng.random(d) < 0.05]] = True
                 chosen[label[0]] = True
                 chosen = chosen[label]
-            verts = np.flatnonzero(chosen)
-            groups = dynamics._block_layout(label, verts)
-            inside = chosen[dst]
-            blocks = dynamics._block_stacks(dst[inside], src[inside], d, groups)
-            want = dense_block_stacks(m.as_float(), groups)
-            assert len(blocks) == len(want)
-            for got, ref, idx in zip(blocks, want, groups):
-                assert got.shape == ref.shape
-                np.testing.assert_array_equal(got, ref)
-                # a row is one whole component
-                assert (label[idx] == label[idx[:, :1]]).all()
-                assert (np.bincount(label)[label[idx]] == idx.shape[1]).all()
-            assert len({idx.shape[1] for idx in groups}) == len(groups)
-            covering_rows(groups, verts)
-            seen.add((case % 2, len(groups) > 1))
+            comps = [(c, squared) for c, squared in whole_components(m.entries)
+                     if chosen[c[0]]]
+            a = m.as_float()
+            for c, _ in comps:
+                s, dst, src = graph._induced(m, np.array(c))
+                block = np.eye(s)
+                block[dst, src] = 1.0
+                np.testing.assert_array_equal(
+                    block, dense_block_stacks(a, [np.array([c])])[0][0])
+            if case % 2 == 0:
+                cut, trees = blocks_the_solve_cuts(monkeypatch, m)
+                assert cut == [c for c, squared in comps if squared]
+                assert trees == sorted(v for c, squared in comps if not squared
+                                       for v in c)
+            seen.add((case % 2, len(comps) > 1))
         assert seen == {(0, True), (1, False), (1, True)}
 
-    def test_equal_size_components_share_one_stack(self):
+    def test_equal_size_components_are_one_block_each(self, monkeypatch):
         # 20 two-cycles, 10 three-cycles and 30 isolated vertices, with
-        # shuffled names: one stack per size, a row per component
+        # shuffled names: a block per cycle, the isolated vertices trees
         rng = stream(9)
         perm = rng.permutation(100)
         edges = []
@@ -753,41 +779,35 @@ class TestBlockSolver:
             edges += [(u, u + 1), (u + 1, u + 2), (u + 2, u)]
         m = InteractionMatrix.from_edges(
             100, [(int(perm[u]), int(perm[v])) for u, v in edges])
-        groups = dynamics._block_layout(
-            graph._weak_component_labels(*m.arcs, 100), np.arange(100))
-        assert [g.shape for g in groups] == [(30, 1), (20, 2), (10, 3)]
-        where = covering_rows(groups, range(100))
-        for u, v in edges:
-            assert where[int(perm[u])] == where[int(perm[v])]
+        cut, trees = blocks_the_solve_cuts(monkeypatch, m)
+        assert sorted(len(c) for c in cut) == [2] * 20 + [3] * 10
+        assert cut == [c for c, squared in whole_components(m.entries) if squared]
+        assert trees == sorted(perm[70:].tolist())
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)
 
-    def test_large_components_stack_by_size(self):
-        # three 40-cycles are one (3, 40) stack, the 20 isolated vertices
-        # one (20, 1) stack (the solve itself follows them as trees)
+    def test_three_40_cycles_are_three_blocks(self, monkeypatch):
+        # three interleaved 40-cycles are three blocks, the 20 isolated
+        # vertices trees
         edges = []
         for c in range(3):
             ring = list(range(c, 120, 3))
             edges += list(zip(ring, ring[1:] + ring[:1]))
         m = InteractionMatrix.from_edges(140, edges)
-        groups = dynamics._block_layout(
-            graph._weak_component_labels(*m.arcs, 140), np.arange(140))
-        assert [g.shape for g in groups] == [(20, 1), (3, 40)]
-        np.testing.assert_array_equal(groups[1], np.arange(120).reshape(40, 3).T)
-        covering_rows(groups, range(140))
+        cut, trees = blocks_the_solve_cuts(monkeypatch, m)
+        assert cut == [list(range(c, 120, 3)) for c in range(3)]
+        assert trees == list(range(120, 140))
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)
 
-    def test_single_component_is_one_block(self):
+    def test_single_component_is_one_block(self, monkeypatch):
         d = 100
         ring = [(v, (v + 1) % d) for v in range(d)]
         m = InteractionMatrix.from_edges(d, ring + [(0, 50), (70, 20)])
-        groups = dynamics._block_layout(
-            graph._weak_component_labels(*m.arcs, d), np.arange(d))
-        assert len(groups) == 1
-        np.testing.assert_array_equal(groups[0], np.arange(d)[None, :])
+        cut, trees = blocks_the_solve_cuts(monkeypatch, m)
+        assert cut == [list(range(d))] and trees == []
         np.testing.assert_allclose(equilibrium(m).x_star,
                                    dense_flow_limit(m, None),
                                    rtol=0, atol=1e-12)

@@ -438,6 +438,40 @@ class TestWeakComponentLabels:
                 graph._weak_component_labels(src, dst, d), expect)
 
 
+class TestInducedSubgraph:
+    def test_matches_the_dense_cut(self):
+        # empty, single, full and random vertex sets: the subgraph's arcs
+        # are the nonzeros of entries[np.ix_(verts, verts)], in its row-major
+        # order, which is the order of the kept arcs in C.arcs
+        rng = stream(404)
+        for case in range(120):
+            d = int(rng.integers(2, 200))
+            m = sample_er_digraph(ModelParams(d=d, p=float(rng.uniform(0.0, 0.3))),
+                                  rng)
+            kind = case % 4
+            if kind == 0:
+                verts = np.arange(0)
+            elif kind == 1:
+                verts = np.array([int(rng.integers(d))])
+            elif kind == 2:
+                verts = np.arange(d)
+            else:
+                verts = np.flatnonzero(rng.random(d) < rng.uniform(0.1, 0.9))
+            n, dst, src = graph._induced(m, verts)
+            assert n == verts.size
+            want_dst, want_src = np.nonzero(m.entries[np.ix_(verts, verts)])
+            np.testing.assert_array_equal(dst, want_dst)
+            np.testing.assert_array_equal(src, want_src)
+            # the kept arcs, renumbered, in the order they have in C.arcs
+            big_dst, big_src = m.arcs
+            kept = np.isin(big_dst, verts) & np.isin(big_src, verts)
+            np.testing.assert_array_equal(verts[dst], big_dst[kept])
+            np.testing.assert_array_equal(verts[src], big_src[kept])
+            if kind == 2:
+                np.testing.assert_array_equal(dst, big_dst)
+                np.testing.assert_array_equal(src, big_src)
+
+
 class TestStronglyConnectedComponents:
     def test_two_cycle_plus_isolated(self):
         m = InteractionMatrix.from_edges(3, [(0, 1), (1, 0)])
