@@ -21,6 +21,7 @@ from .graph import (
     TOL,
     InteractionMatrix,
     ModelParams,
+    _Record,
     has_undirected_cycle,
     resample_vertex,
     sample_er_digraph,
@@ -183,7 +184,7 @@ def plant_directed_cycle(C: InteractionMatrix, length: int = 2) -> InteractionMa
     keys = np.sort(np.concatenate([dst * d + src, (ring + 1) % length * d + ring]),
                    kind="stable")
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # once each
-    return InteractionMatrix._from_arcs(d, *np.divmod(keys, d), cycle=ring)
+    return InteractionMatrix._from_arcs(d, *np.divmod(keys, d), _Record(ring))
 
 
 def _arcs_among(C: InteractionMatrix, verts: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .graph import (
     _arc_product,
     _induced,
     _reachable_from,
+    _unit_block,
     _weak_component_labels,
     has_directed_cycle,
     path_counts,
@@ -336,7 +337,7 @@ def _nilpotent_limit(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray | None:
         nxt /= s
         nxt_size = np.count_nonzero(nxt)
         if nxt_size == size and ((nxt > 0.0) == (best > 0.0)).all():
-            object.__setattr__(C, "_cycle", np.flatnonzero(nxt))
+            C._record.cycle = np.flatnonzero(nxt)
             return None
         best, size = nxt, nxt_size
     return None
@@ -360,6 +361,36 @@ def _krylov(n: int, dst: np.ndarray, src: np.ndarray,
     return np.array(rows)
 
 
+def _components(C: InteractionMatrix):
+    """C's ``_Record`` with its components formed, from scratch unless
+    they were formed or carried already.
+
+    The squared components are listed with one stable ``argsort`` of
+    their vertices by label, and each block is cut with ``_induced``.
+    """
+    record = C._record
+    if record.labels is None:
+        d = C.d
+        dst, src = C.arcs
+        label = _weak_component_labels(dst, src, d)
+        # a weak component is a tree iff it has one edge fewer than vertices
+        edges = np.bincount(label[dst], minlength=d)
+        size = np.bincount(label, minlength=d)
+        roots = (edges >= size) & (size > 0)  # the squared components' labels
+        squared = roots[label]
+        # the squared vertices by component, each in vertex order
+        order = np.flatnonzero(squared)
+        order = order[np.argsort(label[order], kind="stable")]
+        ends = np.cumsum(size[roots]).tolist()
+        blocks = {}
+        for r, a, b in zip(np.flatnonzero(roots).tolist(), [0] + ends, ends):
+            verts = order[a:b]
+            blocks[r] = (verts, _unit_block(*_induced(C, verts)))
+        record.labels, record.size, record.edges = label, size, edges
+        record.blocks, record.trees = blocks, np.flatnonzero(~squared)
+    return record
+
+
 def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
@@ -377,6 +408,9 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     squared whole. On a larger one, each component with an undirected
     cycle (every component with a directed one among them) is a dense
     block of I + C, cut from the edge list (``_induced``) and squared.
+    The components and unsquared blocks are C's ``_Record``'s, formed on
+    first use (``_components``) or carried from the graph C was redrawn
+    from.
 
     On the trees C is nilpotent, N with N^(L+1) = 0, and the iterate is
     p(N) for a polynomial p of degree L: 1 + z at first, and each
@@ -404,29 +438,14 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
             m /= m.max()
             return m @ x0
     else:
-        dst, src = C.arcs
-        label = _weak_component_labels(dst, src, d)
-        # a weak component is a tree iff it has one edge fewer than vertices
-        edges = np.bincount(label[dst], minlength=d)
-        size = np.bincount(label, minlength=d)
-        roots = (edges >= size) & (size > 0)  # the squared components' labels
-        squared = roots[label]
-        trees = np.flatnonzero(~squared)
-        # the squared vertices by component, each in vertex order
-        order = np.flatnonzero(squared)
-        order = order[np.argsort(label[order], kind="stable")]
-        ends = np.cumsum(size[roots]).tolist()
-        blocks, starts = [], []
-        for a, b in zip([0] + ends, ends):
-            verts = order[a:b]
-            s, bdst, bsrc = _induced(C, verts)
-            m = np.eye(s)
-            m[bdst, bsrc] = 1.0
-            blocks.append(m)
-            starts.append(x0[verts][:, None])
-        pos = np.empty(d, dtype=np.intp)
-        pos[np.concatenate([order, trees])] = np.arange(d)
+        record = _components(C)
+        trees = record.trees
         krylov = _krylov(*_induced(C, trees), x0[trees])
+        blocks = [block for _, block in record.blocks.values()]
+        starts = [x0[verts][:, None] for verts, _ in record.blocks.values()]
+        pos = np.empty(d, dtype=np.intp)
+        pos[np.concatenate([verts for verts, _ in record.blocks.values()]
+                           + [trees])] = np.arange(d)
         poly = np.zeros(len(krylov))
         poly[:2] = 1.0  # I + N
 
@@ -477,7 +496,7 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     the limit is the squaring's. A certificate the powers find is
     recorded on C.
     """
-    live, sub, cycle = slice(None), C, C._cycle
+    live, sub, cycle = slice(None), C, C._record.cycle
     if not start.all():
         reach = _reachable_from(C, np.flatnonzero(start))
         live = np.flatnonzero(reach)
@@ -489,8 +508,8 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     x = np.zeros(C.d)
     limit = None if cycle is not None else _nilpotent_limit(sub, start[live])
     x[live] = _dominant_direction(sub, start[live]) if limit is None else limit
-    if sub is not C and sub._cycle is not None:
-        object.__setattr__(C, "_cycle", live[sub._cycle])
+    if sub is not C and sub._record.cycle is not None:
+        C._record.cycle = live[sub._record.cycle]
     return x
 
 

@@ -8,8 +8,8 @@ loader transposes, so on disk the orientation reads naturally.
 All functions are pure: they never change the graph an input holds and
 take explicit RNG streams, so they are safe to call concurrently. A
 matrix holds its edge list ``arcs`` and only caches facts derived from
-it (``entries`` and a cycle certificate), each the same whoever
-computes it first.
+it (``entries`` and its ``_Record``), each the same whoever computes it
+first.
 """
 from __future__ import annotations
 
@@ -58,13 +58,8 @@ class InteractionMatrix:
     arcs. The library's own graph steps build their results with
     ``_from_arcs`` from edge lists they have formed themselves, unchecked.
     Either way ``entries`` is formed from ``arcs`` when first read, and
-    the matrix is immutable.
-
-    ``_cycle`` is None or a cycle certificate: a vertex array S in which
-    every vertex has an in-neighbour in S, so that the subgraph on S, and
-    with it the graph, holds a directed cycle. The flow-limit solver
-    records one where its power loop finds it, and ``resample_vertex``
-    passes it on while the redrawn vertex lies outside it.
+    the matrix is immutable. ``_record`` holds what the flow-limit solver
+    has worked out about it (``_Record``).
     """
 
     def __init__(self, entries):
@@ -83,27 +78,27 @@ class InteractionMatrix:
             raise ValueError("diagonal must be zero (self-loops not allowed)")
         d = a.shape[0]
         # flatnonzero of a bool array is several times faster than on int8
-        self._hold(d, *np.divmod(np.flatnonzero(a != 0), d), None)
+        self._hold(d, *np.divmod(np.flatnonzero(a != 0), d), _Record())
 
     @classmethod
     def _from_arcs(cls, d: int, dst: np.ndarray, src: np.ndarray,
-                   cycle: np.ndarray | None = None) -> "InteractionMatrix":
+                   record: "_Record | None" = None) -> "InteractionMatrix":
         """The matrix on d vertices with the edges ``(dst, src)``, unchecked.
 
         The caller vouches for the edges: in range, no self-loop, no
-        repeat, sorted by dst then src (the order ``arcs`` has). ``cycle``
-        is a certificate for ``_cycle``, or None.
+        repeat, sorted by dst then src (the order ``arcs`` has), and for
+        ``record``, which no other matrix may hold (a fresh one if None).
         """
         m = object.__new__(cls)
-        m._hold(d, dst, src, cycle)
+        m._hold(d, dst, src, _Record() if record is None else record)
         return m
 
     def _hold(self, d: int, dst: np.ndarray, src: np.ndarray,
-              cycle: np.ndarray | None) -> None:
-        """Store d, the edges ``(dst, src)``, made read-only, and ``cycle``."""
+              record: "_Record") -> None:
+        """Store d, the edges ``(dst, src)``, made read-only, and ``record``."""
         for half in (dst, src):
             half.setflags(write=False)
-        self.__dict__.update(d=d, arcs=(dst, src), _cycle=cycle)
+        self.__dict__.update(d=d, arcs=(dst, src), _record=record)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -136,15 +131,112 @@ class InteractionMatrix:
 
     @classmethod
     def from_edges(cls, d: int, edges) -> "InteractionMatrix":
-        """Build from (src, dst) pairs; the stored matrix is the transpose."""
-        a = np.zeros((d, d), dtype=np.int8)
+        """Build from (src, dst) pairs; the stored matrix is the transpose.
+
+        Each pair is checked in input order, and a repeated pair is one
+        edge. The pairs' flat keys ``dst * d + src`` are sorted into
+        ``arcs``, with no d x d array.
+        """
+        keys = set()
         for src, dst in edges:
             if src == dst:
                 raise ValueError(f"self-loop {src}->{dst} not allowed")
             if not (0 <= src < d and 0 <= dst < d):
                 raise ValueError(f"edge {src}->{dst} out of range for d={d}")
-            a[dst, src] = 1
-        return cls(a)
+            keys.add(dst * d + src)
+        if d < 2:
+            raise ValueError("need at least 2 vertices")
+        return cls._from_arcs(d, *np.divmod(np.array(sorted(keys), dtype=np.intp), d))
+
+
+class _Record:
+    """What the flow-limit solver has worked out about one graph.
+
+    ``cycle`` is None or a cycle certificate: a vertex array S in which
+    every vertex has an in-neighbour in S, so that the subgraph on S, and
+    with it the graph, holds a directed cycle. The solver records one
+    where its power loop finds it.
+
+    The component fields are None until the solver's squaring above
+    ``dynamics._ONE_BLOCK`` vertices forms them (``dynamics._components``):
+
+    - ``labels``: each vertex's weak component, named by its smallest
+      vertex;
+    - ``size`` and ``edges``: each component's vertex and arc count,
+      indexed by its label, and 0 at the other vertices;
+    - ``blocks``: ``{label: (verts, block)}`` in label order, one item
+      per component with at least as many arcs as vertices: its vertices,
+      increasing, and the read-only dense block of I + C on them;
+    - ``trees``: the vertices of the other components, increasing.
+
+    ``resample_vertex`` gives the redrawn graph a new record. It passes
+    on the certificate while the redrawn vertex lies outside it, since
+    every edge among the certificate's vertices survives, and carries
+    the components where they were formed (``carry``).
+    """
+
+    __slots__ = ("cycle", "labels", "size", "edges", "blocks", "trees")
+
+    def __init__(self, cycle: np.ndarray | None = None):
+        self.cycle = cycle
+        self.labels = self.size = self.edges = self.blocks = self.trees = None
+
+    def carry(self, old: "_Record", C: InteractionMatrix,
+              met: np.ndarray) -> None:
+        """Form C's components from ``old``, the record of the graph C was
+        redrawn from at one vertex j, with ``met`` holding j and its new
+        neighbours.
+
+        j's old arcs lie in j's old component, and its new ones end in
+        ``met``, so only the old components that meet ``met`` change. Their
+        vertices are labelled again on C's subgraph on them, which no arc
+        of C leaves, and their squared components are cut from it. Every
+        other component keeps its label, counts and block, which is shared.
+        """
+        hit = np.zeros(C.d, dtype=bool)
+        hit[old.labels[met]] = True
+        inside = hit[old.labels]
+        verts = inside.nonzero()[0]
+        # the subgraph on verts, as _induced cuts it: no arc of C leaves
+        # verts, so its arcs are those into verts, renumbered 0..n-1
+        dst, src = C.arcs
+        keep = inside[dst]
+        n = verts.size
+        dst, src = verts.searchsorted(dst[keep]), verts.searchsorted(src[keep])
+        local = _weak_component_labels(dst, src, n)
+        size = np.bincount(local, minlength=n)
+        edges = np.bincount(local[dst], minlength=n)
+        squared = (edges >= size) & (size > 0)
+        # every old label and new root lies in verts, so the counts there
+        # are written whole, 0 at the vertices that name no component
+        self.labels = old.labels.copy()
+        self.labels[verts] = verts[local]
+        self.size, self.edges = old.size.copy(), old.edges.copy()
+        self.size[verts], self.edges[verts] = size, edges
+        self.blocks = {r: b for r, b in old.blocks.items() if not hit[r]}
+        self.trees = old.trees  # where verts held trees only, and still do
+        if squared.any():
+            sub = InteractionMatrix._from_arcs(n, dst, src)
+            for r in squared.nonzero()[0].tolist():
+                at = (local == r).nonzero()[0]
+                block = _unit_block(*_induced(sub, at))
+                self.blocks[int(verts[r])] = (verts[at], block)
+            self.blocks = dict(sorted(self.blocks.items()))
+        elif len(self.blocks) == len(old.blocks):
+            return
+        tree = np.zeros(C.d, dtype=bool)
+        tree[old.trees] = True
+        tree[verts] = ~squared[local]
+        self.trees = tree.nonzero()[0]
+
+
+def _unit_block(n: int, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The read-only dense I + N for N the graph on n vertices with the
+    edges ``(dst, src)``."""
+    block = np.eye(n)
+    block[dst, src] = 1.0
+    block.setflags(write=False)
+    return block
 
 
 def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:
@@ -238,8 +330,8 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
 
     The new graph is built from ``C.arcs`` in O(E + d): the arcs at j
     are dropped and j's new ones merged in, in the order of ``arcs``.
-    It keeps C's cycle certificate when j lies outside it, since every
-    edge among the certificate's vertices survives the redraw.
+    It gets a new ``_Record``, carried from C's (``_Record.carry``) where
+    C's holds components, and no reference to C.
     """
     _check_probability(p)
     if isinstance(j, bool) or not isinstance(j, numbers.Integral):
@@ -249,9 +341,11 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
         raise IndexError(f"vertex {j} out of range for d={d}")
     j = int(j)
     # row j, then column j, each without c[j, j]: the in-, then the
-    # out-neighbours of j, shifted past j
-    ins = np.flatnonzero(rng.random(d - 1) < p)
-    outs = np.flatnonzero(rng.random(d - 1) < p)
+    # out-neighbours of j, shifted past j. One draw of both halves is the
+    # stream of two draws in turn
+    hits = rng.random(2 * (d - 1)) < p
+    ins = hits[:d - 1].nonzero()[0]
+    outs = hits[d - 1:].nonzero()[0]
     ins += ins >= j
     outs += outs >= j
     # arcs as flat indices dst * d + src into entries, which sort as
@@ -260,13 +354,18 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
     dst, src = C.arcs
     keys = dst * d + src
     at_j = (dst == j) | (src == j)
-    if np.array_equal(keys[at_j], new):
+    old = keys[at_j]
+    if old.size == new.size and (old == new).all():
         return C
     keys = np.sort(np.concatenate([keys[~at_j], new]), kind="stable")
-    cycle = C._cycle
+    record = C._record
+    cycle = record.cycle
     if cycle is not None and (cycle == j).any():
         cycle = None
-    return InteractionMatrix._from_arcs(d, *np.divmod(keys, d), cycle=cycle)
+    redrawn = InteractionMatrix._from_arcs(d, *np.divmod(keys, d), _Record(cycle))
+    if record.labels is not None:
+        redrawn._record.carry(record, redrawn, np.concatenate([[j], ins, outs]))
+    return redrawn
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +468,10 @@ def has_directed_cycle(C: InteractionMatrix) -> bool:
     return bool(_peel(C)[1].any())
 
 
+# vertices plus edges up to which _weak_component_labels runs in Python
+_FEW = 500
+
+
 def _weak_component_labels(rows: np.ndarray, cols: np.ndarray,
                            d: int) -> np.ndarray:
     """Label every vertex with the smallest vertex of its weak component.
@@ -380,7 +483,27 @@ def _weak_component_labels(rows: np.ndarray, cols: np.ndarray,
     decrease and every label names a root that labels itself, so when no
     edge joins two labels each component is labelled by its smallest
     vertex.
+
+    On at most ``_FEW`` vertices and edges together, where the fixed cost
+    of the vectorised sweeps dominates, a union-find in Python gives the
+    same labels: each edge hooks the larger of its endpoints' roots under
+    the smaller, found with path halving, so parents never exceed their
+    vertex and one pass in vertex order leaves each vertex at its root.
     """
+    if rows.size + d <= _FEW:
+        up = list(range(d))
+        for a, b in zip(rows.tolist(), cols.tolist()):
+            while up[a] != a:
+                up[a] = a = up[up[a]]
+            while up[b] != b:
+                up[b] = b = up[up[b]]
+            if a < b:
+                up[b] = a
+            elif b < a:
+                up[a] = b
+        for v in range(d):
+            up[v] = up[up[v]]
+        return np.array(up)
     label = np.arange(d)
     while True:
         at_rows, at_cols = label[rows], label[cols]
@@ -400,11 +523,14 @@ def has_undirected_cycle(C: InteractionMatrix) -> bool:
     The projection has an edge {i, j} iff c_ij = 1 or c_ji = 1; a lone
     directed 2-cycle collapses to a single undirected edge and is not a
     cycle of the simple graph. A simple graph is a forest iff its edge
-    count is d minus its number of components.
+    count is d minus its number of components. The components' labels
+    are read from C's ``_Record`` where the flow-limit solver formed them.
     """
     d = C.d
     dst, src = C.arcs
-    labels = _weak_component_labels(dst, src, d)
+    labels = C._record.labels
+    if labels is None:
+        labels = _weak_component_labels(dst, src, d)
     pairs = np.unique(np.minimum(dst, src) * d + np.maximum(dst, src)).size
     return bool(pairs > d - np.count_nonzero(labels == np.arange(d)))
 

@@ -15,7 +15,7 @@ from jknet import (
     trace_from_json_lines,
     trace_to_json_lines,
 )
-from jknet import dynamics, graph
+from jknet import adaptation, dynamics, graph
 from jknet.adaptation import X0_MODES
 from jknet.dynamics import KIND_ACS, KIND_DEGENERATE, KIND_TERMINAL
 from jknet.graph import has_undirected_cycle, resample_vertex, sample_er_digraph
@@ -483,10 +483,10 @@ def test_a_redraw_inside_the_certificate_runs_the_loop(monkeypatch):
     equilibrium(outside)
     assert (ran, len(skipped)) == ([False], 1)
     inside = resample_vertex(base, 0, 1.0, stream(1))
-    assert inside._cycle is None
+    assert inside._record.cycle is None
     assert equilibrium(inside).kind == KIND_ACS
     assert (ran, len(skipped)) == ([False, True], 1)
-    assert inside._cycle is not None and is_acs(inside, inside._cycle)
+    assert inside._record.cycle is not None and is_acs(inside, inside._record.cycle)
 
 
 def test_a_step_whose_chosen_vertex_is_certified_runs_the_loop(monkeypatch):
@@ -498,7 +498,7 @@ def test_a_step_whose_chosen_vertex_is_certified_runs_the_loop(monkeypatch):
     real = adaptation.resample_vertex
 
     def redraw(C, j, p, rng):
-        chosen_in.append((len(ran), C._cycle is not None and j in C._cycle))
+        chosen_in.append((len(ran), C._record.cycle is not None and j in C._record.cycle))
         return real(C, j, p, rng)
 
     monkeypatch.setattr(adaptation, "resample_vertex", redraw)
@@ -535,3 +535,175 @@ def test_an_adaptive_run_forms_and_validates_no_dense_matrix(monkeypatch,
                          x0_mode=x0_mode, cycle_kind=cycle_kind, plant_cycle=2)
     assert trace.steps == 200 and trace.invariant_violations == 0
     assert made == []
+
+
+# ---------------------------------------------------------------------------
+# The component record carried across redraws
+# ---------------------------------------------------------------------------
+
+def scratch_record(C):
+    """The record ``dynamics._components`` forms for C's edges on a copy
+    that holds none."""
+    return dynamics._components(InteractionMatrix._from_arcs(C.d, *C.arcs))
+
+
+def assert_record_is_the_scratch_one(C):
+    """Every component field of C's record equals a from-scratch build,
+    and a certificate, where C holds one, holds on C."""
+    got, want = C._record, scratch_record(C)
+    for name in ("labels", "size", "edges", "trees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert list(got.blocks) == list(want.blocks)
+    for label, (verts, block) in want.blocks.items():
+        got_verts, got_block = got.blocks[label]
+        np.testing.assert_array_equal(got_verts, verts)
+        np.testing.assert_array_equal(got_block, block)
+        assert not got_block.flags.writeable
+    if got.cycle is not None:
+        assert is_acs(C, got.cycle)
+
+
+# (d, theta, max_steps) of the runs whose every redraw is held to a
+# from-scratch build; each runs in both start modes, planted and not,
+# and under every stop mode
+CARRIED_RUNS = [(65, 3.0, 30), (100, 0.3, 60), (100, 1.0, 40), (150, 2.0, 30),
+                (400, 0.5, 50), (400, 1.0, 15), (1000, 0.5, 15), (2000, 0.3, 8)]
+
+
+def test_a_carried_record_equals_a_from_scratch_build(monkeypatch):
+    # every redraw of a graph whose record holds components is checked:
+    # the carried fields equal those a from-scratch build forms. Among
+    # them are redraws that merge two squared components into one and
+    # that split one, and redraws of vertices in and out of a certificate
+    seen = {"carried": 0, "merge": 0, "split": 0, "j certified": 0,
+            "j uncertified": 0}
+    real = resample_vertex
+
+    def redraw(C, j, p, rng):
+        out = real(C, j, p, rng)
+        old, new = C._record, out._record
+        if out is C or old.labels is None:
+            assert out is C or new.labels is None
+            return out
+        assert_record_is_the_scratch_one(out)
+        seen["carried"] += 1
+        if old.cycle is not None:
+            seen["j certified" if j in old.cycle else "j uncertified"] += 1
+        old_blocks = [set(verts.tolist()) for verts, _ in old.blocks.values()]
+        new_blocks = [set(verts.tolist()) for verts, _ in new.blocks.values()]
+        seen["merge"] += any(sum(bool(a & b) for a in old_blocks) > 1
+                             for b in new_blocks)
+        seen["split"] += any(len(set(new.labels[sorted(a)].tolist())) > 1
+                             for a in old_blocks)
+        return out
+
+    monkeypatch.setattr(adaptation, "resample_vertex", redraw)
+    seed = 0
+    for d, theta, steps in CARRIED_RUNS:
+        for x0_mode in X0_MODES:
+            for plant in (None, 2):
+                for stop in adaptation.STOP_MODES:
+                    seed += 1
+                    trace = run_adaptive(ModelParams.from_theta(d, theta), seed=seed,
+                                         max_steps=steps, stop=stop, x0_mode=x0_mode,
+                                         plant_cycle=plant)
+                    assert trace.invariant_violations == 0
+    assert seen["carried"] > 1000 and min(seen.values()) > 5, seen
+
+
+def test_a_carried_record_solves_as_a_fresh_one():
+    # chained redraws of a planted d = 400 graph: the solve on the graph
+    # that carries its record gives the bits of the solve on a copy
+    params = ModelParams.from_theta(400, 0.5)
+    rng = stream(6)
+    m = plant_directed_cycle(sample_er_digraph(params, rng), 2)
+    for k in range(60):
+        eq = equilibrium(m)
+        fresh = equilibrium(InteractionMatrix._from_arcs(m.d, *m.arcs))
+        assert eq.x_star.tobytes() == fresh.x_star.tobytes()
+        assert eq.lam == fresh.lam and m._record.labels is not None
+        m = resample_vertex(m, int(rng.integers(m.d)), params.p, rng)
+
+
+def test_a_matrix_two_steps_back_is_collectable():
+    # the redrawn graph shares blocks with its parent, never the parent
+    import gc
+    import weakref
+
+    params = ModelParams.from_theta(400, 0.5)
+    rng = stream(3)
+    m = plant_directed_cycle(sample_er_digraph(params, rng), 2)
+    state = AdaptiveState(0, m, equilibrium(m))
+    assert m._record.labels is not None
+    old = weakref.ref(m)
+    del m
+    changed = 0
+    while changed < 2:
+        before = state.matrix
+        state, _ = jk_step(state, params.p, rng)
+        changed += state.matrix is not before
+        del before
+    assert state.matrix._record.labels is not None
+    gc.collect()
+    assert old() is None
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+def test_small_and_acyclic_runs_form_no_record(monkeypatch, x0_mode):
+    # d <= _ONE_BLOCK squares I + C whole, and an acyclic state ends in
+    # the power loop: neither forms components, so none are carried
+    formed, carried, states = [], [], []
+    real_components, real_carry = dynamics._components, graph._Record.carry
+    real_equilibrium = adaptation.equilibrium
+    monkeypatch.setattr(dynamics, "_components",
+                        lambda C: formed.append(C) or real_components(C))
+    monkeypatch.setattr(graph._Record, "carry",
+                        lambda self, *a: carried.append(1) or real_carry(self, *a))
+    monkeypatch.setattr(adaptation, "equilibrium",
+                        lambda C, **kw: states.append(C) or real_equilibrium(C, **kw))
+    for d, theta, plant, steps in [(64, 1.0, 2, 150), (40, 0.5, 2, 200),
+                                   (200, 0.2, None, 60), (500, 0.1, None, 40)]:
+        trace = run_adaptive(ModelParams.from_theta(d, theta), seed=4,
+                             max_steps=steps, x0_mode=x0_mode, plant_cycle=plant)
+        if d > dynamics._ONE_BLOCK:
+            assert not any(r.directed_cycle for r in trace.records)
+        else:
+            assert any(r.directed_cycle for r in trace.records)
+    assert formed == [] and carried == []
+    assert len(states) > 300
+    assert all(C._record.labels is None for C in states)
+
+
+@pytest.mark.parametrize("x0_mode", X0_MODES)
+def test_the_undirected_flag_reads_the_record(monkeypatch, x0_mode):
+    # has_undirected_cycle on every state of seeded runs equals its
+    # answer on a copy with no record, and a state with a record is not
+    # labelled again for it; a uniform run labels each state once at most
+    states, labelled = [], []
+    real_equilibrium = adaptation.equilibrium
+    monkeypatch.setattr(adaptation, "equilibrium",
+                        lambda C, **kw: states.append(C) or real_equilibrium(C, **kw))
+    for module in (graph, dynamics):
+        def spy(*args, real=module._weak_component_labels):
+            labelled.append(1)
+            return real(*args)
+        monkeypatch.setattr(module, "_weak_component_labels", spy)
+    answers = set()
+    for d, theta, seed in [(100, 0.3, 1), (400, 0.3, 2), (400, 0.5, 3), (150, 1.0, 4)]:
+        del labelled[:]
+        before = len(states)
+        trace = run_adaptive(ModelParams.from_theta(d, theta), seed=seed, max_steps=40,
+                             stop="first_cycle", cycle_kind="undirected",
+                             x0_mode=x0_mode, plant_cycle=2)
+        if x0_mode == "uniform":
+            assert len(labelled) <= trace.steps + 1
+        for C in states[before:]:
+            del labelled[:]
+            flag = has_undirected_cycle(C)
+            assert labelled == ([] if C._record.labels is not None else [1])
+            bare = InteractionMatrix._from_arcs(C.d, *C.arcs)
+            assert flag == has_undirected_cycle(bare)
+            answers.add((flag, C._record.labels is not None))
+    assert {(False, True), (True, True)} <= answers

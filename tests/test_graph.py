@@ -107,6 +107,67 @@ class TestInteractionMatrix:
             assert m.edge_count() == int(m.entries.sum())
 
 
+def dense_from_edges(d, edges):
+    """The edge-list loader on a dense int8 copy: each pair checked and
+    written in input order, then the array validated."""
+    a = np.zeros((d, d), dtype=np.int8)
+    for src, dst in edges:
+        if src == dst:
+            raise ValueError(f"self-loop {src}->{dst} not allowed")
+        if not (0 <= src < d and 0 <= dst < d):
+            raise ValueError(f"edge {src}->{dst} out of range for d={d}")
+        a[dst, src] = 1
+    return InteractionMatrix(a)
+
+
+class TestFromEdges:
+    def test_matches_the_dense_form(self):
+        # shuffled pairs, a third of them repeated: the arcs are those the
+        # dense copy gives, each repeated pair one edge
+        rng = stream(31)
+        for case in range(80):
+            d = int(rng.integers(2, 200))
+            k = int(rng.integers(0, 3 * d))
+            pairs = [(int(s), int(t)) for s, t in rng.integers(0, d, (k, 2)) if s != t]
+            pairs += pairs[:len(pairs) // 3]
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            got, want = InteractionMatrix.from_edges(d, pairs), dense_from_edges(d, pairs)
+            for half, want_half in zip(got.arcs, want.arcs):
+                np.testing.assert_array_equal(half, want_half)
+                assert not half.flags.writeable
+            np.testing.assert_array_equal(got.entries, want.entries)
+        assert InteractionMatrix.from_edges(3, []).edge_count() == 0
+
+    @pytest.mark.parametrize("d, edges", [
+        (3, [(0, 1), (1, 1), (0, 5)]), (3, [(0, 1), (0, 5), (1, 1)]),
+        (3, [(2, 2), (0, 9)]), (3, [(-1, 0), (1, 1)]), (3, [(0, -2)]),
+        (1, []), (1, [(0, 0)]), (1, [(0, 1)]), (0, [])])
+    def test_refuses_the_first_offender_as_the_dense_form_does(self, d, edges):
+        with pytest.raises(ValueError) as want:
+            dense_from_edges(d, edges)
+        with pytest.raises(ValueError) as got:
+            InteractionMatrix.from_edges(d, edges)
+        assert str(got.value) == str(want.value)
+
+    def test_a_large_edge_list_holds_no_dense_array(self):
+        # at d = 4000 a dense int8 copy takes 16 MB and its validation
+        # more; the loader keeps to the parsed text and the edge list
+        import tracemalloc
+
+        m = sample_er_digraph(ModelParams.from_theta(4000, 0.5), stream(4))
+        text = dump_edge_list(m)
+        tracemalloc.start()
+        try:
+            got = parse_interaction_matrix(text, d=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for half, want_half in zip(got.arcs, m.arcs):
+            np.testing.assert_array_equal(half, want_half)
+        assert "entries" not in vars(got)
+        assert peak < 4e6
+
+
 class TestModelParams:
     def test_theta_is_derived(self):
         mp = ModelParams(d=20, p=0.05)
@@ -274,6 +335,21 @@ class TestResampleVertex:
                 np.testing.assert_array_equal(half, want_half)
             assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("d", [25, 100, 400])
+    def test_chained_redraws_match_the_dense_form(self, d):
+        # 300 redraws, each from the last, of vertices picked at random:
+        # the same graphs and the same stream as the dense copy's
+        params = ModelParams.from_theta(d, 0.5)
+        m = want = sample_er_digraph(params, stream(17, d))
+        rng, ref, pick = stream(18, d), stream(18, d), stream(19, d)
+        for _ in range(300):
+            j = int(pick.integers(d))
+            m, want = resample_vertex(m, j, params.p, rng), dense_resample_vertex(
+                want, j, params.p, ref)
+            for half, want_half in zip(m.arcs, want.arcs):
+                np.testing.assert_array_equal(half, want_half)
+        assert rng.random() == ref.random()
+
     def test_an_isolated_vertex_redrawn_bare_returns_c_itself(self):
         base = sample_er_digraph(ModelParams(d=50, p=0.0), stream(1))
         base = resample_vertex(base, 3, 0.5, stream(2))  # an edge list graph
@@ -288,11 +364,11 @@ class TestResampleVertex:
         from jknet.adaptation import plant_directed_cycle
 
         base = plant_directed_cycle(InteractionMatrix.zero(8), 2)
-        np.testing.assert_array_equal(base._cycle, [0, 1])
+        np.testing.assert_array_equal(base._record.cycle, [0, 1])
         outside = resample_vertex(base, 5, 1.0, stream(1))
-        assert outside._cycle is base._cycle
-        assert resample_vertex(base, 1, 1.0, stream(1))._cycle is None
-        assert InteractionMatrix(base.entries)._cycle is None
+        assert outside._record.cycle is base._record.cycle
+        assert resample_vertex(base, 1, 1.0, stream(1))._record.cycle is None
+        assert InteractionMatrix(base.entries)._record.cycle is None
 
 
 class TestDirectedCycles:
@@ -436,6 +512,23 @@ class TestWeakComponentLabels:
             # the labels ignore orientation: the reversed edges give them too
             np.testing.assert_array_equal(
                 graph._weak_component_labels(src, dst, d), expect)
+
+
+    @pytest.mark.parametrize("few", [0, 10 ** 9])
+    def test_the_python_and_the_vectorised_labels_agree(self, monkeypatch, few):
+        # every graph labelled one way only: in Python (few = 10 ** 9) or
+        # with the vectorised sweeps (few = 0), against brute force
+        monkeypatch.setattr(graph, "_FEW", few)
+        rng = stream(78)
+        for _ in range(40):
+            d = int(rng.integers(2, 300))
+            m = sample_er_digraph(
+                ModelParams.from_theta(d, float(rng.uniform(0.2, 3.0))), rng)
+            und = m.entries | m.entries.T
+            reach = floyd_warshall_reachability(und) | np.eye(d, dtype=bool)
+            dst, src = m.arcs
+            np.testing.assert_array_equal(
+                graph._weak_component_labels(dst, src, d), reach.argmax(axis=0))
 
 
 class TestInducedSubgraph:
@@ -764,6 +857,10 @@ GRAPH_REFUSALS = [
      "self-loop 1->1 not allowed"),
     (lambda: InteractionMatrix.from_edges(3, [(0, 3)]), ValueError,
      "edge 0->3 out of range for d=3"),
+    (lambda: InteractionMatrix.from_edges(3, [(0, 3), (1, 1)]), ValueError,
+     "edge 0->3 out of range for d=3"),
+    (lambda: InteractionMatrix.from_edges(1, []), ValueError,
+     "need at least 2 vertices"),
     (lambda: is_acs(InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]), [0, 3]),
      ValueError, "subset out of range"),
     *((lambda p=p: resample_vertex(InteractionMatrix.zero(50), 3, p, stream(0)),
