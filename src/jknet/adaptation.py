@@ -21,6 +21,7 @@ from .graph import (
     TOL,
     InteractionMatrix,
     ModelParams,
+    _induced,
     _Record,
     has_undirected_cycle,
     resample_vertex,
@@ -187,15 +188,6 @@ def plant_directed_cycle(C: InteractionMatrix, length: int = 2) -> InteractionMa
     return InteractionMatrix._from_arcs(d, *np.divmod(keys, d), _Record(ring))
 
 
-def _arcs_among(C: InteractionMatrix, verts: np.ndarray) -> np.ndarray:
-    """The arcs of the subgraph on ``verts``, as flat indices dst * d + src."""
-    among = np.zeros(C.d, dtype=bool)
-    among[verts] = True
-    dst, src = C.arcs
-    inside = among[dst] & among[src]
-    return dst[inside] * C.d + src[inside]
-
-
 def run_adaptive(params: ModelParams, seed: int, max_steps: int,
                  stop: str = "none", cycle_kind: str = "directed",
                  x0_mode: str = "uniform",
@@ -257,8 +249,11 @@ def run_adaptive(params: ModelParams, seed: int, max_steps: int,
         if state.x_star.zero_set.size > 0:
             sup = state.x_star.support
             ok = bool((state.x_star.zero_set == record.chosen).any())
-            ok = ok and np.array_equal(_arcs_among(state.matrix, sup),
-                                       _arcs_among(new_state.matrix, sup))
+            # the arcs (dst, src) among the support, which a graph the
+            # redraw left unchanged keeps
+            ok = ok and (new_state.matrix is state.matrix or all(map(
+                np.array_equal, _induced(state.matrix, sup)[1:],
+                _induced(new_state.matrix, sup)[1:])))
             if state.directed_cycle:
                 ok = ok and new_state.directed_cycle
             if not ok:

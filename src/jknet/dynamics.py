@@ -25,8 +25,7 @@ from .graph import (
     _arc_product,
     _induced,
     _reachable_from,
-    _unit_block,
-    _weak_component_labels,
+    _Record,
     has_directed_cycle,
     path_counts,
     spectral_radius_pf,
@@ -361,36 +360,6 @@ def _krylov(n: int, dst: np.ndarray, src: np.ndarray,
     return np.array(rows)
 
 
-def _components(C: InteractionMatrix):
-    """C's ``_Record`` with its components formed, from scratch unless
-    they were formed or carried already.
-
-    The squared components are listed with one stable ``argsort`` of
-    their vertices by label, and each block is cut with ``_induced``.
-    """
-    record = C._record
-    if record.labels is None:
-        d = C.d
-        dst, src = C.arcs
-        label = _weak_component_labels(dst, src, d)
-        # a weak component is a tree iff it has one edge fewer than vertices
-        edges = np.bincount(label[dst], minlength=d)
-        size = np.bincount(label, minlength=d)
-        roots = (edges >= size) & (size > 0)  # the squared components' labels
-        squared = roots[label]
-        # the squared vertices by component, each in vertex order
-        order = np.flatnonzero(squared)
-        order = order[np.argsort(label[order], kind="stable")]
-        ends = np.cumsum(size[roots]).tolist()
-        blocks = {}
-        for r, a, b in zip(np.flatnonzero(roots).tolist(), [0] + ends, ends):
-            verts = order[a:b]
-            blocks[r] = (verts, _unit_block(*_induced(C, verts)))
-        record.labels, record.size, record.edges = label, size, edges
-        record.blocks, record.trees = blocks, np.flatnonzero(~squared)
-    return record
-
-
 def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
@@ -408,9 +377,9 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     squared whole. On a larger one, each component with an undirected
     cycle (every component with a directed one among them) is a dense
     block of I + C, cut from the edge list (``_induced``) and squared.
-    The components and unsquared blocks are C's ``_Record``'s, formed on
-    first use (``_components``) or carried from the graph C was redrawn
-    from.
+    The blocks and the trees' vertices are read from C's ``_Record``:
+    ``_Record.form`` fills it on first use unless it was formed from the
+    record of the graph C was redrawn from.
 
     On the trees C is nilpotent, N with N^(L+1) = 0, and the iterate is
     p(N) for a polynomial p of degree L: 1 + z at first, and each
@@ -438,7 +407,9 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
             m /= m.max()
             return m @ x0
     else:
-        record = _components(C)
+        record = C._record
+        if record.labels is None:
+            _Record.form(C)
         trees = record.trees
         krylov = _krylov(*_induced(C, trees), x0[trees])
         blocks = [block for _, block in record.blocks.values()]

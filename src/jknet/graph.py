@@ -133,12 +133,13 @@ class InteractionMatrix:
     def from_edges(cls, d: int, edges) -> "InteractionMatrix":
         """Build from (src, dst) pairs; the stored matrix is the transpose.
 
-        Each pair is checked in input order, and a repeated pair is one
-        edge. The pairs' flat keys ``dst * d + src`` are sorted into
-        ``arcs``, with no d x d array.
+        Each pair is checked in input order, its ends first (integers,
+        not bools), and a repeated pair is one edge. The pairs' flat keys
+        ``dst * d + src`` are sorted into ``arcs``, with no d x d array.
         """
         keys = set()
         for src, dst in edges:
+            src, dst = _vertex(src), _vertex(dst)
             if src == dst:
                 raise ValueError(f"self-loop {src}->{dst} not allowed")
             if not (0 <= src < d and 0 <= dst < d):
@@ -157,13 +158,11 @@ class _Record:
     with it the graph, holds a directed cycle. The solver records one
     where its power loop finds it.
 
-    The component fields are None until the solver's squaring above
-    ``dynamics._ONE_BLOCK`` vertices forms them (``dynamics._components``):
+    The component fields are None until ``form`` fills them, which the
+    solver's squaring above ``dynamics._ONE_BLOCK`` vertices asks for:
 
     - ``labels``: each vertex's weak component, named by its smallest
       vertex;
-    - ``size`` and ``edges``: each component's vertex and arc count,
-      indexed by its label, and 0 at the other vertices;
     - ``blocks``: ``{label: (verts, block)}`` in label order, one item
       per component with at least as many arcs as vertices: its vertices,
       increasing, and the read-only dense block of I + C on them;
@@ -171,78 +170,100 @@ class _Record:
 
     ``resample_vertex`` gives the redrawn graph a new record. It passes
     on the certificate while the redrawn vertex lies outside it, since
-    every edge among the certificate's vertices survives, and carries
-    the components where they were formed (``carry``).
+    every edge among the certificate's vertices survives, and forms the
+    components from the old ones where those were formed.
     """
 
-    __slots__ = ("cycle", "labels", "size", "edges", "blocks", "trees")
+    __slots__ = ("cycle", "labels", "blocks", "trees")
 
     def __init__(self, cycle: np.ndarray | None = None):
         self.cycle = cycle
-        self.labels = self.size = self.edges = self.blocks = self.trees = None
+        self.labels = self.blocks = self.trees = None
 
-    def carry(self, old: "_Record", C: InteractionMatrix,
-              met: np.ndarray) -> None:
-        """Form C's components from ``old``, the record of the graph C was
-        redrawn from at one vertex j, with ``met`` holding j and its new
-        neighbours.
+    @staticmethod
+    def form(C: InteractionMatrix, old: "_Record | None" = None,
+             met: np.ndarray | None = None) -> "_Record":
+        """Fill the component fields of C's record, and return it.
 
-        j's old arcs lie in j's old component, and its new ones end in
-        ``met``, so only the old components that meet ``met`` change. Their
-        vertices are labelled again on C's subgraph on them, which no arc
-        of C leaves, and their squared components are cut from it. Every
-        other component keeps its label, counts and block, which is shared.
+        With no ``old`` every vertex is labelled. Otherwise ``old`` is the
+        record of the graph C was redrawn from at one vertex j, and
+        ``met`` holds j and its new neighbours. j's old arcs lie in j's
+        old component, and its new ones end in ``met``, so only the old
+        components that meet ``met`` change. Their vertices are labelled
+        again on C's subgraph on them, which no arc of C leaves, and every
+        other component keeps its label and its block, which is shared.
+        No subgraph matrix is made where no touched component is squared,
+        and the old tree list is kept where they were trees and still are.
+
+        Either way the labelled subgraph's squared components are listed
+        with one stable ``argsort`` of their vertices by label, and each
+        block is cut from the subgraph with ``_induced``.
         """
-        hit = np.zeros(C.d, dtype=bool)
-        hit[old.labels[met]] = True
-        inside = hit[old.labels]
-        verts = inside.nonzero()[0]
-        # the subgraph on verts, as _induced cuts it: no arc of C leaves
-        # verts, so its arcs are those into verts, renumbered 0..n-1
+        record = C._record
         dst, src = C.arcs
-        keep = inside[dst]
-        n = verts.size
-        dst, src = verts.searchsorted(dst[keep]), verts.searchsorted(src[keep])
-        local = _weak_component_labels(dst, src, n)
-        size = np.bincount(local, minlength=n)
-        edges = np.bincount(local[dst], minlength=n)
-        squared = (edges >= size) & (size > 0)
-        # every old label and new root lies in verts, so the counts there
-        # are written whole, 0 at the vertices that name no component
-        self.labels = old.labels.copy()
-        self.labels[verts] = verts[local]
-        self.size, self.edges = old.size.copy(), old.edges.copy()
-        self.size[verts], self.edges[verts] = size, edges
-        self.blocks = {r: b for r, b in old.blocks.items() if not hit[r]}
-        self.trees = old.trees  # where verts held trees only, and still do
-        if squared.any():
-            sub = InteractionMatrix._from_arcs(n, dst, src)
-            for r in squared.nonzero()[0].tolist():
-                at = (local == r).nonzero()[0]
-                block = _unit_block(*_induced(sub, at))
-                self.blocks[int(verts[r])] = (verts[at], block)
-            self.blocks = dict(sorted(self.blocks.items()))
-        elif len(self.blocks) == len(old.blocks):
-            return
-        tree = np.zeros(C.d, dtype=bool)
-        tree[old.trees] = True
-        tree[verts] = ~squared[local]
-        self.trees = tree.nonzero()[0]
-
-
-def _unit_block(n: int, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """The read-only dense I + N for N the graph on n vertices with the
-    edges ``(dst, src)``."""
-    block = np.eye(n)
-    block[dst, src] = 1.0
-    block.setflags(write=False)
-    return block
+        n = C.d
+        if old is not None:
+            hit = np.zeros(n, dtype=bool)
+            hit[old.labels[met]] = True
+            inside = hit[old.labels]
+            verts = inside.nonzero()[0]
+            # the subgraph on verts, as _induced cuts it: no arc of C
+            # leaves verts, so its arcs are those into verts, renumbered
+            keep = inside[dst]
+            n = verts.size
+            dst, src = verts.searchsorted(dst[keep]), verts.searchsorted(src[keep])
+        label = _weak_component_labels(dst, src, n)
+        # a weak component is a tree iff it has one arc fewer than vertices
+        size = np.bincount(label, minlength=n)
+        roots = (np.bincount(label[dst], minlength=n) >= size) & (size > 0)
+        squared = roots[label]
+        blocks = {}
+        if roots.any():
+            # the squared vertices by component, each in vertex order
+            order = np.flatnonzero(squared)
+            order = order[np.argsort(label[order], kind="stable")]
+            ends = np.cumsum(size[roots]).tolist()
+            roots = np.flatnonzero(roots)
+            if old is None:
+                sub, names, members = C, roots, order
+            else:  # and C's names of them
+                sub = InteractionMatrix._from_arcs(n, dst, src)
+                names, members = verts[roots], verts[order]
+            for r, a, b in zip(names.tolist(), [0] + ends, ends):
+                k, into, out_of = _induced(sub, order[a:b])
+                block = np.eye(k)  # I + C on the component
+                block[into, out_of] = 1.0
+                block.setflags(write=False)
+                blocks[r] = (members[a:b], block)
+        if old is None:
+            record.labels, record.blocks = label, blocks
+            record.trees = np.flatnonzero(~squared)
+            return record
+        record.labels = old.labels.copy()
+        record.labels[verts] = verts[label]
+        kept = {r: b for r, b in old.blocks.items() if not hit[r]}
+        record.blocks = dict(sorted({**kept, **blocks}.items())) if blocks else kept
+        if not blocks and len(kept) == len(old.blocks):
+            record.trees = old.trees  # verts held trees only, and still do
+        else:
+            tree = np.zeros(C.d, dtype=bool)
+            tree[old.trees] = True
+            tree[verts] = ~squared
+            record.trees = tree.nonzero()[0]
+        return record
 
 
 def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:
     """C x summed over the edge list: no dense copy, no BLAS."""
     dst, src = C.arcs
     return np.bincount(dst, weights=x[src], minlength=C.d)
+
+
+def _vertex(v) -> int:
+    """v as an int; anything that is no integer, a bool included, is refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"vertex must be an integer, got {v!r}")
+    return int(v)
 
 
 def _check_probability(p) -> None:
@@ -330,16 +351,15 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
 
     The new graph is built from ``C.arcs`` in O(E + d): the arcs at j
     are dropped and j's new ones merged in, in the order of ``arcs``.
-    It gets a new ``_Record``, carried from C's (``_Record.carry``) where
-    C's holds components, and no reference to C.
+    It gets a new ``_Record`` and no reference to C. Where C's record
+    holds components, the new one's are formed from them
+    (``_Record.form``), relabelling only the components the redraw touched.
     """
     _check_probability(p)
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-        raise ValueError(f"vertex must be an integer, got {j!r}")
+    j = _vertex(j)
     d = C.d
     if not 0 <= j < d:
         raise IndexError(f"vertex {j} out of range for d={d}")
-    j = int(j)
     # row j, then column j, each without c[j, j]: the in-, then the
     # out-neighbours of j, shifted past j. One draw of both halves is the
     # stream of two draws in turn
@@ -364,7 +384,7 @@ def resample_vertex(C: InteractionMatrix, j: int, p: float,
         cycle = None
     redrawn = InteractionMatrix._from_arcs(d, *np.divmod(keys, d), _Record(cycle))
     if record.labels is not None:
-        redrawn._record.carry(record, redrawn, np.concatenate([[j], ins, outs]))
+        _Record.form(redrawn, record, np.concatenate([[j], ins, outs]))
     return redrawn
 
 
@@ -546,7 +566,7 @@ def _induced(C: InteractionMatrix, verts: np.ndarray) -> tuple:
     local[verts] = np.arange(len(verts))
     dst, src = C.arcs
     dst, src = local[dst], local[src]
-    inside = (dst >= 0) & (src >= 0)
+    inside = (dst | src) >= 0  # neither end is -1
     return len(verts), dst[inside], src[inside]
 
 
@@ -554,9 +574,9 @@ def is_acs(C: InteractionMatrix, subset) -> bool:
     """Whether every vertex of the induced subgraph has an in-edge from it.
 
     The subset is autocatalytic iff each member i has some member j != i
-    with c_ij = 1.
+    with c_ij = 1. Its members must be integers, not bools.
     """
-    idx = np.asarray(sorted(set(int(v) for v in subset)), dtype=int)
+    idx = np.asarray(sorted({_vertex(v) for v in subset}), dtype=int)
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= C.d:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from jknet.dynamics import KIND_ACS, KIND_DEGENERATE, KIND_TERMINAL
 from jknet.graph import has_undirected_cycle, resample_vertex, sample_er_digraph
 from jknet.rng import stream
 
-from oracles import peeled_flow_limit
+from oracles import dense_component_labels, peeled_flow_limit
 
 
 class TestMinPrevalenceSet:
@@ -350,23 +352,29 @@ def test_unknown_cycle_kind_is_refused():
 
 
 def test_an_update_that_changes_the_support_is_counted(monkeypatch):
-    # the planted 2-cycle {0, 1} carries the equilibrium, and the other
-    # vertices sit at zero; a resample that also cuts its edge 1 -> 0
-    # changes the support's subgraph, which the invariant forbids
+    # the planted 2-cycle {0, 1}, or 3-cycle {0, 1, 2}, carries the
+    # equilibrium, and the other vertices sit at zero; a resample that
+    # also flips the edge 1 -> 0 removes an arc of the 2-cycle, or adds a
+    # chord to the 3-cycle: either changes the support's subgraph, which
+    # the invariant forbids
     from jknet import adaptation
 
     real = adaptation.resample_vertex
 
-    def cutting(C, j, p, rng):
+    def flipping(C, j, p, rng):
         a = np.array(real(C, j, p, rng).entries)
         a[0, 1] = 1 - a[0, 1]
         return InteractionMatrix(a)
 
-    params, kw = ModelParams(d=8, p=0.0), dict(seed=1, max_steps=4, plant_cycle=2)
-    clean = run_adaptive(params, **kw)
-    assert clean.records[0].support_size == 2 and clean.invariant_violations == 0
-    monkeypatch.setattr(adaptation, "resample_vertex", cutting)
-    assert run_adaptive(params, **kw).invariant_violations >= 1
+    params = ModelParams(d=8, p=0.0)
+    runs = [dict(seed=1, max_steps=4, plant_cycle=plant) for plant in (2, 3)]
+    for kw in runs:
+        clean = run_adaptive(params, **kw)
+        assert clean.records[0].support_size == kw["plant_cycle"]
+        assert clean.invariant_violations == 0
+    monkeypatch.setattr(adaptation, "resample_vertex", flipping)
+    for kw in runs:
+        assert run_adaptive(params, **kw).invariant_violations >= 1
 
 
 # (d, theta, plant_cycle, max_steps) of the replayed runs
@@ -542,16 +550,34 @@ def test_an_adaptive_run_forms_and_validates_no_dense_matrix(monkeypatch,
 # ---------------------------------------------------------------------------
 
 def scratch_record(C):
-    """The record ``dynamics._components`` forms for C's edges on a copy
-    that holds none."""
-    return dynamics._components(InteractionMatrix._from_arcs(C.d, *C.arcs))
+    """The record ``graph._Record.form`` forms from scratch for C's edges,
+    on a copy that holds none."""
+    return graph._Record.form(InteractionMatrix._from_arcs(C.d, *C.arcs))
 
 
-def assert_record_is_the_scratch_one(C):
-    """Every component field of C's record equals a from-scratch build,
-    and a certificate, where C holds one, holds on C."""
-    got, want = C._record, scratch_record(C)
-    for name in ("labels", "size", "edges", "trees"):
+def dense_record(C):
+    """C's component fields as the record lays them out, worked out from
+    the dense matrix alone: labels by ``dense_component_labels``, and
+    each component with at least as many arcs as vertices cut as
+    I + entries[np.ix_(verts, verts)]."""
+    a = C.entries
+    labels = dense_component_labels(a)
+    # a lone vertex has no arc: a tree
+    tree = np.bincount(labels, minlength=C.d)[labels] == 1
+    blocks = {}
+    for r in np.flatnonzero((labels == np.arange(C.d)) & ~tree).tolist():
+        verts = np.flatnonzero(labels == r)
+        cut = a[np.ix_(verts, verts)]
+        if cut.sum() >= verts.size:
+            blocks[r] = (verts, np.eye(verts.size) + cut)
+        else:
+            tree[verts] = True
+    return SimpleNamespace(labels=labels, blocks=blocks, trees=np.flatnonzero(tree))
+
+
+def assert_same_components(got, want):
+    """The component fields of the record ``got`` equal those of ``want``."""
+    for name in ("labels", "trees"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
@@ -561,8 +587,79 @@ def assert_record_is_the_scratch_one(C):
         np.testing.assert_array_equal(got_verts, verts)
         np.testing.assert_array_equal(got_block, block)
         assert not got_block.flags.writeable
-    if got.cycle is not None:
-        assert is_acs(C, got.cycle)
+
+
+def assert_record_is_the_scratch_one(C):
+    """Every component field of C's record equals a from-scratch build on
+    a bare copy and the dense oracle, and a certificate, where C holds
+    one, holds on C."""
+    assert_same_components(C._record, scratch_record(C))
+    assert_same_components(C._record, dense_record(C))
+    if C._record.cycle is not None:
+        assert is_acs(C, C._record.cycle)
+
+
+# (graph, labels, the squared components' labels, trees) of hand-made
+# scratch builds
+SCRATCH_FORMS = [
+    (InteractionMatrix.zero(5), [0, 1, 2, 3, 4], [], [0, 1, 2, 3, 4]),
+    (InteractionMatrix.from_edges(6, [(0, 1), (0, 2), (2, 3), (4, 3), (5, 4)]),
+     [0] * 6, [], [0, 1, 2, 3, 4, 5]),
+    (InteractionMatrix.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+     [0] * 5, [0], []),
+    (InteractionMatrix.from_edges(7, [(3, 5), (5, 3), (0, 6), (6, 1)]),
+     [0, 0, 2, 3, 4, 3, 0], [3], [0, 1, 2, 4, 6]),
+]
+
+
+@pytest.mark.parametrize("C, labels, squared, trees", SCRATCH_FORMS,
+                         ids=["isolated", "a tree", "a simple cycle", "a 2-cycle and trees"])
+def test_a_scratch_build_of_hand_made_graphs(C, labels, squared, trees):
+    record = graph._Record.form(C)
+    assert record is C._record
+    assert record.labels.tolist() == labels
+    assert list(record.blocks) == squared and record.trees.tolist() == trees
+    assert_same_components(record, dense_record(C))
+
+
+def two_rings(d, *extra):
+    """The 3-cycles 0 -> 1 -> 2 -> 0 and 3 -> 4 -> 5 -> 3 on d vertices,
+    with the (src, dst) pairs ``extra``, and its components formed."""
+    C = InteractionMatrix.from_edges(
+        d, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), *extra])
+    graph._Record.form(C)
+    return C
+
+
+def test_hand_made_redraws_split_and_merge_squared_components(monkeypatch):
+    # vertex 6 joins the two rings into one squared component; redrawn
+    # with no arc it splits it in two. Redrawn with every arc, an
+    # isolated 6 merges both rings and 7 into one
+    C = two_rings(7, (6, 0), (6, 3))
+    assert list(C._record.blocks) == [0] and C._record.trees.tolist() == []
+    split = resample_vertex(C, 6, 0.0, stream(0))
+    assert_record_is_the_scratch_one(split)
+    assert split._record.labels.tolist() == [0, 0, 0, 3, 3, 3, 6]
+    assert list(split._record.blocks) == [0, 3] and split._record.trees.tolist() == [6]
+
+    C = two_rings(8)
+    merged = resample_vertex(C, 6, 1.0, stream(0))
+    assert_record_is_the_scratch_one(merged)
+    assert merged._record.labels.tolist() == [0] * 8
+    assert list(merged._record.blocks) == [0] and merged._record.trees.tolist() == []
+
+    # a redraw among trees that stay trees forms no subgraph and no tree
+    # list, and shares the untouched blocks
+    C = two_rings(9, (6, 7), (7, 8))
+    made = []
+    real = InteractionMatrix._from_arcs.__func__
+    monkeypatch.setattr(InteractionMatrix, "_from_arcs", classmethod(
+        lambda cls, *a: made.append(1) or real(cls, *a)))
+    cut = resample_vertex(C, 7, 0.0, stream(0))
+    assert made == [1]  # the redrawn graph itself
+    assert_record_is_the_scratch_one(cut)
+    assert cut._record.trees is C._record.trees
+    assert all(cut._record.blocks[r][1] is C._record.blocks[r][1] for r in (0, 3))
 
 
 # (d, theta, max_steps) of the runs whose every redraw is held to a
@@ -654,13 +751,11 @@ def test_a_matrix_two_steps_back_is_collectable():
 def test_small_and_acyclic_runs_form_no_record(monkeypatch, x0_mode):
     # d <= _ONE_BLOCK squares I + C whole, and an acyclic state ends in
     # the power loop: neither forms components, so none are carried
-    formed, carried, states = [], [], []
-    real_components, real_carry = dynamics._components, graph._Record.carry
+    formed, states = [], []
+    real_form = graph._Record.form
     real_equilibrium = adaptation.equilibrium
-    monkeypatch.setattr(dynamics, "_components",
-                        lambda C: formed.append(C) or real_components(C))
-    monkeypatch.setattr(graph._Record, "carry",
-                        lambda self, *a: carried.append(1) or real_carry(self, *a))
+    monkeypatch.setattr(graph._Record, "form",
+                        staticmethod(lambda C, *a: formed.append(C) or real_form(C, *a)))
     monkeypatch.setattr(adaptation, "equilibrium",
                         lambda C, **kw: states.append(C) or real_equilibrium(C, **kw))
     for d, theta, plant, steps in [(64, 1.0, 2, 150), (40, 0.5, 2, 200),
@@ -671,7 +766,7 @@ def test_small_and_acyclic_runs_form_no_record(monkeypatch, x0_mode):
             assert not any(r.directed_cycle for r in trace.records)
         else:
             assert any(r.directed_cycle for r in trace.records)
-    assert formed == [] and carried == []
+    assert formed == []
     assert len(states) > 300
     assert all(C._record.labels is None for C in states)
 
@@ -685,11 +780,11 @@ def test_the_undirected_flag_reads_the_record(monkeypatch, x0_mode):
     real_equilibrium = adaptation.equilibrium
     monkeypatch.setattr(adaptation, "equilibrium",
                         lambda C, **kw: states.append(C) or real_equilibrium(C, **kw))
-    for module in (graph, dynamics):
-        def spy(*args, real=module._weak_component_labels):
-            labelled.append(1)
-            return real(*args)
-        monkeypatch.setattr(module, "_weak_component_labels", spy)
+    def spy(*args, real=graph._weak_component_labels):
+        labelled.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_weak_component_labels", spy)
     answers = set()
     for d, theta, seed in [(100, 0.3, 1), (400, 0.3, 2), (400, 0.5, 3), (150, 1.0, 4)]:
         del labelled[:]

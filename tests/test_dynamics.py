@@ -493,11 +493,11 @@ class _BlocksCut(Exception):
 
 def blocks_the_solve_cuts(monkeypatch, m):
     """The vertex sets ``_dominant_direction`` cuts its blocks of I + C on,
-    in order, and the trees' vertices: each ``_induced`` call it makes
-    before it forms the trees' Krylov rows, and the one for those rows.
-    The solve is stopped there."""
+    in order, and the trees' vertices: each ``_induced`` call made before
+    the trees' Krylov rows are formed (the record's blocks, cut in
+    ``graph``), and the one for those rows. The solve is stopped there."""
     cuts = []
-    inner = dynamics._induced
+    inner = graph._induced
 
     def induced(C, verts):
         cuts.append(np.asarray(verts).tolist())
@@ -506,7 +506,8 @@ def blocks_the_solve_cuts(monkeypatch, m):
     def krylov(*args):
         raise _BlocksCut
 
-    monkeypatch.setattr(dynamics, "_induced", induced)
+    for module in (graph, dynamics):
+        monkeypatch.setattr(module, "_induced", induced)
     monkeypatch.setattr(dynamics, "_krylov", krylov)
     with pytest.raises(_BlocksCut):
         dynamics._dominant_direction(m, uniform_state(m.d))
@@ -815,7 +816,7 @@ class TestBlockSolver:
     def test_small_graph_is_one_block(self, monkeypatch):
         # up to _ONE_BLOCK vertices the whole I + C is squared, with no
         # labelling and no polynomial part
-        labels = counted(monkeypatch, dynamics, "_weak_component_labels")
+        labels = counted(monkeypatch, graph, "_weak_component_labels")
         krylov = counted(monkeypatch, dynamics, "_krylov")
         d = dynamics._ONE_BLOCK
         m = InteractionMatrix.from_edges(d, [(0, 1), (1, 0), (5, 6)])

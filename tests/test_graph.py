@@ -863,6 +863,14 @@ GRAPH_REFUSALS = [
      "need at least 2 vertices"),
     (lambda: is_acs(InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]), [0, 3]),
      ValueError, "subset out of range"),
+    (lambda: InteractionMatrix.from_edges(4, [(0.5, 1)]), ValueError,
+     "vertex must be an integer, got 0.5"),
+    (lambda: InteractionMatrix.from_edges(4, [(0, 1), (2, False), (0.5, 3)]),
+     ValueError, "vertex must be an integer, got False"),
+    (lambda: is_acs(InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]), [1, 2.0, 0.5]),
+     ValueError, "vertex must be an integer, got 2.0"),
+    (lambda: is_acs(InteractionMatrix.from_edges(3, [(0, 1), (1, 0)]), [0, "1"]),
+     ValueError, "vertex must be an integer, got '1'"),
     *((lambda p=p: resample_vertex(InteractionMatrix.zero(50), 3, p, stream(0)),
        ValueError, "p must lie in [0, 1]") for p in (float("nan"), -0.2, 1.5)),
     (lambda: resample_vertex(InteractionMatrix.zero(50), 1.5, 0.5, stream(0)),
