@@ -273,6 +273,11 @@ _RECORD_KEYS = tuple((f.name, "lambda" if f.name == "lam" else f.name)
 
 
 def trace_to_json_lines(trace: AdaptiveTrace) -> str:
+    """The trace as JSON lines: the header, then one record per line, each
+    ``json.dumps(..., sort_keys=True)`` of its fields with ``lam`` keyed
+    "lambda". Consecutive records mostly hold an equal tie set of hundreds
+    of vertices, so each distinct ``j_min_set`` is encoded once and put in
+    its record's line in place of a null; the bytes are the same."""
     header = {
         "d": trace.params.d,
         "p": trace.params.p,
@@ -284,8 +289,15 @@ def trace_to_json_lines(trace: AdaptiveTrace) -> str:
         "invariant_violations": trace.invariant_violations,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps({key: getattr(r, name) for name, key in _RECORD_KEYS},
-                            sort_keys=True) for r in trace.records)
+    ties = {}  # each distinct tie set's JSON text
+    for r in trace.records:
+        tie = ties.get(r.j_min_set)
+        if tie is None:
+            tie = ties[r.j_min_set] = '"j_min_set": ' + json.dumps(r.j_min_set)
+        fields = {key: getattr(r, name) for name, key in _RECORD_KEYS}
+        fields["j_min_set"] = None  # no value is a string, so its key's text is unique
+        lines.append(json.dumps(fields, sort_keys=True).replace(
+            '"j_min_set": null', tie, 1))
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from .graph import (
     InteractionMatrix,
     NonConvergenceError,
     _arc_product,
+    _Block,
     _induced,
     _reachable_from,
     _Record,
@@ -159,10 +160,10 @@ def _residual(a: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(_field(a, x)).sum())
 
 
-def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> float:
-    """||f(x)||_1 with C x from ``_arc_product``."""
+def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """||f(x)||_1, and the C x it was formed from, by ``_arc_product``."""
     cx = _arc_product(C, x)
-    return float(np.abs(cx - cx.sum() * x).sum())
+    return float(np.abs(cx - cx.sum() * x).sum()), cx
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,74 @@ def _krylov(n: int, dst: np.ndarray, src: np.ndarray,
     return np.array(rows)
 
 
-def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
+def _square(m: np.ndarray) -> np.ndarray:
+    """m @ m: each squaring of a dense block of I + C is made here."""
+    return m @ m
+
+
+class _Powers:
+    """One block's normalised powers through one solve, applied to its start.
+
+    With M_0 the block (``_Block.matrix``), squaring k forms M_k @ M_k,
+    whose largest entry is ``raw``, and divides it by the solve's top to
+    give M_(k+1). Level k of the block's ``squarings`` holds that raw
+    and top and M_(k+1) @ start. It is read only while the start has the
+    carried start's bits and every earlier top equals the carried one:
+    then M_k is the matrix the carry was made from, and so raw is, and
+    with an equal top the image is too. At the first level where that
+    fails, or past the carried levels, M_k is rebuilt by replaying the
+    carried tops from M_0, the carry is cut there, and each level from
+    there on is squared and written. So the images are the bits a fresh
+    squaring gives, and a block is squared either not at all or exactly
+    as often as without a carry.
+    """
+
+    __slots__ = ("block", "start", "key", "levels", "power", "raw")
+
+    def __init__(self, block: _Block, start: np.ndarray):
+        self.block, self.start = block, start
+        self.key = start.tobytes()
+        carried = block.squarings
+        self.levels = (carried[1] if carried is not None and carried[0] == self.key
+                       else ())
+        self.power = None  # M_k @ M_k, then M_(k+1), once this solve squares
+
+    def _replay(self, k: int) -> np.ndarray:
+        """M_k @ M_k, from M_0 and the first k carried tops."""
+        m = self.block.matrix
+        for _, top, _ in self.levels[:k]:
+            m = _square(m)
+            m /= top
+        return _square(m)
+
+    def square(self, k: int):
+        """The largest entry of M_k @ M_k: read while level k holds."""
+        if self.power is not None:
+            self.power = _square(self.power)
+        elif k < len(self.levels):
+            return self.levels[k][0]
+        else:
+            self.power = self._replay(k)
+        self.raw = self.power.max()
+        return self.raw
+
+    def scale(self, k: int, top) -> np.ndarray:
+        """M_(k+1) @ start, for M_(k+1) = M_k @ M_k / top."""
+        if self.power is None:
+            raw, carried, image = self.levels[k]
+            if carried == top:
+                return image
+            self.power, self.raw = self._replay(k), raw
+        self.power /= top
+        image = (self.power @ self.start).ravel()
+        image.setflags(write=False)
+        self.levels = self.levels[:k] + ((self.raw, top, image),)
+        self.block.squarings = (self.key, self.levels)
+        return image
+
+
+def _dominant_direction(C: InteractionMatrix,
+                        x0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -394,16 +462,30 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     diagonal. A squaring costs O(sum s^3) over the blocks, plus
     O(L^2 + L n) for the n tree vertices, instead of O(d^3); each
     residual sums C y over the edge list (``_arc_residual``).
+
+    A block a redraw left alone is the same ``_Block`` in the new graph's
+    record, and it carries the squarings the last solve made of it: the
+    start's bits and, per squaring, the power's largest entry, the
+    divisor top and the normalised power applied to the start, O(s)
+    floats a level and no s x s matrix. A level is read, not squared,
+    while the start's bits and every earlier top match this solve's; at
+    the first mismatch, or past the carried levels, the block's power is
+    rebuilt by replaying the carried tops and squared from there on
+    (``_Powers``). So the bits are a fresh squaring's, and no block is
+    squared more often than with nothing carried.
+
+    Returns the limit y, ``||f(y)||_1`` and C y, as its last residual
+    check formed them.
     """
     d = C.d
-    # square() sets M <- M^2 / top and returns M x0
+    # square(k), the k-th squaring, sets M <- M^2 / top and returns M x0
     if d <= _ONE_BLOCK:  # one block, held as a plain matrix
         m = np.eye(d)
         m[C.arcs] = 1.0
 
-        def square():
+        def square(k):
             nonlocal m
-            m = m @ m
+            m = _square(m)
             m /= m.max()
             return m @ x0
     else:
@@ -412,23 +494,20 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
             _Record.form(C)
         trees = record.trees
         krylov = _krylov(*_induced(C, trees), x0[trees])
-        blocks = [block for _, block in record.blocks.values()]
-        starts = [x0[verts][:, None] for verts, _ in record.blocks.values()]
+        blocks = record.blocks.values()
+        powers = [_Powers(block, x0[block.verts][:, None]) for block in blocks]
         pos = np.empty(d, dtype=np.intp)
-        pos[np.concatenate([verts for verts, _ in record.blocks.values()]
-                           + [trees])] = np.arange(d)
+        pos[np.concatenate([block.verts for block in blocks] + [trees])] = np.arange(d)
         poly = np.zeros(len(krylov))
         poly[:2] = 1.0  # I + N
 
-        def square():
-            nonlocal blocks, poly
-            blocks = [m @ m for m in blocks]
+        def square(k):
+            nonlocal poly
+            maxima = [p.square(k) for p in powers]
             poly = np.convolve(poly, poly)[:len(krylov)]
-            top = max([m.max() for m in blocks] + [poly.max()])
-            for m in blocks:
-                m /= top
+            top = max(maxima + [poly.max()])
             poly /= top
-            return np.concatenate([(m @ start).ravel() for m, start in zip(blocks, starts)]
+            return np.concatenate([p.scale(k, top) for p in powers]
                                   + [poly @ krylov])[pos]
 
     # defective leading eigenvalues leave slowly decaying components that
@@ -438,22 +517,24 @@ def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     band_lo, band_hi = ZERO_TOL * 1e-3, 1e-4
     polish_left = 32
     prev = None
-    for _ in range(MAX_DOUBLINGS):
-        y = square()
+    for k in range(MAX_DOUBLINGS):
+        y = square(k)
         y /= y.sum()
-        if _arc_residual(C, y) <= TOL:
+        residual, cy = _arc_residual(C, y)
+        if residual <= TOL:
             moving = (y > band_lo) & (y < band_hi)
             if prev is not None:
                 moving &= y < STALL * prev
             if not moving.any() or polish_left == 0:
-                return y
+                return y, residual, cy
             polish_left -= 1
         prev = y
     raise NonConvergenceError(
-        f"projective iteration residual {_arc_residual(C, y):.3e} > {TOL}")
+        f"projective iteration residual {residual:.3e} > {TOL}")
 
 
-def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
+def _flow_limit(C: InteractionMatrix,
+                start: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     """Limit direction of exp(tC) start, solved where the flow can go.
 
     The flow never leaves the vertices reachable from supp(start), so a
@@ -466,22 +547,31 @@ def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     reaches the certificate's cycle, so no power of C vanishes on it and
     the limit is the squaring's. A certificate the powers find is
     recorded on C.
+
+    Returns the limit x and, where the squaring ran on C itself, the
+    ``(residual, C x)`` its last check formed for x; else None, since on
+    a subgraph C x sums in another order.
     """
     live, sub, cycle = slice(None), C, C._record.cycle
     if not start.all():
         reach = _reachable_from(C, np.flatnonzero(start))
         live = np.flatnonzero(reach)
         if live.size == 1:  # a start on one sink is already stationary
-            return start
+            return start, None
         if cycle is not None and not reach[cycle].all():
             cycle = None
         sub = InteractionMatrix._from_arcs(*_induced(C, live))
     x = np.zeros(C.d)
+    checked = None
     limit = None if cycle is not None else _nilpotent_limit(sub, start[live])
-    x[live] = _dominant_direction(sub, start[live]) if limit is None else limit
+    if limit is None:
+        limit, residual, cy = _dominant_direction(sub, start[live])
+        if sub is C:
+            checked = residual, cy
+    x[live] = limit
     if sub is not C and sub._record.cycle is not None:
         C._record.cycle = live[sub._record.cycle]
-    return x
+    return x, checked
 
 
 def _classify(lam: float, x: np.ndarray, has_edges: bool):
@@ -512,6 +602,7 @@ def equilibrium(C: InteractionMatrix, x0=None,
     """
     has_edges = C.edge_count() > 0
     non_unique = False
+    checked = None
 
     if analytic:
         if x0 is not None:
@@ -527,14 +618,17 @@ def equilibrium(C: InteractionMatrix, x0=None,
     else:
         x = uniform_state(C.d) if x0 is None else _start(C, x0)
         if has_edges:
-            x = _flow_limit(C, x)
+            x, checked = _flow_limit(C, x)
         else:
             non_unique = x0 is None
 
-    # the analytic residual stays dense: recorded outputs hold its bits,
-    # which a sum in another order would move
-    cx = C.as_float() @ x if analytic else _arc_product(C, x)
-    residual = float(np.abs(cx - cx.sum() * x).sum())
+    if checked is not None:
+        residual, cx = checked
+    else:
+        # the analytic residual stays dense: recorded outputs hold its
+        # bits, which a sum in another order would move
+        cx = C.as_float() @ x if analytic else _arc_product(C, x)
+        residual = float(np.abs(cx - cx.sum() * x).sum())
     if residual > RESIDUAL_FLOOR:
         raise NonConvergenceError(
             f"equilibrium residual {residual:.3e} > {RESIDUAL_FLOOR}")
@@ -570,7 +664,7 @@ def equilibrium_set_basis(C: InteractionMatrix) -> EquilibriumSetBasis:
         kind = KIND_TERMINAL
 
     checks = [np.mean(vectors, axis=0), *vectors, 0.5 * (vectors[0] + vectors[-1])]
-    if any(_arc_residual(C, x / x.sum()) > RESIDUAL_FLOOR for x in checks):
+    if any(_arc_residual(C, x / x.sum())[0] > RESIDUAL_FLOOR for x in checks):
         raise NonConvergenceError(
             "combination of basis vectors fails the equilibrium check")
     return EquilibriumSetBasis(kind=kind, vectors=vectors,

@@ -9,7 +9,8 @@ All functions are pure: they never change the graph an input holds and
 take explicit RNG streams, so they are safe to call concurrently. A
 matrix holds its edge list ``arcs`` and only caches facts derived from
 it (``entries`` and its ``_Record``), each the same whoever computes it
-first.
+first. The one exception is the squarings a ``_Block`` carries: each
+solve may rewrite them, but what a solve returns never depends on them.
 """
 from __future__ import annotations
 
@@ -163,15 +164,20 @@ class _Record:
 
     - ``labels``: each vertex's weak component, named by its smallest
       vertex;
-    - ``blocks``: ``{label: (verts, block)}`` in label order, one item
-      per component with at least as many arcs as vertices: its vertices,
-      increasing, and the read-only dense block of I + C on them;
+    - ``blocks``: ``{label: _Block}`` in label order, one item per
+      component with at least as many arcs as vertices: its vertices, its
+      dense block of I + C, and the squarings the solver last made of it,
+      the start's bits and three entries per squaring, O(s) floats for a
+      block on s vertices, read by a later solve of the same start while
+      its divisors match (``_Block``);
     - ``trees``: the vertices of the other components, increasing.
 
     ``resample_vertex`` gives the redrawn graph a new record. It passes
     on the certificate while the redrawn vertex lies outside it, since
     every edge among the certificate's vertices survives, and forms the
-    components from the old ones where those were formed.
+    components from the old ones where those were formed. A kept
+    component's ``_Block`` is the old record's object, so the squarings
+    a solve carried on it serve the solves of both graphs.
     """
 
     __slots__ = ("cycle", "labels", "blocks", "trees")
@@ -234,7 +240,7 @@ class _Record:
                 block = np.eye(k)  # I + C on the component
                 block[into, out_of] = 1.0
                 block.setflags(write=False)
-                blocks[r] = (members[a:b], block)
+                blocks[r] = _Block(members[a:b], block)
         if old is None:
             record.labels, record.blocks = label, blocks
             record.trees = np.flatnonzero(~squared)
@@ -251,6 +257,28 @@ class _Record:
             tree[verts] = ~squared
             record.trees = tree.nonzero()[0]
         return record
+
+
+class _Block:
+    """A squared component of a ``_Record``: its vertices ``verts``,
+    increasing, the read-only dense block ``matrix`` of I + C on them, and
+    the ``squarings`` the flow-limit solver last made of it.
+
+    ``squarings`` is None until a solve writes it, then ``(start,
+    levels)``: the bytes of the start vector the block's powers were
+    applied to, and for each squaring k a triple ``(raw, top, image)``.
+    With M_0 the block, raw is the largest entry of M_k @ M_k, top the
+    divisor the solve used, and image M_(k+1) @ start for M_(k+1) =
+    M_k @ M_k / top, s floats for a block on s vertices. No power is
+    kept, so a level costs O(s) memory, not O(s^2). A solve replaces
+    the pair as one object, so a reader sees either the old or the new
+    one; ``dynamics._Powers`` reads and writes it.
+    """
+
+    __slots__ = ("verts", "matrix", "squarings")
+
+    def __init__(self, verts: np.ndarray, matrix: np.ndarray):
+        self.verts, self.matrix, self.squarings = verts, matrix, None
 
 
 def _arc_product(C: InteractionMatrix, x: np.ndarray) -> np.ndarray:

@@ -232,12 +232,15 @@ def dense_block_stacks(a: np.ndarray, groups) -> list:
 
 def dense_component_labels(entries: np.ndarray) -> np.ndarray:
     """Label every vertex with the smallest vertex of its weak component,
-    by min-label sweeps over the dense symmetrised adjacency."""
-    d = entries.shape[0]
-    linked = (entries != 0) | (entries.T != 0)
-    label = np.arange(d)
+    by min-label sweeps: each vertex takes the least label among itself
+    and its neighbours either way, over the arcs the dense matrix holds,
+    until no label changes."""
+    rows, cols = np.nonzero(entries)
+    ends, others = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(entries.shape[0])
     while True:
-        nxt = np.minimum(label, np.where(linked, label, d).min(axis=1))
+        nxt = label.copy()
+        np.minimum.at(nxt, ends, label[others])
         if (nxt == label).all():
             return label
         label = nxt
@@ -366,7 +369,7 @@ def peeled_flow_limit(C, start: np.ndarray) -> np.ndarray:
         sub = InteractionMatrix(C.entries[np.ix_(live, live)])
     x = np.zeros(C.d)
     if dense_is_cyclic(sub.entries):
-        x[live] = _dominant_direction(sub, start[live])
+        x[live] = _dominant_direction(sub, start[live])[0]
     else:
         x[live] = arc_nilpotent_limit(sub, start[live])
     return x

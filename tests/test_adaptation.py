@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,6 +298,33 @@ class TestTraceSerialisation:
         assert [vars(r) for r in back.records] == [vars(r) for r in trace.records]
         assert all(type(r.j_min_set) is tuple for r in back.records)
 
+    def test_record_lines_are_each_records_own_dump(self):
+        # each distinct tie set is encoded once, and every record line is
+        # still the record's own json.dumps with sorted keys: over seeded
+        # runs whose tie set stays put for many steps, changes mid-run,
+        # and ends on the final record with "chosen": null
+        import json
+        kept = changed = 0
+        for d, theta, x0_mode, seed in [(400, 0.5, "uniform", 1), (400, 0.5, "carry", 2),
+                                        (100, 1.0, "uniform", 3), (8, 0.8, "uniform", 9)]:
+            trace = run_adaptive(ModelParams.from_theta(d, theta), seed=seed, max_steps=40,
+                                 x0_mode=x0_mode, plant_cycle=2)
+            text = trace_to_json_lines(trace)
+            lines = text.splitlines()
+            assert lines[1:] == [json.dumps(
+                {"s": r.s, "j_min_set": list(r.j_min_set), "chosen": r.chosen,
+                 "lambda": r.lam, "support_size": r.support_size,
+                 "directed_cycle": r.directed_cycle, "full_acs": r.full_acs},
+                sort_keys=True) for r in trace.records]
+            assert json.loads(lines[-1])["chosen"] is None
+            sets = [r.j_min_set for r in trace.records]
+            kept += sum(a == b for a, b in zip(sets, sets[1:]))
+            changed += sum(a != b for a, b in zip(sets, sets[1:]))
+            back = trace_from_json_lines(text)
+            assert trace_to_json_lines(back) == text
+            assert [vars(r) for r in back.records] == [vars(r) for r in trace.records]
+        assert kept > 50 and changed > 5, (kept, changed)
+
     @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
     def test_text_without_a_header_line_is_refused(self, text):
         with pytest.raises(ValueError, match="^trace text has no header line$"):
@@ -390,7 +418,8 @@ def test_traces_replay_under_the_peeled_flow_limit(monkeypatch, x0_mode, d, thet
     params = ModelParams.from_theta(d, theta)
     kw = dict(seed=d + 7, max_steps=steps, x0_mode=x0_mode, plant_cycle=plant)
     fast = trace_to_json_lines(run_adaptive(params, **kw))
-    monkeypatch.setattr(dynamics, "_flow_limit", peeled_flow_limit)
+    monkeypatch.setattr(dynamics, "_flow_limit",
+                        lambda C, start: (peeled_flow_limit(C, start), None))
     assert trace_to_json_lines(run_adaptive(params, **kw)) == fast
 
 
@@ -565,11 +594,15 @@ def dense_record(C):
     # a lone vertex has no arc: a tree
     tree = np.bincount(labels, minlength=C.d)[labels] == 1
     blocks = {}
-    for r in np.flatnonzero((labels == np.arange(C.d)) & ~tree).tolist():
-        verts = np.flatnonzero(labels == r)
+    # the vertices grouped by label, each group increasing
+    order = np.argsort(labels, kind="stable")
+    for verts in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        r = int(verts[0])
+        if tree[r]:
+            continue
         cut = a[np.ix_(verts, verts)]
         if cut.sum() >= verts.size:
-            blocks[r] = (verts, np.eye(verts.size) + cut)
+            blocks[r] = SimpleNamespace(verts=verts, matrix=np.eye(verts.size) + cut)
         else:
             tree[verts] = True
     return SimpleNamespace(labels=labels, blocks=blocks, trees=np.flatnonzero(tree))
@@ -582,11 +615,11 @@ def assert_same_components(got, want):
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert list(got.blocks) == list(want.blocks)
-    for label, (verts, block) in want.blocks.items():
-        got_verts, got_block = got.blocks[label]
-        np.testing.assert_array_equal(got_verts, verts)
-        np.testing.assert_array_equal(got_block, block)
-        assert not got_block.flags.writeable
+    for label, block in want.blocks.items():
+        got_block = got.blocks[label]
+        np.testing.assert_array_equal(got_block.verts, block.verts)
+        np.testing.assert_array_equal(got_block.matrix, block.matrix)
+        assert not got_block.matrix.flags.writeable
 
 
 def assert_record_is_the_scratch_one(C):
@@ -659,7 +692,7 @@ def test_hand_made_redraws_split_and_merge_squared_components(monkeypatch):
     assert made == [1]  # the redrawn graph itself
     assert_record_is_the_scratch_one(cut)
     assert cut._record.trees is C._record.trees
-    assert all(cut._record.blocks[r][1] is C._record.blocks[r][1] for r in (0, 3))
+    assert all(cut._record.blocks[r] is C._record.blocks[r] for r in (0, 3))
 
 
 # (d, theta, max_steps) of the runs whose every redraw is held to a
@@ -688,8 +721,8 @@ def test_a_carried_record_equals_a_from_scratch_build(monkeypatch):
         seen["carried"] += 1
         if old.cycle is not None:
             seen["j certified" if j in old.cycle else "j uncertified"] += 1
-        old_blocks = [set(verts.tolist()) for verts, _ in old.blocks.values()]
-        new_blocks = [set(verts.tolist()) for verts, _ in new.blocks.values()]
+        old_blocks = [set(block.verts.tolist()) for block in old.blocks.values()]
+        new_blocks = [set(block.verts.tolist()) for block in new.blocks.values()]
         seen["merge"] += any(sum(bool(a & b) for a in old_blocks) > 1
                              for b in new_blocks)
         seen["split"] += any(len(set(new.labels[sorted(a)].tolist())) > 1
@@ -722,6 +755,201 @@ def test_a_carried_record_solves_as_a_fresh_one():
         assert eq.x_star.tobytes() == fresh.x_star.tobytes()
         assert eq.lam == fresh.lam and m._record.labels is not None
         m = resample_vertex(m, int(rng.integers(m.d)), params.p, rng)
+
+
+# ---------------------------------------------------------------------------
+# The squarings carried on each block across solves
+# ---------------------------------------------------------------------------
+
+def bare_solve(C, x0=None):
+    """``equilibrium`` of C's arcs on a bare copy, which carries nothing."""
+    return equilibrium(InteractionMatrix._from_arcs(C.d, *C.arcs), x0=x0)
+
+
+def spy_squarings(monkeypatch) -> list:
+    """Wrap ``dynamics._square``; the list gets each squared block's size."""
+    sizes, real = [], dynamics._square
+    monkeypatch.setattr(dynamics, "_square", lambda m: sizes.append(m.shape[0]) or real(m))
+    return sizes
+
+
+def solve_beside_a_bare_copy(monkeypatch, solves: list):
+    """Make ``adaptation.equilibrium`` solve each state twice, as given and
+    on a bare copy, and hold the two to the same ``x_star`` bytes and
+    ``lambda``. Each solve appends to ``solves`` the blocks it squared
+    and those the bare copy squared, as ``Counter``s of block sizes."""
+    sizes = spy_squarings(monkeypatch)
+    real = adaptation.equilibrium
+
+    def solve(C, x0=None):
+        del sizes[:]
+        eq = real(C, x0=x0)
+        carried = Counter(sizes)
+        del sizes[:]
+        bare = bare_solve(C, x0)
+        assert eq.x_star.tobytes() == bare.x_star.tobytes() and eq.lam == bare.lam
+        solves.append((carried, Counter(sizes)))
+        return eq
+
+    monkeypatch.setattr(adaptation, "equilibrium", solve)
+
+
+# (d, theta, max_steps) of the runs whose every solve is held to a bare
+# copy's; each runs in both start modes, planted and not, and under every
+# stop mode
+SOLVED_RUNS = [(65, 3.0, 20), (100, 0.5, 40), (150, 2.0, 15), (400, 0.5, 30),
+               (400, 1.0, 8), (1000, 0.5, 10)]
+
+
+def test_a_carried_solve_equals_a_bare_one(monkeypatch):
+    # after every step the solve that may read its blocks' carried
+    # squarings gives the bits of a solve that carries none, and squares
+    # no block more often
+    solves = []
+    solve_beside_a_bare_copy(monkeypatch, solves)
+    seed = 0
+    for d, theta, steps in SOLVED_RUNS:
+        for x0_mode in X0_MODES:
+            for plant in (None, 2):
+                for stop in adaptation.STOP_MODES:
+                    seed += 1
+                    run_adaptive(ModelParams.from_theta(d, theta), seed=seed,
+                                 max_steps=steps, stop=stop, x0_mode=x0_mode,
+                                 plant_cycle=plant)
+    assert len(solves) > 1000
+    assert all(carried[s] <= bare[s] for carried, bare in solves for s in carried)
+    assert sum(carried != bare for carried, bare in solves) > 100
+
+
+def test_most_uniform_solves_read_a_carried_block(monkeypatch):
+    # a d = 400 run from the uniform start redraws one vertex a step, and
+    # the block of the planted cycle mostly survives it with its squarings
+    solves = []
+    solve_beside_a_bare_copy(monkeypatch, solves)
+    run_adaptive(ModelParams.from_theta(400, 0.5), seed=1, max_steps=50, plant_cycle=2)
+    squared = [(sum(c.values()), sum(b.values())) for c, b in solves if b]
+    assert len(squared) > 40
+    assert sum(c < b for c, b in squared) > 0.7 * len(squared)
+
+
+def redrawn(C, j, edges):
+    """C with vertex j's arcs replaced by the (src, dst) pairs ``edges``,
+    each at j, and its record formed from C's as ``resample_vertex``
+    forms it."""
+    kept = [(a, b) for a, b in C.edges() if j not in (a, b)]
+    new = InteractionMatrix.from_edges(C.d, kept + edges)
+    met = [j] + [v for edge in edges for v in edge if v != j]
+    graph._Record.form(new, C._record, np.array(met))
+    return new
+
+
+def tops(block) -> list:
+    """The divisors of the squarings carried on ``block``."""
+    return [top for _, top, _ in block.squarings[1]]
+
+
+def test_another_components_maximum_moves_an_early_divisor(monkeypatch):
+    # a 2-cycle and a 3-cycle both square to a largest entry 2. Vertex 2
+    # redrawn into both ways of the 3-cycle's arcs makes its square's
+    # largest entry 3, which sets the first divisor: the 2-cycle's block
+    # is shared, its carry fails at level 0, and it is squared afresh
+    sizes = spy_squarings(monkeypatch)
+    old = InteractionMatrix.from_edges(70, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
+    first = equilibrium(old)
+    ring = old._record.blocks[0]
+    assert tops(ring)[0] == 2.0
+    new = redrawn(old, 2, [(2, 3), (3, 2), (2, 4), (4, 2)])
+    assert new._record.blocks[0] is ring
+    del sizes[:]
+    eq = equilibrium(new)
+    assert tops(ring)[0] == 3.0 and sizes.count(2) == sizes.count(3) == len(tops(ring))
+    assert eq.x_star.tobytes() == bare_solve(new).x_star.tobytes()
+    # the older graph, solved after the newer one rewrote the shared
+    # carry, squares the ring again and gives its first bits
+    del sizes[:]
+    again = equilibrium(old)
+    assert tops(ring)[0] == 2.0 and sizes.count(2) == len(tops(ring))
+    assert again.x_star.tobytes() == first.x_star.tobytes()
+    assert again.x_star.tobytes() == bare_solve(old).x_star.tobytes()
+
+
+def test_a_solve_past_the_carried_levels_replays_them(monkeypatch):
+    # the complete 3-vertex digraph sets every divisor beside a 2-cycle or
+    # a smaller 3-vertex block. With the 2-cycle the solve takes 7
+    # squarings; vertex 5 redrawn into it needs 8, so the eighth is made
+    # on the first 7 replayed, and the carried 7 are kept as they were
+    sizes = spy_squarings(monkeypatch)
+    full = [(a, b) for a in range(3) for b in range(3) if a != b]
+    old = InteractionMatrix.from_edges(70, full + [(3, 4), (4, 3)])
+    equilibrium(old)
+    block = old._record.blocks[0]
+    carried = block.squarings[1]
+    assert len(carried) == 7
+    new = redrawn(old, 5, [(3, 5), (5, 3), (4, 5)])
+    assert new._record.blocks[0] is block
+    del sizes[:]
+    eq = equilibrium(new)
+    assert sizes.count(3) == 8 + 8  # the block, replayed, and the other one
+    levels = block.squarings[1]
+    assert len(levels) == 8 and levels[:7] == carried
+    assert eq.x_star.tobytes() == bare_solve(new).x_star.tobytes()
+
+
+def test_a_start_with_other_bits_squares_afresh(monkeypatch):
+    # a carried level is read only for the start it was applied to: a
+    # start one ulp away, then the uniform start again, each square the
+    # block afresh, and a second uniform solve reads what the first wrote;
+    # each gives a bare copy's bits
+    sizes = spy_squarings(monkeypatch)
+    m = plant_directed_cycle(sample_er_digraph(ModelParams.from_theta(100, 0.5),
+                                               stream(4)), 2)
+    uniform = equilibrium(m)
+    block = m._record.blocks[0]
+    key = block.squarings[0]
+    x0 = np.full(m.d, 1.0 / m.d)
+    x0[block.verts[0]] = np.nextafter(x0[block.verts[0]], 1.0)
+    for start, afresh in ((x0, True), (None, True), (None, False)):
+        del sizes[:]
+        eq = equilibrium(m, x0=start)
+        assert (block.squarings[0] == key) == (start is None)
+        assert sizes.count(block.verts.size) == afresh * len(block.squarings[1])
+        assert eq.x_star.tobytes() == bare_solve(m, start).x_star.tobytes()
+    assert eq.x_star.tobytes() == uniform.x_star.tobytes()
+
+
+def test_threads_sharing_a_block_each_get_their_own_bits():
+    # two graphs share the 2-cycle's block but set its divisors apart, so
+    # each solve finds the other's carry and rewrites it. Solved over and
+    # over from four threads with a short switch interval, every solve
+    # still gives the bits of its own graph
+    import sys
+    import threading
+
+    old = InteractionMatrix.from_edges(70, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
+    graph._Record.form(old)
+    new = redrawn(old, 2, [(2, 3), (3, 2), (2, 4), (4, 2)])
+    assert new._record.blocks[0] is old._record.blocks[0]
+    want = {id(m): bare_solve(m).x_star.tobytes() for m in (old, new)}
+    wrong, done = [], []
+
+    def work(graphs):
+        for m in graphs * 50:
+            wrong.append(equilibrium(m).x_star.tobytes() != want[id(m)])
+        done.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(order,))
+                   for order in ([old, new], [new, old]) * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(done) == 4
+    assert len(wrong) == 400 and not any(wrong)
 
 
 def test_a_matrix_two_steps_back_is_collectable():

@@ -641,11 +641,12 @@ class TestBlockSolver:
         params = ModelParams.from_theta(400, 0.5)
         fast = [run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
                 for s in range(3)]
-        monkeypatch.setattr(
-            dynamics, "_dominant_direction",
-            lambda C, x0: dense_dominant_direction(
-                C.as_float(), x0, dynamics.TOL, dynamics.ZERO_TOL,
-                dynamics.MAX_DOUBLINGS))
+        def dense_direction(C, x0):  # the limit, with its residual and C x
+            y = dense_dominant_direction(C.as_float(), x0, dynamics.TOL,
+                                         dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS)
+            return (y, *dynamics._arc_residual(C, y))
+
+        monkeypatch.setattr(dynamics, "_dominant_direction", dense_direction)
         for s, trace in enumerate(fast):
             dense = run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
             assert ([r.chosen for r in trace.records]
@@ -865,7 +866,7 @@ class TestPowerLoopCycleTest:
                 continue
             acyclic += 1
             np.testing.assert_array_equal(limit, arc_nilpotent_limit(sub, start[live]))
-            np.testing.assert_array_equal(dynamics._flow_limit(m, start),
+            np.testing.assert_array_equal(dynamics._flow_limit(m, start)[0],
                                           peeled_flow_limit(m, start))
         assert acyclic >= 500 and cyclic >= 500, (acyclic, cyclic)
 
@@ -881,7 +882,7 @@ class TestPowerLoopCycleTest:
         assert all(s in ((0,), (1,)) for s in supports)
         assert all(s != t for s, t in zip(supports, supports[1:]))
         assert dynamics._nilpotent_limit(m, start) is None
-        x = dynamics._flow_limit(m, start)
+        x = dynamics._flow_limit(m, start)[0]
         np.testing.assert_array_equal(x, peeled_flow_limit(m, start))
         np.testing.assert_allclose(x, [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -891,7 +892,7 @@ class TestPowerLoopCycleTest:
         start = np.array([1.0, 0.0, 0.0])
         np.testing.assert_array_equal(dynamics._nilpotent_limit(m, start),
                                       [0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(dynamics._flow_limit(m, start),
+        np.testing.assert_array_equal(dynamics._flow_limit(m, start)[0],
                                       peeled_flow_limit(m, start))
         assert equilibrium(m, start).kind == dynamics.KIND_TERMINAL
 
@@ -902,7 +903,7 @@ class TestPowerLoopCycleTest:
         assert has_directed_cycle(m)
         np.testing.assert_array_equal(dynamics._nilpotent_limit(m, start),
                                       [0.0, 1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(dynamics._flow_limit(m, start),
+        np.testing.assert_array_equal(dynamics._flow_limit(m, start)[0],
                                       peeled_flow_limit(m, start))
         assert equilibrium(m, start).kind == dynamics.KIND_TERMINAL
 
@@ -1313,6 +1314,26 @@ class TestAnalyticStart:
 def test_an_equilibrium_over_the_residual_floor_raises(example1, monkeypatch):
     # the uniform start is not stationary on example 1, so a solver that
     # returned it must be caught by the final residual check
-    monkeypatch.setattr(dynamics, "_flow_limit", lambda C, start: start)
+    monkeypatch.setattr(dynamics, "_flow_limit", lambda C, start: (start, None))
     with pytest.raises(NonConvergenceError, match="equilibrium residual .* > 1e-09"):
         equilibrium(example1)
+
+
+@pytest.mark.parametrize("d", [30, 400], ids=["one block", "blocks"])
+def test_the_last_residual_check_gives_the_final_product(monkeypatch, d):
+    # the squaring's last check formed C x for the limit it returns: a
+    # uniform solve on C forms one product per check and none after, with
+    # the bits a product formed afresh gives. On the subgraph a start with
+    # zeros reaches, C x sums in another order, so one more is formed
+    m = plant_directed_cycle(sample_er_digraph(ModelParams.from_theta(d, 0.5),
+                                               stream(d)), 2)  # certified
+    products = counted(monkeypatch, dynamics, "_arc_product")
+    checks = counted(monkeypatch, dynamics, "_arc_residual")
+    eq = equilibrium(m)
+    assert len(products) == len(checks) > 0
+    cx = graph._arc_product(m, eq.x_star)
+    assert eq.lam == float(cx.sum())
+    assert eq.residual == float(np.abs(cx - cx.sum() * eq.x_star).sum())
+    del products[:], checks[:]
+    equilibrium(m, x0=[0.5, 0.5] + [0.0] * (d - 2))
+    assert len(products) == len(checks) + 1
