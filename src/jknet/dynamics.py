@@ -27,7 +27,6 @@ from .graph import (
     _induced,
     _reachable_from,
     _Record,
-    has_directed_cycle,
     path_counts,
     spectral_radius_pf,
 )
@@ -160,10 +159,10 @@ def _residual(a: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(_field(a, x)).sum())
 
 
-def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """||f(x)||_1, and the C x it was formed from, by ``_arc_product``."""
+def _arc_residual(C: InteractionMatrix, x: np.ndarray) -> float:
+    """||f(x)||_1 with C x from ``_arc_product``."""
     cx = _arc_product(C, x)
-    return float(np.abs(cx - cx.sum() * x).sum()), cx
+    return float(np.abs(cx - cx.sum() * x).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +426,7 @@ class _Powers:
         return image
 
 
-def _dominant_direction(C: InteractionMatrix,
-                        x0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def _dominant_direction(C: InteractionMatrix, x0: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) x0 by repeated squaring of I + C.
 
     I + C has the strictly dominant eigenvalue 1 + rho(C), with the same
@@ -473,9 +471,6 @@ def _dominant_direction(C: InteractionMatrix,
     rebuilt by replaying the carried tops and squared from there on
     (``_Powers``). So the bits are a fresh squaring's, and no block is
     squared more often than with nothing carried.
-
-    Returns the limit y, ``||f(y)||_1`` and C y, as its last residual
-    check formed them.
     """
     d = C.d
     # square(k), the k-th squaring, sets M <- M^2 / top and returns M x0
@@ -494,10 +489,8 @@ def _dominant_direction(C: InteractionMatrix,
             _Record.form(C)
         trees = record.trees
         krylov = _krylov(*_induced(C, trees), x0[trees])
-        blocks = record.blocks.values()
-        powers = [_Powers(block, x0[block.verts][:, None]) for block in blocks]
-        pos = np.empty(d, dtype=np.intp)
-        pos[np.concatenate([block.verts for block in blocks] + [trees])] = np.arange(d)
+        powers = [_Powers(block, x0[block.verts][:, None])
+                  for block in record.blocks.values()]
         poly = np.zeros(len(krylov))
         poly[:2] = 1.0  # I + N
 
@@ -507,8 +500,11 @@ def _dominant_direction(C: InteractionMatrix,
             poly = np.convolve(poly, poly)[:len(krylov)]
             top = max(maxima + [poly.max()])
             poly /= top
-            return np.concatenate([p.scale(k, top) for p in powers]
-                                  + [poly @ krylov])[pos]
+            y = np.empty(d)
+            for p in powers:
+                y[p.block.verts] = p.scale(k, top)
+            y[trees] = poly @ krylov
+            return y
 
     # defective leading eigenvalues leave slowly decaying components that
     # shrink only ~2x per squaring; keep going while one in the ambiguous
@@ -520,21 +516,20 @@ def _dominant_direction(C: InteractionMatrix,
     for k in range(MAX_DOUBLINGS):
         y = square(k)
         y /= y.sum()
-        residual, cy = _arc_residual(C, y)
+        residual = _arc_residual(C, y)
         if residual <= TOL:
             moving = (y > band_lo) & (y < band_hi)
             if prev is not None:
                 moving &= y < STALL * prev
             if not moving.any() or polish_left == 0:
-                return y, residual, cy
+                return y
             polish_left -= 1
         prev = y
     raise NonConvergenceError(
         f"projective iteration residual {residual:.3e} > {TOL}")
 
 
-def _flow_limit(C: InteractionMatrix,
-                start: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+def _flow_limit(C: InteractionMatrix, start: np.ndarray) -> np.ndarray:
     """Limit direction of exp(tC) start, solved where the flow can go.
 
     The flow never leaves the vertices reachable from supp(start), so a
@@ -547,31 +542,22 @@ def _flow_limit(C: InteractionMatrix,
     reaches the certificate's cycle, so no power of C vanishes on it and
     the limit is the squaring's. A certificate the powers find is
     recorded on C.
-
-    Returns the limit x and, where the squaring ran on C itself, the
-    ``(residual, C x)`` its last check formed for x; else None, since on
-    a subgraph C x sums in another order.
     """
     live, sub, cycle = slice(None), C, C._record.cycle
     if not start.all():
         reach = _reachable_from(C, np.flatnonzero(start))
         live = np.flatnonzero(reach)
         if live.size == 1:  # a start on one sink is already stationary
-            return start, None
+            return start
         if cycle is not None and not reach[cycle].all():
             cycle = None
         sub = InteractionMatrix._from_arcs(*_induced(C, live))
     x = np.zeros(C.d)
-    checked = None
     limit = None if cycle is not None else _nilpotent_limit(sub, start[live])
-    if limit is None:
-        limit, residual, cy = _dominant_direction(sub, start[live])
-        if sub is C:
-            checked = residual, cy
-    x[live] = limit
+    x[live] = _dominant_direction(sub, start[live]) if limit is None else limit
     if sub is not C and sub._record.cycle is not None:
         C._record.cycle = live[sub._record.cycle]
-    return x, checked
+    return x
 
 
 def _classify(lam: float, x: np.ndarray, has_edges: bool):
@@ -602,7 +588,6 @@ def equilibrium(C: InteractionMatrix, x0=None,
     """
     has_edges = C.edge_count() > 0
     non_unique = False
-    checked = None
 
     if analytic:
         if x0 is not None:
@@ -618,17 +603,14 @@ def equilibrium(C: InteractionMatrix, x0=None,
     else:
         x = uniform_state(C.d) if x0 is None else _start(C, x0)
         if has_edges:
-            x, checked = _flow_limit(C, x)
+            x = _flow_limit(C, x)
         else:
             non_unique = x0 is None
 
-    if checked is not None:
-        residual, cx = checked
-    else:
-        # the analytic residual stays dense: recorded outputs hold its
-        # bits, which a sum in another order would move
-        cx = C.as_float() @ x if analytic else _arc_product(C, x)
-        residual = float(np.abs(cx - cx.sum() * x).sum())
+    # the analytic residual stays dense: recorded outputs hold its bits,
+    # which a sum in another order would move
+    cx = C.as_float() @ x if analytic else _arc_product(C, x)
+    residual = float(np.abs(cx - cx.sum() * x).sum())
     if residual > RESIDUAL_FLOOR:
         raise NonConvergenceError(
             f"equilibrium residual {residual:.3e} > {RESIDUAL_FLOOR}")
@@ -652,8 +634,8 @@ def equilibrium_set_basis(C: InteractionMatrix) -> EquilibriumSetBasis:
     if C.edge_count() == 0:  # no check to run: C x = 0 for every x
         return EquilibriumSetBasis(kind=KIND_DEGENERATE,
                                    vectors=tuple(np.eye(C.d)), non_unique=True)
-    if has_directed_cycle(C):
-        vectors = spectral_radius_pf(C).pf_basis
+    vectors = spectral_radius_pf(C).pf_basis  # empty iff C is acyclic
+    if vectors:
         kind = KIND_ACS
     else:
         # a vertex with an out-edge has fewer ancestors than its target,
@@ -664,7 +646,7 @@ def equilibrium_set_basis(C: InteractionMatrix) -> EquilibriumSetBasis:
         kind = KIND_TERMINAL
 
     checks = [np.mean(vectors, axis=0), *vectors, 0.5 * (vectors[0] + vectors[-1])]
-    if any(_arc_residual(C, x / x.sum())[0] > RESIDUAL_FLOOR for x in checks):
+    if any(_arc_residual(C, x / x.sum()) > RESIDUAL_FLOOR for x in checks):
         raise NonConvergenceError(
             "combination of basis vectors fails the equilibrium check")
     return EquilibriumSetBasis(kind=kind, vectors=vectors,

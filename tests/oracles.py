@@ -369,7 +369,7 @@ def peeled_flow_limit(C, start: np.ndarray) -> np.ndarray:
         sub = InteractionMatrix(C.entries[np.ix_(live, live)])
     x = np.zeros(C.d)
     if dense_is_cyclic(sub.entries):
-        x[live] = _dominant_direction(sub, start[live])[0]
+        x[live] = _dominant_direction(sub, start[live])
     else:
         x[live] = arc_nilpotent_limit(sub, start[live])
     return x

@@ -418,8 +418,7 @@ def test_traces_replay_under_the_peeled_flow_limit(monkeypatch, x0_mode, d, thet
     params = ModelParams.from_theta(d, theta)
     kw = dict(seed=d + 7, max_steps=steps, x0_mode=x0_mode, plant_cycle=plant)
     fast = trace_to_json_lines(run_adaptive(params, **kw))
-    monkeypatch.setattr(dynamics, "_flow_limit",
-                        lambda C, start: (peeled_flow_limit(C, start), None))
+    monkeypatch.setattr(dynamics, "_flow_limit", peeled_flow_limit)
     assert trace_to_json_lines(run_adaptive(params, **kw)) == fast
 
 
@@ -452,8 +451,7 @@ def test_an_adaptive_run_makes_no_separate_cycle_test(monkeypatch, x0_mode):
     # the flow limit's power loop is the cycle test: no has_directed_cycle
     # call and no Kahn peel on the adaptive path
     calls = []
-    for module, name in ((graph, "has_directed_cycle"),
-                         (dynamics, "has_directed_cycle"), (graph, "_peel")):
+    for module, name in ((graph, "has_directed_cycle"), (graph, "_peel")):
         def spy(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
@@ -1000,33 +998,21 @@ def test_small_and_acyclic_runs_form_no_record(monkeypatch, x0_mode):
 
 
 @pytest.mark.parametrize("x0_mode", X0_MODES)
-def test_the_undirected_flag_reads_the_record(monkeypatch, x0_mode):
-    # has_undirected_cycle on every state of seeded runs equals its
-    # answer on a copy with no record, and a state with a record is not
-    # labelled again for it; a uniform run labels each state once at most
-    states, labelled = [], []
+def test_the_undirected_flag_matches_a_bare_copy(monkeypatch, x0_mode):
+    # has_undirected_cycle on every state of seeded runs, with and without
+    # a component record, equals its answer on a copy with no record
+    states = []
     real_equilibrium = adaptation.equilibrium
     monkeypatch.setattr(adaptation, "equilibrium",
                         lambda C, **kw: states.append(C) or real_equilibrium(C, **kw))
-    def spy(*args, real=graph._weak_component_labels):
-        labelled.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(graph, "_weak_component_labels", spy)
-    answers = set()
     for d, theta, seed in [(100, 0.3, 1), (400, 0.3, 2), (400, 0.5, 3), (150, 1.0, 4)]:
-        del labelled[:]
-        before = len(states)
-        trace = run_adaptive(ModelParams.from_theta(d, theta), seed=seed, max_steps=40,
-                             stop="first_cycle", cycle_kind="undirected",
-                             x0_mode=x0_mode, plant_cycle=2)
-        if x0_mode == "uniform":
-            assert len(labelled) <= trace.steps + 1
-        for C in states[before:]:
-            del labelled[:]
-            flag = has_undirected_cycle(C)
-            assert labelled == ([] if C._record.labels is not None else [1])
-            bare = InteractionMatrix._from_arcs(C.d, *C.arcs)
-            assert flag == has_undirected_cycle(bare)
-            answers.add((flag, C._record.labels is not None))
+        run_adaptive(ModelParams.from_theta(d, theta), seed=seed, max_steps=40,
+                     stop="first_cycle", cycle_kind="undirected",
+                     x0_mode=x0_mode, plant_cycle=2)
+    answers = set()
+    for C in states:
+        flag = has_undirected_cycle(C)
+        bare = InteractionMatrix._from_arcs(C.d, *C.arcs)
+        assert flag == has_undirected_cycle(bare)
+        answers.add((flag, C._record.labels is not None))
     assert {(False, True), (True, True)} <= answers

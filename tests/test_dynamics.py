@@ -641,12 +641,11 @@ class TestBlockSolver:
         params = ModelParams.from_theta(400, 0.5)
         fast = [run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
                 for s in range(3)]
-        def dense_direction(C, x0):  # the limit, with its residual and C x
-            y = dense_dominant_direction(C.as_float(), x0, dynamics.TOL,
-                                         dynamics.ZERO_TOL, dynamics.MAX_DOUBLINGS)
-            return (y, *dynamics._arc_residual(C, y))
-
-        monkeypatch.setattr(dynamics, "_dominant_direction", dense_direction)
+        monkeypatch.setattr(
+            dynamics, "_dominant_direction",
+            lambda C, x0: dense_dominant_direction(
+                C.as_float(), x0, dynamics.TOL, dynamics.ZERO_TOL,
+                dynamics.MAX_DOUBLINGS))
         for s, trace in enumerate(fast):
             dense = run_adaptive(params, seed=s, max_steps=25, plant_cycle=2)
             assert ([r.chosen for r in trace.records]
@@ -866,7 +865,7 @@ class TestPowerLoopCycleTest:
                 continue
             acyclic += 1
             np.testing.assert_array_equal(limit, arc_nilpotent_limit(sub, start[live]))
-            np.testing.assert_array_equal(dynamics._flow_limit(m, start)[0],
+            np.testing.assert_array_equal(dynamics._flow_limit(m, start),
                                           peeled_flow_limit(m, start))
         assert acyclic >= 500 and cyclic >= 500, (acyclic, cyclic)
 
@@ -882,7 +881,7 @@ class TestPowerLoopCycleTest:
         assert all(s in ((0,), (1,)) for s in supports)
         assert all(s != t for s, t in zip(supports, supports[1:]))
         assert dynamics._nilpotent_limit(m, start) is None
-        x = dynamics._flow_limit(m, start)[0]
+        x = dynamics._flow_limit(m, start)
         np.testing.assert_array_equal(x, peeled_flow_limit(m, start))
         np.testing.assert_allclose(x, [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -892,7 +891,7 @@ class TestPowerLoopCycleTest:
         start = np.array([1.0, 0.0, 0.0])
         np.testing.assert_array_equal(dynamics._nilpotent_limit(m, start),
                                       [0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(dynamics._flow_limit(m, start)[0],
+        np.testing.assert_array_equal(dynamics._flow_limit(m, start),
                                       peeled_flow_limit(m, start))
         assert equilibrium(m, start).kind == dynamics.KIND_TERMINAL
 
@@ -903,9 +902,32 @@ class TestPowerLoopCycleTest:
         assert has_directed_cycle(m)
         np.testing.assert_array_equal(dynamics._nilpotent_limit(m, start),
                                       [0.0, 1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(dynamics._flow_limit(m, start)[0],
+        np.testing.assert_array_equal(dynamics._flow_limit(m, start),
                                       peeled_flow_limit(m, start))
         assert equilibrium(m, start).kind == dynamics.KIND_TERMINAL
+
+    def test_a_certificate_the_start_cannot_reach_is_set_aside(self):
+        # the uniform start certifies {0, 1, 4, 5, 6, 7}: the 2-cycle
+        # {0, 1} and the 3-cycle 4 -> 5 -> 6 -> 4 with its leaf 7. A start
+        # that misses 0 and 1 runs the powers on what it reaches: on the
+        # chain 8 -> 9 they find its limit and C keeps its certificate; on
+        # the 3-cycle the one they find, in C's vertex names, replaces it
+        edges = [(0, 1), (1, 0), (3, 2), (2, 0), (4, 5), (5, 6), (6, 4), (6, 7),
+                 (8, 9)]
+        m = InteractionMatrix.from_edges(10, edges)
+        equilibrium(m)
+        np.testing.assert_array_equal(m._record.cycle, [0, 1, 4, 5, 6, 7])
+        for start, kind, cycle in [(np.eye(10)[8], dynamics.KIND_TERMINAL,
+                                    [0, 1, 4, 5, 6, 7]),
+                                   ([0.0] * 4 + [0.25, 0.25, 0.5] + [0.0] * 3,
+                                    dynamics.KIND_ACS, [4, 5, 6, 7])]:
+            eq = equilibrium(m, start)
+            bare = InteractionMatrix._from_arcs(m.d, *m.arcs)
+            fresh = equilibrium(bare, start)
+            assert eq.x_star.tobytes() == fresh.x_star.tobytes()
+            assert eq.lam == fresh.lam and eq.kind == kind
+            np.testing.assert_array_equal(m._record.cycle, cycle)
+            assert is_acs(m, m._record.cycle)
 
 
 def test_analytic_equilibrium_with_large_lambda():
@@ -1314,26 +1336,6 @@ class TestAnalyticStart:
 def test_an_equilibrium_over_the_residual_floor_raises(example1, monkeypatch):
     # the uniform start is not stationary on example 1, so a solver that
     # returned it must be caught by the final residual check
-    monkeypatch.setattr(dynamics, "_flow_limit", lambda C, start: (start, None))
+    monkeypatch.setattr(dynamics, "_flow_limit", lambda C, start: start)
     with pytest.raises(NonConvergenceError, match="equilibrium residual .* > 1e-09"):
         equilibrium(example1)
-
-
-@pytest.mark.parametrize("d", [30, 400], ids=["one block", "blocks"])
-def test_the_last_residual_check_gives_the_final_product(monkeypatch, d):
-    # the squaring's last check formed C x for the limit it returns: a
-    # uniform solve on C forms one product per check and none after, with
-    # the bits a product formed afresh gives. On the subgraph a start with
-    # zeros reaches, C x sums in another order, so one more is formed
-    m = plant_directed_cycle(sample_er_digraph(ModelParams.from_theta(d, 0.5),
-                                               stream(d)), 2)  # certified
-    products = counted(monkeypatch, dynamics, "_arc_product")
-    checks = counted(monkeypatch, dynamics, "_arc_residual")
-    eq = equilibrium(m)
-    assert len(products) == len(checks) > 0
-    cx = graph._arc_product(m, eq.x_star)
-    assert eq.lam == float(cx.sum())
-    assert eq.residual == float(np.abs(cx - cx.sum() * eq.x_star).sum())
-    del products[:], checks[:]
-    equilibrium(m, x0=[0.5, 0.5] + [0.0] * (d - 2))
-    assert len(products) == len(checks) + 1

@@ -251,6 +251,17 @@ class TestAttachAndWaiting:
         assert res.oracle_value == pytest.approx(10.4583, abs=1e-3)
         assert abs(res.z_score) < 3
 
+    def test_an_attach_trial_past_its_budget_is_censored(self, monkeypatch):
+        # at p = 1e-12 no in-edge appears in 3 redraws: every trial is
+        # censored at the budget, and none enters the aggregates
+        from jknet import experiments
+
+        monkeypatch.setattr(experiments, "ATTACH_MAX_STEPS", 3)
+        res = acs_attach_experiment(5, 1e-12, 8, seed=49)
+        assert res.per_trial.tolist() == [3.0] * 8
+        assert res.censored.all() and res.n_used == 0
+        assert math.isnan(res.mean) and res.z_score is None
+
     def test_waiting_time_sampler_matches_oracle(self):
         res = waiting_time_experiment(10, 0.01, 100_000, seed=47)
         assert abs(res.z_score) < 3

@@ -76,6 +76,30 @@ def test_every_name_the_workloads_read_resolves():
             obj = getattr(obj, part)
 
 
+def _functions(body, prefix):
+    """``(qualified name, node)`` of each function and method in ``body``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}.{node.name}")
+
+
+def test_only_the_solver_and_the_record_builders_read_the_record():
+    # a graph's _Record is the flow-limit solver's: the solve and the
+    # steps that build a record read it, and no graph query does, so a
+    # query answers alike on a graph with and without one
+    readers = set()
+    for path in sorted(Path(jknet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers |= {name for name, fn in _functions(tree.body, path.stem)
+                    if any(isinstance(node, ast.Attribute) and node.attr == "_record"
+                           for node in ast.walk(fn))}
+    assert readers == {"dynamics._nilpotent_limit", "dynamics._dominant_direction",
+                       "dynamics._flow_limit", "graph._Record.form",
+                       "graph.resample_vertex"}
+
+
 def test_no_solver_takes_a_tolerance():
     # every solve stops at graph.TOL; integrate's step-doubling tol is the
     # one error bound a caller sets

@@ -106,6 +106,10 @@ class TestInteractionMatrix:
             assert not dst.flags.writeable and not src.flags.writeable
             assert m.edge_count() == int(m.entries.sum())
 
+    def test_repr_gives_the_size_and_the_edge_count(self, example1):
+        assert repr(example1) == "InteractionMatrix(d=3, edges=3)"
+        assert repr(InteractionMatrix.zero(5)) == "InteractionMatrix(d=5, edges=0)"
+
 
 def dense_from_edges(d, edges):
     """The edge-list loader on a dense int8 copy: each pair checked and
@@ -517,7 +521,9 @@ class TestWeakComponentLabels:
     @pytest.mark.parametrize("few", [0, 10 ** 9])
     def test_the_python_and_the_vectorised_labels_agree(self, monkeypatch, few):
         # every graph labelled one way only: in Python (few = 10 ** 9) or
-        # with the vectorised sweeps (few = 0), against brute force
+        # with the vectorised sweeps (few = 0), against brute force. The
+        # graphs lie on both sides of the size where the library switches
+        cut, sizes = graph._FEW, []
         monkeypatch.setattr(graph, "_FEW", few)
         rng = stream(78)
         for _ in range(40):
@@ -529,6 +535,8 @@ class TestWeakComponentLabels:
             dst, src = m.arcs
             np.testing.assert_array_equal(
                 graph._weak_component_labels(dst, src, d), reach.argmax(axis=0))
+            sizes.append(d + dst.size)
+        assert min(sizes) <= cut < max(sizes)
 
 
 class TestInducedSubgraph:
