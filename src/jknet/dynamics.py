@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from ._csvtext import csv_block
 from .graph import (
     RESIDUAL_FLOOR,
     TOL,
@@ -56,6 +57,7 @@ ZERO_TOL = 1e-9  # a concentration at or below it is outside the support
 MAX_DOUBLINGS = 70  # squarings of I + C before the flow-limit solve gives up
 STALL = 0.75  # a near-threshold entry above STALL x its last value has stalled
 MASS_ATOL = 1e-9  # how far a state's mass may stray from 1 to be renormalised
+_CSV_BLOCK = 2048  # values the CSV writers format at once: it bounds their memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,22 +273,38 @@ def integrate_to_csv(C: InteractionMatrix, x0, t_end: float, h: float = 0.01,
                      out=None) -> Trajectory:
     """``integrate``'s fixed-step run, written to the text stream ``out``
     as it goes: the text ``trajectory_to_csv`` would give for the whole
-    trajectory, one row as each step is accepted (no CSV if ``out`` is
-    None). Only the current row is kept, so memory does not grow with
-    ``t_end / h``; the returned ``Trajectory`` holds the last row alone.
-    A run that fails part way has already written the rows before it.
+    trajectory (no CSV if ``out`` is None). Accepted rows wait in a block
+    of at most ``_CSV_BLOCK`` values, written when it fills and when the
+    run ends, so memory does not grow with ``t_end / h``; the returned
+    ``Trajectory`` holds the last row alone. A run that fails part way
+    has written every row accepted before the failure.
     """
     last = []
+    block = np.empty((max(1, _CSV_BLOCK // (C.d + 2)), C.d + 2))
+    n = 0
+
+    def flush() -> None:
+        nonlocal n
+        if n:
+            text, n = csv_block(block[:n]), 0
+            out.write(text)
 
     def record(row: tuple) -> None:
+        nonlocal n
         if out is not None:
             if not last:  # the first row: the span has passed its check
-                out.write(_csv_header(row[1].size))
-            out.write(_csv_line(*row))
+                out.write(_csv_header(C.d))
+            block[n, 0], block[n, 1:-1], block[n, -1] = row
+            n += 1
+            if n == len(block):
+                flush()
         last[:] = [row]
 
-    stats = _rk4_run(partial(_field, C.as_float()), _start(C, x0), t_end, h,
-                     record)
+    try:
+        stats = _rk4_run(partial(_field, C.as_float()), _start(C, x0), t_end, h,
+                         record)
+    finally:
+        flush()
     return _trajectory(last, stats)
 
 
@@ -694,19 +712,18 @@ def _csv_header(d: int) -> str:
     return "t," + ",".join(f"x_{j}" for j in range(d)) + ",residual\n"
 
 
-def _csv_line(t: float, x: np.ndarray, residual: float) -> str:
-    return ",".join(map(repr, [float(t), *x.tolist(), float(residual)])) + "\n"
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
     """The trajectory as CSV text: columns t, x_0 ... x_{d-1} and the
     residual, each value the ``repr`` of its float, so the text reads
     back to the same bits."""
     states = np.asarray(traj.states, dtype=float)
+    times = np.asarray(traj.times, dtype=float)
+    residuals = np.asarray(traj.residuals, dtype=float)
+    step = max(1, _CSV_BLOCK // (states.shape[1] + 2))
     return _csv_header(states.shape[1]) + "".join(
-        _csv_line(t, x, residual) for t, x, residual in zip(
-            np.asarray(traj.times, dtype=float), states,
-            np.asarray(traj.residuals, dtype=float)))
+        csv_block(np.column_stack([times[i:i + step], states[i:i + step],
+                                    residuals[i:i + step]]))
+        for i in range(0, len(times), step))
 
 
 def equilibrium_to_json_dict(eq: EquilibriumResult) -> dict:

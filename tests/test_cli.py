@@ -1124,6 +1124,20 @@ class TestStreamedCsv:
                  for t_max in ("5", "50")]
         assert peaks[1] < 1.5 * peaks[0], peaks
 
+    def test_every_value_reads_back_to_its_bits(self, tmp_path):
+        # at t = 50 the least entries are near 1e-45, in exponent notation
+        assert main(self.argv("50", d=200, p="0.01", seed=1)
+                    + ["--out", str(tmp_path / "run")]) == 0
+        m = sample_er_digraph(ModelParams(d=200, p=0.01), stream(1))
+        traj = dynamics.integrate(m, dynamics.uniform_state(200), t_end=50.0, h=0.01)
+        want = np.column_stack([traj.times, traj.states, traj.residuals])
+        with open(tmp_path / "run.csv", encoding="utf-8") as fh:
+            fh.readline()
+            got = np.array([[float(v) for v in line.split(",")] for line in fh])
+        assert got.shape == want.shape == (5002, 202)
+        assert got.tobytes() == want.tobytes()
+        assert want[-1].min() < 1e-37
+
     def test_a_failed_run_leaves_no_file(self, tmp_path, capsys):
         # h = 3 undershoots a component after the first rows were written
         argv = ["integrate", "--d", "50", "--p", "0.5", "--seed", "1",

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -1199,6 +1200,39 @@ class TestIntegrateMatchesListOracle:
         assert text.splitlines()[1] == (
             "0.0,0.0,-0.0,5e-324,9.9999e-05,0.0001,1e+16,9999999999999998.0,"
             "0.30000000000000004,1.0,2.5e-310,9.9999e-05")
+
+    def test_an_undershooting_csv_run_has_written_its_first_row(self):
+        # h = 3 undershoots a component in the first step
+        m = sample_er_digraph(ModelParams(d=50, p=0.5), stream(1))
+        x0 = uniform_state(50)
+        out = io.StringIO()
+        with pytest.raises(FloatingPointError, match="component undershoot"):
+            dynamics.integrate_to_csv(m, x0, t_end=30.0, h=3.0, out=out)
+        times, states, residuals, _, _ = list_integrate(m, x0, t_end=0.0, h=3.0)
+        assert out.getvalue() == joined_trajectory_csv(times, states, residuals)
+
+    @pytest.mark.parametrize("block_values", [1, 2 * 52, dynamics._CSV_BLOCK])
+    def test_a_failed_csv_run_has_written_its_accepted_rows(self, monkeypatch,
+                                                             block_values):
+        # a raise in step 201 leaves rows waiting in a block of two rows
+        # or of the default 39 rows (d = 50); one row is written at once
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK", block_values)
+        m = sample_er_digraph(ModelParams(d=50, p=0.1), stream(1))
+        x0 = uniform_state(50)
+        times, states, residuals, _, _ = list_integrate(m, x0, t_end=3.0, h=0.01)
+        calls, field = itertools.count(), dynamics._field
+
+        def failing(a, x):  # f(x) once to start, then four times a step
+            if next(calls) == 4 * 200 + 1:
+                raise FloatingPointError("in step 201")
+            return field(a, x)
+
+        monkeypatch.setattr(dynamics, "_field", failing)
+        out = io.StringIO()
+        with pytest.raises(FloatingPointError, match="in step 201"):
+            dynamics.integrate_to_csv(m, x0, t_end=3.0, h=0.01, out=out)
+        assert out.getvalue() == joined_trajectory_csv(
+            times[:201], states[:201], residuals[:201])
 
     def test_adaptive_buffers_grow_past_the_fixed_step_bound(self, example2):
         # tight tolerance at a coarse h: far more rows than t_end / h + 2

@@ -1,7 +1,8 @@
-"""Property tests of the equilibrium and the adaptive step on small graphs.
+"""Property tests of the equilibrium and the adaptive step on small
+graphs, and of the CSV text of any float.
 
-Hypothesis draws the graphs; the example count is fixed and the search
-derandomised, so a run is repeatable and its cost bounded.
+Hypothesis draws the graphs and floats; the example count is fixed and
+the search derandomised, so a run is repeatable and its cost bounded.
 """
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from jknet import AdaptiveState, InteractionMatrix, equilibrium, is_acs, jk_step  # noqa: E402
+from jknet import _csvtext  # noqa: E402
 from jknet.adaptation import X0_MODES  # noqa: E402
 from jknet.dynamics import KIND_ACS  # noqa: E402
 from jknet.rng import stream  # noqa: E402
@@ -62,3 +64,11 @@ def test_support_preserved_across_jk_step_while_zeros_exist(m, p, seed,
     assert (new_state.matrix.entries[idx] == m.entries[idx]).all()
     if state.directed_cycle:
         assert new_state.directed_cycle
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=12), st.integers(1, 3))
+def test_csv_text_of_any_float_is_its_repr(values, rows):
+    block = np.array(values * rows).reshape(rows, len(values))
+    assert _csvtext.csv_block(block) == "".join(
+        ",".join(map(repr, row)) + "\n" for row in block.tolist())
